@@ -111,6 +111,14 @@ class TestConfigText:
                       "momentum=0.2", "iterations=100", "init_range="):
             assert token in text
 
+    def test_exact_rendering(self):
+        assert config_text(ElmConfig(hidden_nodes=40, activation="tanh", seed=5)) == (
+            "classifier=elm hidden_nodes=40 activation=tanh seed=5 "
+            "weight_range=-1.0,1.0 rank_tol=1e-10")
+        assert config_text(MlpConfig(iterations=100)) == (
+            "classifier=mlp hidden_nodes=26 learning_rate=0.25 momentum=0.2 "
+            "iterations=100 seed=0 init_range=-0.5,0.5 divergence_factor=100.0")
+
 
 class TestEvaluate:
     def test_report_fields(self, rng):

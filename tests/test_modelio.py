@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from elmkit.data import LabeledDataset
-from elmkit.elm import ElmConfig, predict, train_elm
-from elmkit.mlp import MlpConfig, mlp_predict, train_mlp
+from elmkit.data import LabeledDataset, ScalingParams
+from elmkit.elm import ElmConfig, ElmModel, predict, train_elm
+from elmkit.mlp import MlpConfig, MlpModel, mlp_predict, train_mlp
 from elmkit.modelio import ModelFormatError, load_model, save_model
 
 
@@ -128,3 +128,78 @@ class TestFormatErrors:
     def test_unsupported_type_rejected_on_save(self, tmp_path):
         with pytest.raises(TypeError):
             save_model({"not": "a model"}, tmp_path / "x.model")
+
+
+class TestGoldenFormat:
+    """The exact v1 text of both model kinds, header and array layout."""
+
+    def test_elm_file_text(self, tmp_path):
+        model = ElmModel(
+            weights=[[0.5, -0.25], [1.0, 2.0]],
+            biases=[0.125, -3.0],
+            output_weights=[[1.0, 0.0, -0.5], [0.0, 1.0, 0.25]],
+            config=ElmConfig(hidden_nodes=2, activation="tanh", seed=17,
+                             weight_range=(-0.75, 1.25), rank_tol=1e-9),
+            class_names=("north field", "south", "c,3"),
+            scaling=ScalingParams(np.array([0.0, -1.5]), np.array([6.0, 5.0])),
+        )
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        assert path.read_text() == (
+            "elm-model v1\n"
+            "hidden_nodes: 2\n"
+            "activation: tanh\n"
+            "seed: 17\n"
+            "weight_range: -0.75 1.25\n"
+            "rank_tol: 1e-09\n"
+            "features: 2\n"
+            "class: north field\n"
+            "class: south\n"
+            "class: c,3\n"
+            "scaling_min: 0.0 -1.5\n"
+            "scaling_max: 6.0 5.0\n"
+            "weights:\n"
+            "0.5 -0.25\n"
+            "1.0 2.0\n"
+            "biases: 0.125 -3.0\n"
+            "output_weights:\n"
+            "1.0 0.0 -0.5\n"
+            "0.0 1.0 0.25\n"
+        )
+
+    def test_mlp_file_text(self, tmp_path):
+        model = MlpModel(
+            w_hidden=[[0.5, -0.25, 1.0], [1.0, 2.0, -2.0]],
+            b_hidden=[0.125, -3.0],
+            w_out=[[1.0, 0.0], [0.0, -0.5]],
+            b_out=[0.75, 0.0625],
+            config=MlpConfig(hidden_nodes=2, learning_rate=0.3, momentum=0.1,
+                             iterations=40, seed=11),
+            class_names=("a", "b"),
+            scaling=ScalingParams(np.array([0.0, 1.0, 2.0]), np.array([3.0, 4.0, 5.5])),
+        )
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        assert path.read_text() == (
+            "mlp-model v1\n"
+            "hidden_nodes: 2\n"
+            "learning_rate: 0.3\n"
+            "momentum: 0.1\n"
+            "iterations: 40\n"
+            "seed: 11\n"
+            "init_range: -0.5 0.5\n"
+            "divergence_factor: 100.0\n"
+            "features: 3\n"
+            "class: a\n"
+            "class: b\n"
+            "scaling_min: 0.0 1.0 2.0\n"
+            "scaling_max: 3.0 4.0 5.5\n"
+            "w_hidden:\n"
+            "0.5 -0.25 1.0\n"
+            "1.0 2.0 -2.0\n"
+            "b_hidden: 0.125 -3.0\n"
+            "w_out:\n"
+            "1.0 0.0\n"
+            "0.0 -0.5\n"
+            "b_out: 0.75 0.0625\n"
+        )
