@@ -15,7 +15,6 @@ from .data import (
     ScalingParams,
     SplitSpec,
     SyntheticConfig,
-    apply_scaling,
     default_split_spec,
     fit_scaling,
     generate_synthetic,
@@ -58,7 +57,6 @@ from .linalg import (
     LinalgError,
     SvdConvergenceError,
     SvdFactors,
-    matmul,
     min_norm_lstsq,
     pseudoinverse,
     svd,

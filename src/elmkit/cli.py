@@ -24,14 +24,17 @@ Exit codes: 0 success, 2 usage errors, 3 malformed input files,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .data import (
     ConfigFormatError,
     CsvFormatError,
     DEFAULT_TRAIN_FRACTION,
+    LabeledDataset,
     SplitSpec,
     generate_synthetic,
     littleport_like_config,
@@ -41,8 +44,9 @@ from .data import (
     save_csv,
     stratified_split,
 )
-from .elm import ElmConfig, ElmModel, train_elm, training_cost
+from .elm import ACTIVATIONS, ElmConfig, encode_targets, train_elm
 from .evaluate import (
+    _kind,
     benchmark,
     config_text,
     confusion,
@@ -50,7 +54,6 @@ from .evaluate import (
     model_predict,
     sweep_hidden_nodes,
 )
-from .linalg import LinalgError
 from .mlp import MlpConfig, MlpDivergenceError, train_mlp
 from .modelio import ModelFormatError, load_model, save_model
 
@@ -65,32 +68,31 @@ exit codes:
 """
 
 
+# Exit code per error type, first match first: the format errors and
+# LinalgError are ValueErrors too.
+_ERROR_EXIT_CODES = (
+    ((CsvFormatError, ConfigFormatError, ModelFormatError), 3),
+    (MlpDivergenceError, 5),
+    (ValueError, 4),
+    (OSError, 1),
+)
+
+
 def _config_comment_lines(config) -> list[str]:
-    from .data import SyntheticConfig  # local import to keep module load light
-
-    if isinstance(config, SyntheticConfig):
-        lines = [f"generator seed: {config.seed}", f"features: {config.n_features}"]
-        for cls, name in enumerate(config.class_names):
-            mean = " ".join(repr(float(v)) for v in config.means[cls])
-            lines.append(f"class {name}: count {config.counts[cls]} mean {mean}")
-        return lines
-    return [config_text(config)]
-
-
-def _split_outputs(base: Path) -> tuple[Path, Path]:
-    return (base.with_name(base.stem + ".train" + base.suffix),
-            base.with_name(base.stem + ".test" + base.suffix))
+    lines = [f"generator seed: {config.seed}", f"features: {config.n_features}"]
+    for cls, name in enumerate(config.class_names):
+        mean = " ".join(repr(float(v)) for v in config.means[cls])
+        lines.append(f"class {name}: count {config.counts[cls]} mean {mean}")
+    return lines
 
 
 def cmd_generate(args) -> int:
     if args.config is not None:
         config = load_synthetic_config(args.config)
-        if args.seed is not None:
-            from dataclasses import replace
-
-            config = replace(config, seed=args.seed)
     else:
-        config = littleport_like_config(seed=args.seed if args.seed is not None else 42)
+        config = littleport_like_config()
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     dataset = generate_synthetic(config)
     comments = _config_comment_lines(config)
     out = Path(args.out)
@@ -98,16 +100,13 @@ def cmd_generate(args) -> int:
     print(f"wrote {dataset.n_samples} samples, {dataset.n_classes} classes to {out}")
 
     if args.train_fraction is not None:
-        split_seed = args.seed if args.seed is not None else config.seed
-        spec = SplitSpec(train_fraction=args.train_fraction, seed=split_seed)
+        spec = SplitSpec(train_fraction=args.train_fraction, seed=config.seed)
         train, test = stratified_split(dataset, spec)
-        split_comment = (f"split: train_fraction={repr(args.train_fraction)} "
-                         f"seed={split_seed}")
-        train_path, test_path = _split_outputs(out)
-        save_csv(train, train_path, header_comments=comments + [split_comment])
-        save_csv(test, test_path, header_comments=comments + [split_comment])
-        print(f"wrote split {train.n_samples}/{test.n_samples} to "
-              f"{train_path} and {test_path}")
+        comments.append(f"split: train_fraction={repr(args.train_fraction)} seed={config.seed}")
+        paths = [out.with_name(f"{out.stem}.{part}{out.suffix}") for part in ("train", "test")]
+        for subset, path in zip((train, test), paths):
+            save_csv(subset, path, header_comments=comments)
+        print(f"wrote split {train.n_samples}/{test.n_samples} to {paths[0]} and {paths[1]}")
     return 0
 
 
@@ -115,7 +114,7 @@ def _elm_config(args) -> ElmConfig:
     return ElmConfig(
         hidden_nodes=args.hidden if args.hidden is not None else 300,
         activation=args.activation,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         rank_tol=args.rank_tol,
     )
 
@@ -126,7 +125,7 @@ def _mlp_config(args, hidden: int | None) -> MlpConfig:
         learning_rate=args.learning_rate,
         momentum=args.momentum,
         iterations=args.iterations,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
 
 
@@ -138,10 +137,8 @@ def _training_report(model, dataset) -> str:
     """
     predicted = model_predict(model, dataset.features)
     matrix = confusion(dataset.labels, predicted, dataset.class_names)
-    if isinstance(model, ElmModel):
-        cost = training_cost(model, dataset)
-    else:
-        cost = model.loss_history[-1]
+    scores = _kind(model).scores(model, dataset.features)
+    cost = float(np.sum((scores - encode_targets(dataset.labels, dataset.n_classes)) ** 2))
     lines = [
         "training report",
         f"config: {config_text(model.config)}",
@@ -170,13 +167,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_predictions(path, features, feature_names, labels, class_names, config_line) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(f"# {config_line}\n")
-        writer = csv.writer(handle)
-        writer.writerow([*feature_names, "label"])
-        for row, label in zip(features, labels):
-            writer.writerow([*(repr(float(v)) for v in row), class_names[label]])
+def _save_predictions(path, model, features, feature_names=None):
+    """Write the features with the predicted class appended; return the labels."""
+    labels = model_predict(model, features)
+    save_csv(LabeledDataset(features, labels, model.class_names), path,
+             feature_names=feature_names, header_comments=[config_text(model.config)])
+    return labels
 
 
 def cmd_predict(args) -> int:
@@ -186,34 +182,33 @@ def cmd_predict(args) -> int:
         raise ValueError(
             f"model expects {model.n_features} features, input has {features.shape[1]}"
         )
-    labels = model_predict(model, features)
-    _write_predictions(args.out, features, feature_names, labels,
-                       model.class_names, config_text(model.config))
+    labels = _save_predictions(args.out, model, features, feature_names)
     print(f"wrote {len(labels)} predictions to {args.out}")
     return 0
 
 
+def _split(args):
+    """Load the labeled CSV and split it at --train-fraction with --seed."""
+    spec = SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
+    return stratified_split(load_csv(args.data), spec)
+
+
+def _write_result(out_dir: Path, stem: str, result) -> None:
+    """Write a result's text rendering and its record next to each other."""
+    (out_dir / f"{stem}.txt").write_text(result.render_text() + "\n", encoding="utf-8")
+    (out_dir / f"{stem}.rec").write_text(result.to_record() + "\n", encoding="utf-8")
+
+
 def cmd_benchmark(args) -> int:
-    dataset = load_csv(args.data)
-    spec = SplitSpec(train_fraction=args.train_fraction,
-                     seed=args.seed if args.seed is not None else 0)
-    train, test = stratified_split(dataset, spec)
-    elm_config = _elm_config(args)
-    mlp_config = _mlp_config(args, args.mlp_hidden)
-    result = benchmark(train, test, elm_config, mlp_config,
-                       sequential_timing=args.sequential_timing)
+    train, test = _split(args)
+    result = benchmark(train, test, _elm_config(args), _mlp_config(args, args.mlp_hidden))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(result.elm_model, out_dir / "elm.model")
-    save_model(result.mlp_model, out_dir / "mlp.model")
     for model, name in ((result.elm_model, "elm"), (result.mlp_model, "mlp")):
-        labels = model_predict(model, test.features)
-        _write_predictions(out_dir / f"{name}_predictions.csv", test.features,
-                           [f"f{i + 1}" for i in range(test.n_features)],
-                           labels, model.class_names, config_text(model.config))
-    (out_dir / "report.txt").write_text(result.render_text() + "\n", encoding="utf-8")
-    (out_dir / "report.rec").write_text(result.to_record() + "\n", encoding="utf-8")
+        save_model(model, out_dir / f"{name}.model")
+        _save_predictions(out_dir / f"{name}_predictions.csv", model, test.features)
+    _write_result(out_dir, "report", result)
     print(f"elm accuracy {result.elm_report.accuracy * 100:.2f}%, "
           f"mlp accuracy {result.mlp_report.accuracy * 100:.2f}%, "
           f"train speedup {result.speedup:.1f}x; artifacts in {out_dir}")
@@ -221,19 +216,13 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    dataset = load_csv(args.data)
-    spec = SplitSpec(train_fraction=args.train_fraction,
-                     seed=args.seed if args.seed is not None else 0)
-    train, test = stratified_split(dataset, spec)
+    train, test = _split(args)
     template = ElmConfig(activation=args.activation, rank_tol=args.rank_tol)
     result = sweep_hidden_nodes(train, test, config=template,
-                                n_seeds=args.seeds,
-                                base_seed=args.seed if args.seed is not None else 0,
-                                workers=args.workers)
+                                n_seeds=args.seeds, base_seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.txt").write_text(result.render_text() + "\n", encoding="utf-8")
-    (out_dir / "sweep.rec").write_text(result.to_record() + "\n", encoding="utf-8")
+    _write_result(out_dir, "sweep", result)
     print(f"best hidden width {result.best_h} "
           f"(median accuracy {result.best_accuracy * 100:.2f}%); artifacts in {out_dir}")
     return 0
@@ -257,24 +246,31 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.set_defaults(handler=cmd_generate)
 
+    def add_split_flags(p):
+        p.add_argument("--data", required=True, help="labeled CSV to split and use")
+        p.add_argument("--train-fraction", type=float, default=DEFAULT_TRAIN_FRACTION,
+                       help="stratified train share (default matches the bundled scene)")
+
+    def add_elm_flags(p):
+        p.add_argument("--activation", default="sigmoid", choices=tuple(ACTIVATIONS),
+                       help="elm hidden activation (default sigmoid)")
+        p.add_argument("--rank-tol", type=float, default=1e-10,
+                       help="relative singular-value cutoff for the elm solve")
+
     def add_classifier_flags(p, with_classifier=True):
         if with_classifier:
             p.add_argument("--classifier", choices=("elm", "mlp"), default="elm",
                            help="classifier kind (default elm)")
         p.add_argument("--hidden", type=int,
                        help="hidden-layer width (default: 300 elm, 26 mlp)")
-        p.add_argument("--activation", default="sigmoid",
-                       choices=("sigmoid", "tanh", "hardlimit"),
-                       help="elm hidden activation (default sigmoid)")
-        p.add_argument("--seed", type=int, help="classifier seed (default 0)")
+        add_elm_flags(p)
+        p.add_argument("--seed", type=int, default=0, help="classifier seed (default 0)")
         p.add_argument("--learning-rate", type=float, default=0.25,
                        help="mlp learning rate (default 0.25)")
         p.add_argument("--momentum", type=float, default=0.2,
                        help="mlp momentum (default 0.2)")
         p.add_argument("--iterations", type=int, default=2200,
                        help="mlp training iterations (default 2200)")
-        p.add_argument("--rank-tol", type=float, default=1e-10,
-                       help="relative singular-value cutoff for the elm solve")
 
     train = sub.add_parser("train", help="fit a classifier on a labeled CSV")
     train.add_argument("--data", required=True, help="labeled training CSV")
@@ -291,33 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("benchmark",
                            help="train both classifiers on one split and compare")
-    bench.add_argument("--data", required=True, help="labeled CSV to split and use")
-    bench.add_argument("--train-fraction", type=float, default=DEFAULT_TRAIN_FRACTION,
-                       help="stratified train share (default matches the bundled scene)")
+    add_split_flags(bench)
     add_classifier_flags(bench, with_classifier=False)
     bench.add_argument("--mlp-hidden", type=int,
                        help="baseline hidden width (default 26); --hidden sets the elm width")
-    bench.add_argument("--sequential-timing", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="time each classifier in isolation (default on)")
     bench.add_argument("--out", required=True, help="output directory for artifacts")
     bench.set_defaults(handler=cmd_benchmark)
 
     sweep = sub.add_parser("sweep", help="accuracy vs hidden-layer width")
-    sweep.add_argument("--data", required=True, help="labeled CSV to split and use")
-    sweep.add_argument("--train-fraction", type=float, default=DEFAULT_TRAIN_FRACTION,
-                       help="stratified train share (default matches the bundled scene)")
-    sweep.add_argument("--activation", default="sigmoid",
-                       choices=("sigmoid", "tanh", "hardlimit"),
-                       help="elm hidden activation (default sigmoid)")
-    sweep.add_argument("--seed", type=int,
+    add_split_flags(sweep)
+    add_elm_flags(sweep)
+    sweep.add_argument("--seed", type=int, default=0,
                        help="split seed and base classifier seed (default 0)")
     sweep.add_argument("--seeds", type=int, default=3,
                        help="classifier seeds per width (default 3)")
-    sweep.add_argument("--rank-tol", type=float, default=1e-10,
-                       help="relative singular-value cutoff for the elm solve")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="thread workers for the sweep (default: sequential)")
     sweep.add_argument("--out", required=True, help="output directory for artifacts")
     sweep.set_defaults(handler=cmd_sweep)
     return parser
@@ -326,21 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    command = args.command
     try:
         return args.handler(args)
-    except (CsvFormatError, ConfigFormatError, ModelFormatError) as exc:
-        print(f"elmkit {command}: {exc}", file=sys.stderr)
-        return 3
-    except MlpDivergenceError as exc:
-        print(f"elmkit {command}: {exc}", file=sys.stderr)
-        return 5
-    except (ValueError, LinalgError) as exc:
-        print(f"elmkit {command}: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"elmkit {command}: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, MlpDivergenceError, OSError) as exc:
+        print(f"elmkit {args.command}: {exc}", file=sys.stderr)
+        return next(code for types, code in _ERROR_EXIT_CODES if isinstance(exc, types))
 
 
 def entry_point() -> None:

@@ -17,6 +17,7 @@ frozen and their arrays are marked read-only.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -52,8 +53,8 @@ class LabeledDataset:
     provenance: str = ""
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        features = _frozen_array(self.features)
+        labels = _frozen_array(self.labels, np.int64)
         if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
             raise ValueError(f"features must be a nonempty 2-D matrix, got shape {features.shape}")
         if not np.isfinite(features).all():
@@ -70,10 +71,6 @@ class LabeledDataset:
         if labels.size and (labels.min() < 0 or labels.max() >= len(names)):
             raise ValueError(f"labels must lie in [0, {len(names)}), got range "
                              f"[{labels.min()}, {labels.max()}]")
-        features = features.copy()
-        features.setflags(write=False)
-        labels = labels.copy()
-        labels.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_names", names)
@@ -105,18 +102,73 @@ class LabeledDataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _read_table(path) -> tuple[list[str], int]:
-    """Raw lines of a delimited file with leading '#' comments dropped.
+def _parse_csv(path, label_column: str, feature_columns: Sequence[str] | None,
+               label_required: bool):
+    """The one strict row parser behind :func:`load_csv` and :func:`load_feature_csv`.
 
-    Returns the remaining lines and the 1-based physical line number of
-    the header row, so parse errors can report true file positions.
+    Returns ``(feature_columns, features, labels, line_numbers)``: the
+    stripped label cells (empty without a label column) and the physical
+    line of each data row, which every error message also names.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = handle.readlines()
     skip = 0
     while skip < len(lines) and lines[skip].lstrip().startswith("#"):
         skip += 1
-    return lines[skip:], skip + 1
+    reader = csv.reader(lines[skip:])
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise CsvFormatError(f"{path}: file is empty") from None
+    if len(set(header)) != len(header):
+        raise CsvFormatError(f"{path}: duplicate column names in header")
+    has_label = label_column in header
+    if label_required and not has_label:
+        raise CsvFormatError(f"{path}: missing label column '{label_column}'")
+    if feature_columns is None:
+        feature_columns = [h for h in header if h != label_column]
+    else:
+        feature_columns = list(feature_columns)
+    if not feature_columns:
+        raise CsvFormatError(f"{path}: no feature columns")
+    for name in feature_columns:
+        if name not in header:
+            raise CsvFormatError(f"{path}: missing feature column '{name}'")
+    feature_pos = [header.index(name) for name in feature_columns]
+    label_pos = header.index(label_column) if has_label else None
+
+    rows: list[list[float]] = []
+    labels: list[str] = []
+    line_numbers: list[int] = []
+    for line_no, record in enumerate(reader, start=skip + 2):
+        if not record:
+            continue
+        if len(record) != len(header):
+            raise CsvFormatError(
+                f"{path}: row {line_no} has {len(record)} cells, expected {len(header)}"
+            )
+        values = []
+        for name, pos in zip(feature_columns, feature_pos):
+            cell = record[pos].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}: row {line_no}, column '{name}': could not parse '{cell}' as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise CsvFormatError(
+                    f"{path}: row {line_no}, column '{name}': non-finite value '{cell}'"
+                )
+            values.append(value)
+        rows.append(values)
+        if has_label:
+            labels.append(record[label_pos].strip())
+        line_numbers.append(line_no)
+
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    return feature_columns, np.array(rows), labels, line_numbers
 
 
 def load_csv(path, label_column: str = "label", feature_columns: Sequence[str] | None = None,
@@ -133,75 +185,23 @@ def load_csv(path, label_column: str = "label", feature_columns: Sequence[str] |
     whose classes are not in first-appearance order).
 
     Raises :class:`CsvFormatError` on an empty file, a missing column,
-    or an unparseable cell (reported with its row and column).
+    a row with the wrong cell count, an unparseable or non-finite cell,
+    or an unknown class, each reported with its physical line.
     """
-    table, header_line = _read_table(path)
-    reader = csv.reader(table)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvFormatError(f"{path}: file is empty") from None
-    header = [h.strip() for h in header]
-    if len(set(header)) != len(header):
-        raise CsvFormatError(f"{path}: duplicate column names in header")
-    if label_column not in header:
-        raise CsvFormatError(f"{path}: missing label column '{label_column}'")
-    if feature_columns is None:
-        feature_columns = [h for h in header if h != label_column]
-    else:
-        feature_columns = list(feature_columns)
-        for name in feature_columns:
-            if name not in header:
-                raise CsvFormatError(f"{path}: missing feature column '{name}'")
-    if not feature_columns:
-        raise CsvFormatError(f"{path}: no feature columns")
-    feature_pos = [header.index(name) for name in feature_columns]
-    label_pos = header.index(label_column)
-
-    rows: list[list[float]] = []
-    label_names: list[str] = []
-    for line_no, record in enumerate(reader, start=header_line + 1):
-        if not record:
-            continue
-        if len(record) != len(header):
-            raise CsvFormatError(
-                f"{path}: row {line_no} has {len(record)} cells, expected {len(header)}"
-            )
-        values = []
-        for name, pos in zip(feature_columns, feature_pos):
-            cell = record[pos].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: row {line_no}, column '{name}': could not parse '{cell}' as a number"
-                ) from None
-            if not np.isfinite(value):
-                raise CsvFormatError(
-                    f"{path}: row {line_no}, column '{name}': non-finite value '{cell}'"
-                )
-            values.append(value)
-        rows.append(values)
-        label_names.append(record[label_pos].strip())
-
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
+    _, features, label_names, line_numbers = _parse_csv(
+        path, label_column, feature_columns, label_required=True)
 
     if class_names is None:
-        mapping: dict[str, int] = {}
-        for name in label_names:
-            if name not in mapping:
-                mapping[name] = len(mapping)
-        ordered = tuple(mapping)
+        ordered = tuple(dict.fromkeys(label_names))
     else:
         ordered = tuple(str(n) for n in class_names)
-        mapping = {name: i for i, name in enumerate(ordered)}
-        for line_no, name in enumerate(label_names, start=2):
-            if name not in mapping:
-                raise CsvFormatError(f"{path}: row {line_no}: unknown class '{name}'")
+    mapping = {name: i for i, name in enumerate(ordered)}
+    for line_no, name in zip(line_numbers, label_names):
+        if name not in mapping:
+            raise CsvFormatError(f"{path}: row {line_no}: unknown class '{name}'")
 
     labels = np.array([mapping[name] for name in label_names], dtype=np.int64)
-    return LabeledDataset(np.array(rows), labels, ordered, provenance=str(path))
+    return LabeledDataset(features, labels, ordered, provenance=str(path))
 
 
 def save_csv(dataset: LabeledDataset, path, label_column: str = "label",
@@ -233,40 +233,14 @@ def load_feature_csv(path, feature_columns: Sequence[str] | None = None,
                      label_column: str = "label") -> tuple[np.ndarray, list[str]]:
     """Read only the feature columns of a CSV (for prediction inputs).
 
-    Leading ``#`` comment lines are skipped.  With *feature_columns*
-    unset, every column except *label_column* (if present) is parsed.
-    Returns ``(features, feature_names)``.
+    Rows are checked as strictly as by :func:`load_csv`: every row must
+    have one cell per header column, label column included.  With
+    *feature_columns* unset, every column except *label_column* (if
+    present) is parsed.  Returns ``(features, feature_names)``.
     """
-    table, header_line = _read_table(path)
-    reader = csv.reader(table)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise CsvFormatError(f"{path}: file is empty") from None
-    if feature_columns is None:
-        feature_columns = [h for h in header if h != label_column]
-    else:
-        feature_columns = list(feature_columns)
-    if not feature_columns:
-        raise CsvFormatError(f"{path}: no feature columns")
-    for name in feature_columns:
-        if name not in header:
-            raise CsvFormatError(f"{path}: missing feature column '{name}'")
-    positions = [header.index(name) for name in feature_columns]
-    rows = []
-    for line_no, record in enumerate(reader, start=header_line + 1):
-        if not record:
-            continue
-        try:
-            rows.append([float(record[pos]) for pos in positions])
-        except (ValueError, IndexError):
-            raise CsvFormatError(f"{path}: row {line_no}: unparseable feature row") from None
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    features = np.array(rows)
-    if not np.isfinite(features).all():
-        raise CsvFormatError(f"{path}: non-finite feature values")
-    return features, feature_columns
+    names, features, _, _ = _parse_csv(path, label_column, feature_columns,
+                                       label_required=False)
+    return features, names
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +261,8 @@ class SplitSpec:
     train_fraction: float | None = None
     train_count: int | tuple[int, ...] | None = None
     seed: int = 0
-    mode: str = "stratified"
 
     def __post_init__(self):
-        if self.mode != "stratified":
-            raise ValueError(f"unsupported split mode '{self.mode}'")
         if (self.train_fraction is None) == (self.train_count is None):
             raise ValueError("exactly one of train_fraction and train_count must be set")
         if self.train_fraction is not None:
@@ -433,16 +404,6 @@ def scale_features(features: np.ndarray, params: ScalingParams) -> np.ndarray:
     safe = np.where(span > 0.0, span, 1.0)
     scaled = -1.0 + 2.0 * (features - params.feature_min) / safe
     return np.where(span > 0.0, scaled, 0.0)
-
-
-def apply_scaling(dataset: LabeledDataset, params: ScalingParams) -> LabeledDataset:
-    """Dataset with features mapped through the fitted scaling."""
-    return LabeledDataset(
-        features=scale_features(dataset.features, params),
-        labels=dataset.labels,
-        class_names=dataset.class_names,
-        provenance=dataset.provenance,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -620,12 +581,6 @@ def load_synthetic_config(path) -> SyntheticConfig:
     if not lines or lines[0].strip() != _CONFIG_TAG:
         raise ConfigFormatError(f"{path}: missing '{_CONFIG_TAG}' tag line")
 
-    def split_kv(line: str, lineno: int) -> tuple[str, str]:
-        if ":" not in line:
-            raise ConfigFormatError(f"{path}: line {lineno}: expected 'key: value'")
-        key, _, value = line.partition(":")
-        return key.strip(), value.strip()
-
     seed = None
     features = None
     names: list[str] = []
@@ -645,7 +600,9 @@ def load_synthetic_config(path) -> SyntheticConfig:
         return row
 
     for lineno, line in enumerate(lines[1:], start=2):
-        key, value = split_kv(line, lineno)
+        key, sep, value = (part.strip() for part in line.partition(":"))
+        if not sep:
+            raise ConfigFormatError(f"{path}: line {lineno}: expected 'key: value'")
         if key == "seed":
             seed = int(value)
         elif key == "features":

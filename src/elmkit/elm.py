@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, ScalingParams, fit_scaling, scale_features
+from .data import LabeledDataset, ScalingParams, _frozen_array, fit_scaling, scale_features
 from .linalg import min_norm_lstsq
 
 
@@ -98,10 +98,7 @@ class ElmModel:
 
     def __post_init__(self):
         for name in ("weights", "biases", "output_weights"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         h, p = self.weights.shape
         if self.biases.shape != (h,):
             raise ValueError(f"biases shape {self.biases.shape} does not match {h} hidden nodes")
@@ -203,7 +200,7 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
 
 def predict_scores(model: ElmModel, features: np.ndarray) -> np.ndarray:
     """Raw class scores (samples, classes) for unscaled input features."""
-    scaled = scale_features(np.asarray(features, dtype=np.float64), model.scaling)
+    scaled = scale_features(features, model.scaling)
     hidden = build_hidden_matrix(scaled, model.weights, model.biases, model.config.activation)
     return hidden @ model.output_weights
 

@@ -12,16 +12,68 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import LabeledDataset
-from .elm import ElmConfig, ElmModel, predict, train_elm
-from .mlp import MlpConfig, MlpModel, mlp_predict, train_mlp
+from .data import LabeledDataset, _frozen_array
+from .elm import ElmConfig, ElmModel, predict, predict_scores, train_elm
+from .mlp import MlpConfig, MlpModel, mlp_predict, mlp_predict_scores, train_mlp
 
 DEFAULT_HIDDEN_GRID = tuple(range(25, 451, 25))
+
+
+class _Kind(NamedTuple):
+    """Everything that differs between the two classifier kinds."""
+
+    name: str
+    model: type
+    config: type
+    predict: Callable   # (model, features) -> label indices
+    scores: Callable    # (model, features) -> (samples, classes) scores
+    # Model-file array layout: (field, row dimension, column dimension or
+    # None for a one-line vector), dimensions named hidden/features/classes.
+    arrays: tuple
+
+
+# The one table of classifier kinds.  Its functions look their targets up
+# at call time, so rebinding a module-level name (as tracing does) also
+# reaches the calls made through the table.
+_KINDS = (
+    _Kind("elm", ElmModel, ElmConfig,
+          lambda model, features: predict(model, features),
+          lambda model, features: predict_scores(model, features),
+          (("weights", "hidden", "features"), ("biases", "hidden", None),
+           ("output_weights", "hidden", "classes"))),
+    _Kind("mlp", MlpModel, MlpConfig,
+          lambda model, features: mlp_predict(model, features),
+          lambda model, features: mlp_predict_scores(model, features),
+          (("w_hidden", "hidden", "features"), ("b_hidden", "hidden", None),
+           ("w_out", "classes", "hidden"), ("b_out", "classes", None))),
+)
+
+
+def _kind(obj) -> _Kind:
+    """Table entry for a model or a config of either classifier kind."""
+    for kind in _KINDS:
+        if isinstance(obj, (kind.model, kind.config)):
+            return kind
+    raise TypeError(f"unknown classifier type {type(obj).__name__}")
+
+
+def _config_fields(config, sep: str) -> list[tuple[str, str]]:
+    """Each config field as (name, text), in declaration order.
+
+    Floats render with ``repr`` so they round-trip exactly; a tuple
+    renders its items joined by *sep*.
+    """
+    out = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        out.append((f.name, sep.join(repr(v) if isinstance(v, float) else str(v) for v in items)))
+    return out
 
 
 def dataset_fingerprint(dataset: LabeledDataset) -> str:
@@ -41,18 +93,9 @@ def dataset_fingerprint(dataset: LabeledDataset) -> str:
 
 def config_text(config) -> str:
     """Canonical one-line rendering of a classifier config."""
-    if isinstance(config, ElmConfig):
-        return (f"classifier=elm hidden_nodes={config.hidden_nodes} "
-                f"activation={config.activation} seed={config.seed} "
-                f"weight_range={repr(config.weight_range[0])},{repr(config.weight_range[1])} "
-                f"rank_tol={repr(config.rank_tol)}")
-    if isinstance(config, MlpConfig):
-        return (f"classifier=mlp hidden_nodes={config.hidden_nodes} "
-                f"learning_rate={repr(config.learning_rate)} momentum={repr(config.momentum)} "
-                f"iterations={config.iterations} seed={config.seed} "
-                f"init_range={repr(config.init_range[0])},{repr(config.init_range[1])} "
-                f"divergence_factor={repr(config.divergence_factor)}")
-    raise TypeError(f"unknown config type {type(config).__name__}")
+    parts = [f"classifier={_kind(config).name}"]
+    parts += [f"{name}={text}" for name, text in _config_fields(config, ",")]
+    return " ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -63,13 +106,12 @@ class ConfusionMatrix:
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64).copy()
+        counts = _frozen_array(self.counts, np.int64)
         m = len(self.class_names)
         if counts.shape != (m, m):
             raise ValueError(f"counts must be {m}x{m}, got {counts.shape}")
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
-        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "class_names", tuple(str(n) for n in self.class_names))
 
@@ -161,41 +203,26 @@ class EvalReport:
             f"n_test={self.n_test}",
             f"accuracy={repr(self.accuracy)}",
         ]
-        m = len(self.confusion.class_names)
-        for i in range(m):
-            row = ",".join(str(int(c)) for c in self.confusion.counts[i])
-            lines.append(f"confusion_row_{i}={row}")
+        for i, row in enumerate(self.confusion.counts):
+            lines.append(f"confusion_row_{i}=" + ",".join(str(int(c)) for c in row))
         lines.append(f"time_train_s={repr(self.train_time_s)}")
         lines.append(f"time_predict_s={repr(self.predict_time_s)}")
         return "\n".join(lines)
 
 
-def _classifier_kind(model) -> str:
-    if isinstance(model, ElmModel):
-        return "elm"
-    if isinstance(model, MlpModel):
-        return "mlp"
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
 def model_predict(model, features: np.ndarray) -> np.ndarray:
     """Label predictions for either classifier kind."""
-    if isinstance(model, ElmModel):
-        return predict(model, features)
-    if isinstance(model, MlpModel):
-        return mlp_predict(model, features)
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    return _kind(model).predict(model, features)
 
 
-def evaluate(model, train: LabeledDataset, test: LabeledDataset,
-             train_time_s: float | None = None) -> EvalReport:
+def evaluate(model, train: LabeledDataset, test: LabeledDataset) -> EvalReport:
     """Score a trained model on a held-out split and build its report."""
     started = time.perf_counter()
     predicted = model_predict(model, test.features)
     predict_time = time.perf_counter() - started
     matrix = confusion(test.labels, predicted, test.class_names)
     return EvalReport(
-        classifier=_classifier_kind(model),
+        classifier=_kind(model).name,
         config=config_text(model.config),
         train_fingerprint=dataset_fingerprint(train),
         test_fingerprint=dataset_fingerprint(test),
@@ -203,7 +230,7 @@ def evaluate(model, train: LabeledDataset, test: LabeledDataset,
         n_test=test.n_samples,
         accuracy=matrix.overall_accuracy(),
         confusion=matrix,
-        train_time_s=model.train_time_s if train_time_s is None else train_time_s,
+        train_time_s=model.train_time_s,
         predict_time_s=predict_time,
     )
 
@@ -243,30 +270,22 @@ class BenchmarkResult:
 
 def benchmark(train: LabeledDataset, test: LabeledDataset,
               elm_config: ElmConfig | None = None,
-              mlp_config: MlpConfig | None = None,
-              sequential_timing: bool = True) -> BenchmarkResult:
+              mlp_config: MlpConfig | None = None) -> BenchmarkResult:
     """Train and evaluate both classifiers on the same split.
 
     Both classifiers must see the identical split; the shared
     fingerprints stamped on the two reports are computed once and
-    asserted equal.  With *sequential_timing* (the default) each
-    classifier runs start to finish in isolation; otherwise the train
-    stages run back-to-back before either predict stage, which
-    interleaves memory traffic between the two timings.
+    asserted equal.  Each classifier trains and predicts start to
+    finish before the other begins, so neither timing includes the
+    other's memory traffic.
     """
     elm_config = elm_config or ElmConfig()
     mlp_config = mlp_config or MlpConfig()
 
-    if sequential_timing:
-        elm_model = train_elm(train, elm_config)
-        elm_report = evaluate(elm_model, train, test)
-        mlp_model = train_mlp(train, mlp_config)
-        mlp_report = evaluate(mlp_model, train, test)
-    else:
-        elm_model = train_elm(train, elm_config)
-        mlp_model = train_mlp(train, mlp_config)
-        elm_report = evaluate(elm_model, train, test)
-        mlp_report = evaluate(mlp_model, train, test)
+    elm_model = train_elm(train, elm_config)
+    elm_report = evaluate(elm_model, train, test)
+    mlp_model = train_mlp(train, mlp_config)
+    mlp_report = evaluate(mlp_model, train, test)
 
     if (elm_report.train_fingerprint, elm_report.test_fingerprint) != (
             mlp_report.train_fingerprint, mlp_report.test_fingerprint):
@@ -345,14 +364,12 @@ def _sweep_point(train, test, config, hidden, seeds):
 def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
                        hidden_grid=DEFAULT_HIDDEN_GRID,
                        config: ElmConfig | None = None,
-                       n_seeds: int = 3, base_seed: int = 0,
-                       workers: int | None = None) -> SweepResult:
+                       n_seeds: int = 3, base_seed: int = 0) -> SweepResult:
     """Median test accuracy of the direct-solve classifier per width.
 
     Each width trains ``n_seeds`` models with seeds ``base_seed + k``
     and reports median, min, and max accuracy; ``best_h`` breaks median
-    ties toward the smaller width.  ``workers`` > 1 evaluates widths in
-    a thread pool (the linear algebra releases the interpreter lock).
+    ties toward the smaller width.
     """
     if config is None:
         config = ElmConfig()
@@ -363,12 +380,7 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
         raise ValueError("n_seeds must be >= 1")
     seeds = [base_seed + k for k in range(n_seeds)]
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_accs = list(pool.map(
-                lambda h: _sweep_point(train, test, config, h, seeds), grid))
-    else:
-        all_accs = [_sweep_point(train, test, config, h, seeds) for h in grid]
+    all_accs = [_sweep_point(train, test, config, h, seeds) for h in grid]
 
     entries = tuple(
         SweepEntry(

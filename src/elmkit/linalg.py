@@ -1,4 +1,4 @@
-"""Dense real-matrix helpers: validated products, SVD, Moore-Penrose pseudoinverse.
+"""Dense real-matrix helpers: input validation, SVD, Moore-Penrose pseudoinverse.
 
 Matrices are plain 2-D float64 ndarrays with at least one row and one
 column and only finite entries; :func:`as_matrix` enforces that contract
@@ -63,20 +63,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise LinalgError(f"{name}: dimensions must be at least 1x1, got {rows}x{cols}")
     if not np.isfinite(out).all():
         raise LinalgError(f"{name}: entries must be finite (found NaN or infinity)")
-    return out
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with dimension and finiteness checks."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise LinalgError(
-            f"dimension mismatch in matmul: {a.shape[0]}x{a.shape[1]} times {b.shape[0]}x{b.shape[1]}"
-        )
-    out = a @ b
-    if not np.isfinite(out).all():
-        raise LinalgError("matmul overflowed: product has non-finite entries")
     return out
 
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, ScalingParams, fit_scaling, scale_features
-from .elm import decode_scores, encode_targets
+from .data import LabeledDataset, ScalingParams, _frozen_array, fit_scaling, scale_features
+from .elm import _sigmoid, decode_scores, encode_targets
 
 
 # Gain applied to the mean-per-sample gradient step; see module docstring.
@@ -101,9 +101,7 @@ class MlpModel:
 
     def __post_init__(self):
         for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         h, p = self.w_hidden.shape
         m = len(self.class_names)
         if self.b_hidden.shape != (h,) or self.w_out.shape != (m, h) or self.b_out.shape != (m,):
@@ -118,15 +116,6 @@ class MlpModel:
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
-
-
-def _sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def init_mlp_params(n_features: int, n_classes: int,
@@ -228,7 +217,7 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
 
 def mlp_predict_scores(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Output-layer activations (samples, classes) for unscaled inputs."""
-    scaled = scale_features(np.asarray(features, dtype=np.float64), model.scaling)
+    scaled = scale_features(features, model.scaling)
     _, output = mlp_forward(scaled, model.w_hidden, model.b_hidden, model.w_out, model.b_out)
     return output
 

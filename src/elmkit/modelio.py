@@ -12,14 +12,24 @@ clock.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .data import ScalingParams
-from .elm import ElmConfig, ElmModel
-from .mlp import MlpConfig, MlpModel
+from .evaluate import _KINDS, _config_fields, _kind
 
-ELM_TAG = "elm-model v1"
-MLP_TAG = "mlp-model v1"
+# Config field parsers, by declared field type.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[float, float]": lambda text: tuple(float(t) for t in text.split()),
+}
+
+
+def _tag(kind) -> str:
+    return f"{kind.name}-model v1"
 
 
 class ModelFormatError(ValueError):
@@ -28,13 +38,6 @@ class ModelFormatError(ValueError):
 
 def _fmt_vector(vec) -> str:
     return " ".join(repr(float(v)) for v in np.asarray(vec).ravel())
-
-
-def _matrix_lines(name: str, matrix: np.ndarray) -> list[str]:
-    lines = [f"{name}:"]
-    for row in np.atleast_2d(matrix):
-        lines.append(_fmt_vector(row))
-    return lines
 
 
 class _Reader:
@@ -60,17 +63,21 @@ class _Reader:
         return line[len(prefix):].strip()
 
     def read_vector(self, key: str, count: int) -> np.ndarray:
-        text = self.expect_key(key)
-        return self._parse_row(text, count)
+        return self._parse_row(self.expect_key(key), count)
 
     def read_matrix(self, key: str, rows: int, cols: int) -> np.ndarray:
         marker = self.expect_key(key)
         if marker:
             raise ModelFormatError(f"{self.path}: '{key}:' marker line must be bare")
-        out = np.empty((rows, cols))
-        for r in range(rows):
-            out[r] = self._parse_row(self.next_line(), cols)
-        return out
+        # Check the declared size against the file before building anything,
+        # so an inflated header fails here instead of exhausting memory.
+        left = len(self.lines) - self.pos
+        if rows > left:
+            raise ModelFormatError(
+                f"{self.path}: '{key}' declares {rows} rows but only {left} lines remain"
+            )
+        out = [self._parse_row(self.next_line(), cols) for _ in range(rows)]
+        return np.array(out).reshape(rows, cols)
 
     def _parse_row(self, text: str, count: int) -> np.ndarray:
         tokens = text.split()
@@ -84,62 +91,26 @@ class _Reader:
             raise ModelFormatError(f"{self.path}: unparseable number in '{text[:60]}'") from None
 
 
-def _scaling_lines(scaling: ScalingParams) -> list[str]:
-    return [
-        "scaling_min: " + _fmt_vector(scaling.feature_min),
-        "scaling_max: " + _fmt_vector(scaling.feature_max),
-    ]
-
-
-def _elm_lines(model: ElmModel) -> list[str]:
-    config = model.config
-    lines = [
-        ELM_TAG,
-        f"hidden_nodes: {config.hidden_nodes}",
-        f"activation: {config.activation}",
-        f"seed: {config.seed}",
-        f"weight_range: {repr(config.weight_range[0])} {repr(config.weight_range[1])}",
-        f"rank_tol: {repr(config.rank_tol)}",
-        f"features: {model.n_features}",
-    ]
-    lines += [f"class: {name}" for name in model.class_names]
-    lines += _scaling_lines(model.scaling)
-    lines += _matrix_lines("weights", model.weights)
-    lines += ["biases: " + _fmt_vector(model.biases)]
-    lines += _matrix_lines("output_weights", model.output_weights)
-    return lines
-
-
-def _mlp_lines(model: MlpModel) -> list[str]:
-    config = model.config
-    lines = [
-        MLP_TAG,
-        f"hidden_nodes: {config.hidden_nodes}",
-        f"learning_rate: {repr(config.learning_rate)}",
-        f"momentum: {repr(config.momentum)}",
-        f"iterations: {config.iterations}",
-        f"seed: {config.seed}",
-        f"init_range: {repr(config.init_range[0])} {repr(config.init_range[1])}",
-        f"divergence_factor: {repr(config.divergence_factor)}",
-        f"features: {model.n_features}",
-    ]
-    lines += [f"class: {name}" for name in model.class_names]
-    lines += _scaling_lines(model.scaling)
-    lines += _matrix_lines("w_hidden", model.w_hidden)
-    lines += ["b_hidden: " + _fmt_vector(model.b_hidden)]
-    lines += _matrix_lines("w_out", model.w_out)
-    lines += ["b_out: " + _fmt_vector(model.b_out)]
-    return lines
-
-
 def save_model(model, path) -> None:
-    """Write a trained classifier to a text file (see module docstring)."""
-    if isinstance(model, ElmModel):
-        lines = _elm_lines(model)
-    elif isinstance(model, MlpModel):
-        lines = _mlp_lines(model)
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
+    """Write a trained classifier to a text file (see module docstring).
+
+    The header holds the config fields in declaration order; the arrays
+    follow in the kind's layout.
+    """
+    kind = _kind(model)
+    lines = [_tag(kind)]
+    lines += [f"{name}: {text}" for name, text in _config_fields(model.config, " ")]
+    lines.append(f"features: {model.n_features}")
+    lines += [f"class: {name}" for name in model.class_names]
+    lines.append("scaling_min: " + _fmt_vector(model.scaling.feature_min))
+    lines.append("scaling_max: " + _fmt_vector(model.scaling.feature_max))
+    for name, _, cols in kind.arrays:
+        array = getattr(model, name)
+        if cols is None:
+            lines.append(f"{name}: " + _fmt_vector(array))
+        else:
+            lines.append(f"{name}:")
+            lines += [_fmt_vector(row) for row in array]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -153,46 +124,21 @@ def _read_classes(reader: _Reader) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _load_elm(reader: _Reader) -> ElmModel:
-    hidden = int(reader.expect_key("hidden_nodes"))
-    activation = reader.expect_key("activation")
-    seed = int(reader.expect_key("seed"))
-    lo, hi = (float(t) for t in reader.expect_key("weight_range").split())
-    rank_tol = float(reader.expect_key("rank_tol"))
+def _read_model(reader: _Reader, kind):
+    config = kind.config(**{f.name: _PARSERS[f.type](reader.expect_key(f.name))
+                            for f in fields(kind.config)})
     features = int(reader.expect_key("features"))
     names = _read_classes(reader)
     scaling = ScalingParams(reader.read_vector("scaling_min", features),
                             reader.read_vector("scaling_max", features))
-    weights = reader.read_matrix("weights", hidden, features)
-    biases = reader.read_vector("biases", hidden)
-    output_weights = reader.read_matrix("output_weights", hidden, len(names))
-    config = ElmConfig(hidden_nodes=hidden, activation=activation, seed=seed,
-                       weight_range=(lo, hi), rank_tol=rank_tol)
-    return ElmModel(weights=weights, biases=biases, output_weights=output_weights,
-                    config=config, class_names=names, scaling=scaling)
-
-
-def _load_mlp(reader: _Reader) -> MlpModel:
-    hidden = int(reader.expect_key("hidden_nodes"))
-    learning_rate = float(reader.expect_key("learning_rate"))
-    momentum = float(reader.expect_key("momentum"))
-    iterations = int(reader.expect_key("iterations"))
-    seed = int(reader.expect_key("seed"))
-    lo, hi = (float(t) for t in reader.expect_key("init_range").split())
-    divergence_factor = float(reader.expect_key("divergence_factor"))
-    features = int(reader.expect_key("features"))
-    names = _read_classes(reader)
-    scaling = ScalingParams(reader.read_vector("scaling_min", features),
-                            reader.read_vector("scaling_max", features))
-    w_hidden = reader.read_matrix("w_hidden", hidden, features)
-    b_hidden = reader.read_vector("b_hidden", hidden)
-    w_out = reader.read_matrix("w_out", len(names), hidden)
-    b_out = reader.read_vector("b_out", len(names))
-    config = MlpConfig(hidden_nodes=hidden, learning_rate=learning_rate,
-                       momentum=momentum, iterations=iterations, seed=seed,
-                       init_range=(lo, hi), divergence_factor=divergence_factor)
-    return MlpModel(w_hidden=w_hidden, b_hidden=b_hidden, w_out=w_out, b_out=b_out,
-                    config=config, class_names=names, scaling=scaling)
+    dims = {"hidden": config.hidden_nodes, "features": features, "classes": len(names)}
+    arrays = {}
+    for name, rows, cols in kind.arrays:
+        if cols is None:
+            arrays[name] = reader.read_vector(name, dims[rows])
+        else:
+            arrays[name] = reader.read_matrix(name, dims[rows], dims[cols])
+    return kind.model(**arrays, config=config, class_names=names, scaling=scaling)
 
 
 def load_model(path):
@@ -205,13 +151,12 @@ def load_model(path):
         raise ModelFormatError(f"{path}: file is empty")
     reader = _Reader(path, lines)
     tag = reader.next_line().strip()
+    kind = next((k for k in _KINDS if _tag(k) == tag), None)
+    if kind is None:
+        raise ModelFormatError(f"{path}: unknown model tag '{tag}'")
     try:
-        if tag == ELM_TAG:
-            return _load_elm(reader)
-        if tag == MLP_TAG:
-            return _load_mlp(reader)
+        return _read_model(reader, kind)
     except ModelFormatError:
         raise
     except (ValueError, TypeError) as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
-    raise ModelFormatError(f"{path}: unknown model tag '{tag}'")

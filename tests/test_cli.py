@@ -160,6 +160,22 @@ class TestTrainPredict:
                      "--out", str(tmp_path / "p.csv")])
         assert code == 3
 
+    def test_inflated_model_header_exits_3(self, tmp_path, rng):
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        model_path = tmp_path / "elm.model"
+        main(["train", "--data", str(data), "--hidden", "4", "--out", str(model_path)])
+        text = model_path.read_text().replace("hidden_nodes: 4\n", "hidden_nodes: 4000000000\n")
+        model_path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "elmkit", "predict", "--model", str(model_path),
+             "--data", str(data), "--out", str(tmp_path / "p.csv")],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        lines = [l for l in proc.stderr.splitlines() if l.strip()]
+        assert len(lines) == 1
+        assert "'weights' declares 4000000000 rows" in lines[0]
+
     def test_corrupt_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("f1,label\noops,a\n")

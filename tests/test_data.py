@@ -10,7 +10,6 @@ from elmkit.data import (
     ScalingParams,
     SplitSpec,
     SyntheticConfig,
-    apply_scaling,
     default_split_spec,
     fit_scaling,
     generate_synthetic,
@@ -187,6 +186,12 @@ class TestCsvErrors:
         with pytest.raises(CsvFormatError, match="row 3.*'z'"):
             load_csv(path, class_names=("a", "b"))
 
+    def test_unknown_class_line_counts_comment_lines(self, tmp_path):
+        path = tmp_path / "unknown.csv"
+        path.write_text("# one\n# two\nf1,label\n1.0,a\n2.0,z\n")
+        with pytest.raises(CsvFormatError, match="row 5: unknown class 'z'"):
+            load_csv(path, class_names=("a", "b"))
+
 
 class TestLoadFeatureCsv:
     def test_drops_label_column_by_default(self, tmp_path):
@@ -207,6 +212,18 @@ class TestLoadFeatureCsv:
         path.write_text("f1,f2\n1,2\n")
         with pytest.raises(CsvFormatError, match="'f9'"):
             load_feature_csv(path, feature_columns=["f9"])
+
+    def test_ragged_row_rejected(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text("# comment\nf1,f2,label\n1.0,2.0,a\n3.0,4.0,b,extra\n")
+        with pytest.raises(CsvFormatError, match="row 4 has 4 cells, expected 3"):
+            load_feature_csv(path)
+
+    def test_bad_cell_names_line_and_column(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text("f1,f2\n1.0,2.0\n3.0,nan\n")
+        with pytest.raises(CsvFormatError, match="row 3, column 'f2'"):
+            load_feature_csv(path)
 
 
 def class_counts(ds, n_classes):
@@ -342,14 +359,6 @@ class TestScaling:
         assert out[0, 0] == 0.0
         assert out[1, 0] == 0.0  # off-range values of a constant column too
         np.testing.assert_allclose(out[:, 1], [0.0, 1.0])
-
-    def test_apply_scaling_keeps_labels_and_names(self):
-        ds = small_dataset()
-        params = fit_scaling(ds)
-        scaled = apply_scaling(ds, params)
-        np.testing.assert_array_equal(scaled.labels, ds.labels)
-        assert scaled.class_names == ds.class_names
-        np.testing.assert_allclose(scaled.features[:, 0], np.linspace(-1, 1, 6))
 
     def test_inverted_range_rejected(self):
         with pytest.raises(ValueError, match=">="):

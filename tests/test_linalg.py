@@ -13,7 +13,6 @@ from elmkit.linalg import (
     LinalgError,
     SvdFactors,
     as_matrix,
-    matmul,
     min_norm_lstsq,
     pseudoinverse,
     svd,
@@ -23,21 +22,6 @@ from elmkit.linalg import (
 # ---------------------------------------------------------------------------
 # Oracles (deliberately naive, independent code paths)
 # ---------------------------------------------------------------------------
-
-def matmul_oracle(a, b):
-    """Entry-wise triple-loop product."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
 
 def gauss_jordan_inverse(a):
     """Invert a square matrix by Gauss-Jordan elimination with partial pivoting."""
@@ -87,29 +71,6 @@ class TestAsMatrix:
             as_matrix([[1.0, np.nan]])
         with pytest.raises(LinalgError):
             as_matrix([[np.inf], [0.0]])
-
-
-# ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), b), b)
-
-    def test_dot_product(self):
-        out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
-        np.testing.assert_array_equal(out, [[11.0]])
-
-    def test_matches_triple_loop_oracle(self, rng):
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(LinalgError, match="dimension mismatch"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
