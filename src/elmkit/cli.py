@@ -167,12 +167,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _save_predictions(path, model, features, feature_names=None):
-    """Write the features with the predicted class appended; return the labels."""
-    labels = model_predict(model, features)
+def _save_predictions(path, model, features, labels, feature_names=None):
+    """Write the features with the predicted class appended."""
     save_csv(LabeledDataset(features, labels, model.class_names), path,
              feature_names=feature_names, header_comments=[config_text(model.config)])
-    return labels
 
 
 def cmd_predict(args) -> int:
@@ -182,7 +180,8 @@ def cmd_predict(args) -> int:
         raise ValueError(
             f"model expects {model.n_features} features, input has {features.shape[1]}"
         )
-    labels = _save_predictions(args.out, model, features, feature_names)
+    labels = model_predict(model, features)
+    _save_predictions(args.out, model, features, labels, feature_names)
     print(f"wrote {len(labels)} predictions to {args.out}")
     return 0
 
@@ -205,9 +204,11 @@ def cmd_benchmark(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for model, name in ((result.elm_model, "elm"), (result.mlp_model, "mlp")):
-        save_model(model, out_dir / f"{name}.model")
-        _save_predictions(out_dir / f"{name}_predictions.csv", model, test.features)
+    for model, report in ((result.elm_model, result.elm_report),
+                          (result.mlp_model, result.mlp_report)):
+        save_model(model, out_dir / f"{report.classifier}.model")
+        _save_predictions(out_dir / f"{report.classifier}_predictions.csv", model,
+                          test.features, report.predicted)
     _write_result(out_dir, "report", result)
     print(f"elm accuracy {result.elm_report.accuracy * 100:.2f}%, "
           f"mlp accuracy {result.mlp_report.accuracy * 100:.2f}%, "

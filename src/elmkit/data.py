@@ -577,8 +577,9 @@ def save_synthetic_config(config: SyntheticConfig, path) -> None:
 def load_synthetic_config(path) -> SyntheticConfig:
     """Read a generator config written by :func:`save_synthetic_config`."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    if not lines or lines[0].strip() != _CONFIG_TAG:
+        lines = [(lineno, line.rstrip("\n"))
+                 for lineno, line in enumerate(handle, start=1) if line.strip()]
+    if not lines or lines[0][1].strip() != _CONFIG_TAG:
         raise ConfigFormatError(f"{path}: missing '{_CONFIG_TAG}' tag line")
 
     seed = None
@@ -599,7 +600,7 @@ def load_synthetic_config(path) -> SyntheticConfig:
             )
         return row
 
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         key, sep, value = (part.strip() for part in line.partition(":"))
         if not sep:
             raise ConfigFormatError(f"{path}: line {lineno}: expected 'key: value'")

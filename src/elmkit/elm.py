@@ -29,12 +29,13 @@ from .linalg import min_norm_lstsq
 
 
 def _sigmoid(x):
-    # evaluate from the side that cannot overflow
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # The logistic function as 0.5 * (1 + tanh(x / 2)): tanh saturates at
+    # +-1, so neither end can overflow, and the in-place ufuncs allocate
+    # nothing beyond the output array.
+    out = np.multiply(x, 0.5, dtype=np.float64)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 

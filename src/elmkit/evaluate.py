@@ -159,7 +159,10 @@ def confusion(actual, predicted, class_names) -> ConfusionMatrix:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One classifier's held-out evaluation, with timings kept separable."""
+    """One classifier's held-out evaluation, with timings kept separable.
+
+    ``predicted`` holds the label index predicted for each test sample.
+    """
 
     classifier: str
     config: str
@@ -169,8 +172,12 @@ class EvalReport:
     n_test: int
     accuracy: float
     confusion: ConfusionMatrix
+    predicted: np.ndarray
     train_time_s: float
     predict_time_s: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "predicted", _frozen_array(self.predicted, np.int64))
 
     def render_text(self) -> str:
         per_class = self.confusion.per_class_accuracy()
@@ -230,6 +237,7 @@ def evaluate(model, train: LabeledDataset, test: LabeledDataset) -> EvalReport:
         n_test=test.n_samples,
         accuracy=matrix.overall_accuracy(),
         confusion=matrix,
+        predicted=predicted,
         train_time_s=model.train_time_s,
         predict_time_s=predict_time,
     )

@@ -1,4 +1,4 @@
-"""Dense real-matrix helpers: input validation, SVD, Moore-Penrose pseudoinverse.
+"""Dense real-matrix helpers: validation, SVD, pseudoinverse, min-norm least squares.
 
 Matrices are plain 2-D float64 ndarrays with at least one row and one
 column and only finite entries; :func:`as_matrix` enforces that contract
@@ -10,6 +10,11 @@ fixed sign convention (first nonzero entry of each left-singular vector
 is non-negative), which makes repeated factorisations of the same input
 bit-identical and keeps the downstream least-squares solution unique in
 a testable way.
+
+:func:`min_norm_lstsq`, the solve behind training, goes straight to
+LAPACK's SVD-based least-squares routine (gelsd) instead of building the
+pseudoinverse; :func:`svd` and :func:`pseudoinverse` are the reference
+it is checked against.
 """
 
 from __future__ import annotations
@@ -130,9 +135,15 @@ def min_norm_lstsq(a, y, rank_tol: float = 1e-10) -> np.ndarray:
     """Minimum-norm least-squares solution of ``a @ x = y``.
 
     Among all x minimising the Frobenius norm of ``a @ x - y``, returns
-    the unique one of smallest Frobenius norm, computed as the
-    pseudoinverse of *a* applied to *y*.  Identical inputs give
-    bit-identical results.
+    the unique one of smallest Frobenius norm: ``pseudoinverse(a, rank_tol)
+    @ y`` up to rounding.  Singular values s_i with ``s_i <= rank_tol *
+    s_max`` count as zero, the same cutoff as :func:`pseudoinverse`.
+
+    The solve runs in LAPACK's divide-and-conquer SVD least-squares
+    routine (gelsd) through ``np.linalg.lstsq``, which never forms the
+    left singular vectors or the pseudoinverse; :func:`svd` and
+    :func:`pseudoinverse` stay as the reference it is tested against.
+    Identical inputs give bit-identical results.
     """
     a = as_matrix(a, "a")
     y = as_matrix(y, "y")
@@ -140,4 +151,15 @@ def min_norm_lstsq(a, y, rank_tol: float = 1e-10) -> np.ndarray:
         raise LinalgError(
             f"dimension mismatch in min_norm_lstsq: a has {a.shape[0]} rows, y has {y.shape[0]}"
         )
-    return pseudoinverse(a, rank_tol) @ y
+    # gelsd would silently read a negative cutoff as machine precision
+    if not (rank_tol >= 0.0):
+        raise LinalgError(f"rank_tol must be non-negative, got {rank_tol}")
+    try:
+        out = np.linalg.lstsq(a, y, rcond=rank_tol)[0]
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(
+            f"least-squares SVD did not converge for {a.shape[0]}x{a.shape[1]} input: {exc}"
+        ) from None
+    if not np.isfinite(out).all():
+        raise LinalgError("min_norm_lstsq produced non-finite entries")
+    return out

@@ -20,6 +20,12 @@ The gain is an empirical convergence constant: 3.0 brings the reference
 operating point (rate 0.25, momentum 0.2, 2200 iterations) close to its
 asymptotic accuracy on scenes of a few thousand samples, while 1.0
 undertrains badly there.  The gradient definition is untouched.
+
+Each training iteration runs one forward pass: the pass that computes
+the gradient at the current parameters also yields the cost there,
+which is the loss recorded after the previous step.  Only the loss
+after the final step costs a forward pass of its own (:func:`mlp_cost`).
+Both sigmoid layers use the one logistic kernel of :mod:`elmkit.elm`.
 """
 
 from __future__ import annotations
@@ -148,23 +154,34 @@ def mlp_cost(features, targets, w_hidden, b_hidden, w_out, b_out) -> float:
     return float(np.sum((output - np.asarray(targets)) ** 2))
 
 
+def _loss_and_gradient(features, targets, w_hidden, b_hidden, w_out, b_out):
+    """Summed squared error and its exact gradient from one forward pass.
+
+    Returns ``(loss, (g_w_hidden, g_b_hidden, g_w_out, g_b_out))``; the
+    loss is bit-identical to :func:`mlp_cost` at the same parameters.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    hidden, output = mlp_forward(features, w_hidden, b_hidden, w_out, b_out)
+    error = output - targets
+    loss = float(np.sum(error ** 2))
+    # cost is sum of (output - target)^2: chain through both sigmoids
+    delta_out = 2.0 * error * output * (1.0 - output)
+    g_w_out = delta_out.T @ hidden
+    g_b_out = delta_out.sum(axis=0)
+    delta_hidden = (delta_out @ w_out) * hidden * (1.0 - hidden)
+    g_w_hidden = delta_hidden.T @ features
+    g_b_hidden = delta_hidden.sum(axis=0)
+    return loss, (g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+
+
 def mlp_gradient(features, targets, w_hidden, b_hidden, w_out, b_out):
     """Exact gradient of the summed squared-error cost.
 
     Returns gradients in parameter order (w_hidden, b_hidden, w_out,
     b_out); each matches its parameter's shape.
     """
-    features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    hidden, output = mlp_forward(features, w_hidden, b_hidden, w_out, b_out)
-    # cost is sum of (output - target)^2: chain through both sigmoids
-    delta_out = 2.0 * (output - targets) * output * (1.0 - output)
-    g_w_out = delta_out.T @ hidden
-    g_b_out = delta_out.sum(axis=0)
-    delta_hidden = (delta_out @ w_out) * hidden * (1.0 - hidden)
-    g_w_hidden = delta_hidden.T @ features
-    g_b_hidden = delta_hidden.sum(axis=0)
-    return g_w_hidden, g_b_hidden, g_w_out, g_b_out
+    return _loss_and_gradient(features, targets, w_hidden, b_hidden, w_out, b_out)[1]
 
 
 def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpModel:
@@ -189,15 +206,17 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
     velocities = [np.zeros_like(p) for p in params]
     step = config.learning_rate * _MEAN_STEP_GAIN / train.n_samples
 
-    initial = mlp_cost(features, targets, *params)
-    history = [initial]
-    ceiling = config.divergence_factor * max(initial, np.finfo(float).tiny)
+    loss, grads = _loss_and_gradient(features, targets, *params)
+    history = [loss]
+    ceiling = config.divergence_factor * max(loss, np.finfo(float).tiny)
     for iteration in range(1, config.iterations + 1):
-        grads = mlp_gradient(features, targets, *params)
         for i in range(4):
             velocities[i] = config.momentum * velocities[i] - step * grads[i]
             params[i] = params[i] + velocities[i]
-        loss = mlp_cost(features, targets, *params)
+        if iteration < config.iterations:
+            loss, grads = _loss_and_gradient(features, targets, *params)
+        else:
+            loss = mlp_cost(features, targets, *params)
         if not np.isfinite(loss) or loss > ceiling:
             raise MlpDivergenceError(iteration, loss)
         history.append(loss)

@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import importlib
 import subprocess
 import sys
 
@@ -215,6 +216,34 @@ class TestBenchmarkCommand:
             assert a_stable == b_stable, name
         assert (out_a / "elm.model").read_bytes() == (out_b / "elm.model").read_bytes()
         assert (out_a / "mlp.model").read_bytes() == (out_b / "mlp.model").read_bytes()
+
+    def test_predicts_test_split_once_per_classifier(self, tmp_path, rng, monkeypatch):
+        # the package exports a function named evaluate, so fetch the module
+        cli = importlib.import_module("elmkit.cli")
+        evaluate = importlib.import_module("elmkit.evaluate")
+        calls = []
+        original = evaluate.model_predict
+
+        def counting(model, features):
+            calls.append(type(model).__name__)
+            return original(model, features)
+
+        monkeypatch.setattr(evaluate, "model_predict", counting)
+        monkeypatch.setattr(cli, "model_predict", counting)
+        data = tmp_path / "scene.csv"
+        write_blobs_csv(data, rng, n_per_class=30)
+        out = tmp_path / "run"
+        assert main(["benchmark", "--data", str(data), "--train-fraction", "0.5",
+                     "--hidden", "15", "--iterations", "5", "--out", str(out)]) == 0
+        assert calls == ["ElmModel", "MlpModel"]
+        # the CSVs hold the labels the saved models predict for their rows
+        for name in ("elm", "mlp"):
+            rows = [line.split(",") for line in
+                    (out / f"{name}_predictions.csv").read_text().splitlines()[2:]]
+            features = np.array([[float(v) for v in row[:-1]] for row in rows])
+            model = load_model(out / f"{name}.model")
+            expected = [model.class_names[i] for i in original(model, features)]
+            assert [row[-1] for row in rows] == expected
 
     def test_elm_hidden_flag_does_not_touch_mlp(self, tmp_path, rng):
         data = tmp_path / "scene.csv"

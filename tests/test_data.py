@@ -478,3 +478,15 @@ class TestConfigFileRoundTrip:
         )
         with pytest.raises(ConfigFormatError, match="unparseable"):
             load_synthetic_config(path)
+
+    def test_error_names_the_physical_line(self, tmp_path):
+        """Blank lines count: a bad mean on physical line 8 is reported as line 8."""
+        path = tmp_path / "blank.cfg"
+        save_synthetic_config(littleport_like_config(), path)
+        lines = path.read_text().splitlines()
+        lines[1:1] = ["", "   "]
+        assert lines[7].startswith("mean: ")
+        lines[7] = "mean: 1.0 oops"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigFormatError, match=r"line 8: unparseable"):
+            load_synthetic_config(path)

@@ -6,6 +6,7 @@ import pytest
 from elmkit.data import LabeledDataset
 from elmkit.elm import (
     ACTIVATIONS,
+    _sigmoid,
     ElmConfig,
     ElmModel,
     build_hidden_matrix,
@@ -46,6 +47,24 @@ class TestActivations:
         with np.errstate(over="raise"):
             out = f(np.array([-1000.0, 1000.0]))
         np.testing.assert_allclose(out, [0.0, 1.0])
+
+    def test_sigmoid_matches_masked_formula(self):
+        """The tanh form stays within 2.3e-16 of the two-sided exp formula."""
+        x = np.linspace(-60.0, 60.0, 240_001)
+        masked = np.empty_like(x)
+        pos = x >= 0
+        masked[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        masked[~pos] = ex / (1.0 + ex)
+        with np.errstate(all="raise"):
+            out = _sigmoid(x)
+        assert np.abs(out - masked).max() <= 2.3e-16
+
+    def test_sigmoid_leaves_input_untouched(self, rng):
+        x = rng.standard_normal((4, 3))
+        before = x.copy()
+        _sigmoid(x)
+        np.testing.assert_array_equal(x, before)
 
     def test_tanh_matches_numpy(self, rng):
         x = rng.standard_normal(50)

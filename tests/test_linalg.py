@@ -9,6 +9,15 @@ full-column-rank pseudoinverses.
 import numpy as np
 import pytest
 
+from elmkit.data import (
+    default_split_spec,
+    fit_scaling,
+    generate_synthetic,
+    littleport_like_config,
+    scale_features,
+    stratified_split,
+)
+from elmkit.elm import ElmConfig, build_hidden_matrix, encode_targets, init_random_layer
 from elmkit.linalg import (
     LinalgError,
     SvdFactors,
@@ -251,6 +260,81 @@ class TestMinNormLstsq:
     def test_dimension_mismatch(self):
         with pytest.raises(LinalgError, match="dimension mismatch"):
             min_norm_lstsq(np.ones((3, 2)), np.ones((4, 1)))
+
+
+# ---------------------------------------------------------------------------
+# min_norm_lstsq against the SVD pseudoinverse reference
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(np.float64).eps
+
+
+def assert_matches_pseudoinverse(a, y, rank_tol=1e-10):
+    """min_norm_lstsq(a, y) equals pseudoinverse(a) @ y within 10 * cond * eps.
+
+    cond is the ratio of the largest singular value to the smallest one
+    kept by the cutoff; both sides are backward-stable SVD solves.
+    """
+    x = min_norm_lstsq(a, y, rank_tol=rank_tol)
+    ref = pseudoinverse(a, rank_tol=rank_tol) @ y
+    s = svd(a).singular_values
+    kept = s[s > rank_tol * s[0]]
+    cond = kept[0] / kept[-1]
+    err = np.linalg.norm(x - ref) / np.linalg.norm(ref)
+    assert err <= 10.0 * cond * EPS, (err, cond)
+    return x
+
+
+class TestMinNormLstsqMatchesPseudoinverse:
+    @pytest.mark.parametrize("shape", [(30, 8), (8, 30), (15, 15), (200, 60)])
+    def test_well_conditioned(self, rng, shape):
+        a = rng.standard_normal(shape)
+        y = rng.standard_normal((shape[0], 3))
+        assert_matches_pseudoinverse(a, y)
+
+    def test_ill_conditioned_hidden_matrices(self):
+        train, _ = stratified_split(generate_synthetic(littleport_like_config()),
+                                    default_split_spec())
+        features = scale_features(train.features, fit_scaling(train))
+        targets = encode_targets(train.labels, train.n_classes)
+        for width in (25, 100, 300, 450):
+            weights, biases = init_random_layer(6, ElmConfig(hidden_nodes=width))
+            hidden = build_hidden_matrix(features, weights, biases, "sigmoid")
+            assert_matches_pseudoinverse(hidden, targets)
+
+    def test_rank_deficient(self, rng):
+        a = rank_deficient(rng, 14, 9, 3)
+        y = rng.standard_normal((14, 2))
+        assert_matches_pseudoinverse(a, y)
+
+    def test_all_zero_matrix_gives_zero_solution(self, rng):
+        y = rng.standard_normal((5, 2))
+        out = min_norm_lstsq(np.zeros((5, 3)), y)
+        assert out.shape == (3, 2)
+        assert not out.any()
+
+    def test_cuts_the_same_singular_values(self, rng):
+        """One singular value just above rank_tol * s_max is kept, one just below is cut."""
+        u, _ = np.linalg.qr(rng.standard_normal((20, 5)))
+        v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        s = np.array([1.0, 0.25, 1.2e-3, 0.8e-3, 1e-7])
+        a = u @ np.diag(s) @ v.T
+        y = rng.standard_normal((20, 2))
+        x = assert_matches_pseudoinverse(a, y, rank_tol=1e-3)
+
+        def truncated(rank):
+            return v[:, :rank] @ ((u[:, :rank].T @ y) / s[:rank, None])
+
+        scale = np.linalg.norm(truncated(3))
+        assert np.linalg.norm(x - truncated(3)) <= 1e-9 * scale
+        assert np.linalg.norm(x - truncated(4)) > 0.1 * scale
+        assert np.linalg.norm(x - truncated(2)) > 0.1 * scale
+
+    @pytest.mark.parametrize("rank_tol", [-1e-12, -1.0, float("nan")])
+    def test_negative_rank_tol_rejected_by_the_solve(self, rank_tol):
+        with pytest.raises(LinalgError, match="rank_tol") as excinfo:
+            min_norm_lstsq(np.eye(3), np.ones((3, 1)), rank_tol=rank_tol)
+        assert excinfo.traceback[-1].name == "min_norm_lstsq"
 
 
 def _null_space_basis(a):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from elmkit.data import LabeledDataset
+from elmkit.data import LabeledDataset, fit_scaling, scale_features
 from elmkit.elm import encode_targets
 from elmkit.mlp import (
+    _MEAN_STEP_GAIN,
     MlpConfig,
     MlpDivergenceError,
     init_mlp_params,
@@ -28,6 +29,30 @@ def blobs(rng, n_per_class=40, spread=0.8):
         rows.append(center + spread * rng.standard_normal((n_per_class, 2)))
         labels.append(np.full(n_per_class, cls))
     return LabeledDataset(np.vstack(rows), np.concatenate(labels), ("a", "b", "c"))
+
+
+def reference_train(ds, config):
+    """The unfused training loop: gradient, step, then a full cost pass.
+
+    Returns (diverged iteration or None, loss history, parameters).
+    """
+    features = scale_features(ds.features, fit_scaling(ds))
+    targets = encode_targets(ds.labels, ds.n_classes)
+    params = list(init_mlp_params(ds.n_features, ds.n_classes, config))
+    velocities = [np.zeros_like(p) for p in params]
+    step = config.learning_rate * _MEAN_STEP_GAIN / ds.n_samples
+    history = [mlp_cost(features, targets, *params)]
+    ceiling = config.divergence_factor * max(history[0], np.finfo(float).tiny)
+    for iteration in range(1, config.iterations + 1):
+        grads = mlp_gradient(features, targets, *params)
+        for i in range(4):
+            velocities[i] = config.momentum * velocities[i] - step * grads[i]
+            params[i] = params[i] + velocities[i]
+        loss = mlp_cost(features, targets, *params)
+        if not np.isfinite(loss) or loss > ceiling:
+            return iteration, history, params
+        history.append(loss)
+    return None, history, params
 
 
 def tiny_params():
@@ -195,6 +220,30 @@ class TestTrainMlp:
                                     divergence_factor=1.1))
         assert excinfo.value.iteration >= 1
         assert "iteration" in str(excinfo.value)
+
+    def test_fused_loop_matches_reference_loop_bit_for_bit(self, rng):
+        ds = blobs(rng)
+        config = MlpConfig(hidden_nodes=7, learning_rate=0.5, momentum=0.3,
+                           iterations=60, seed=4)
+        diverged, history, params = reference_train(ds, config)
+        assert diverged is None
+        model = train_mlp(ds, config)
+        assert model.loss_history == tuple(history)
+        for got, want in zip((model.w_hidden, model.b_hidden, model.w_out, model.b_out),
+                             params):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("iterations", [300, 2])
+    def test_divergence_iteration_matches_reference_loop(self, rng, iterations):
+        """The loss crosses the ceiling after step 2: mid-run, or on the last step."""
+        ds = blobs(rng)
+        config = MlpConfig(hidden_nodes=8, learning_rate=2.0, momentum=0.9,
+                           iterations=iterations, seed=0, divergence_factor=1.01)
+        diverged, _, _ = reference_train(ds, config)
+        assert diverged == 2
+        with pytest.raises(MlpDivergenceError) as excinfo:
+            train_mlp(ds, config)
+        assert excinfo.value.iteration == diverged
 
     def test_scaling_travels_with_model(self, rng):
         ds = blobs(rng, n_per_class=50, spread=0.5)
