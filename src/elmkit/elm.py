@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset, ScalingParams, _frozen_array, fit_scaling, scale_features
-from .linalg import min_norm_lstsq
+from .linalg import _one_blas_thread, min_norm_lstsq
 
 
 def _sigmoid(x):
@@ -174,6 +174,8 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
 
     Fits the [-1, 1] feature scaling on the split, draws the hidden
     layer, and solves for the output weights in one least-squares pass.
+    The hidden-layer product and the solve run on one BLAS thread (see
+    :func:`elmkit.linalg._one_blas_thread`).
     A class with no training samples gets an identically zero output
     column, so it can only be predicted when every other class scores
     non-positive.
@@ -184,9 +186,10 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
     scaling = fit_scaling(train)
     scaled = scale_features(train.features, scaling)
     weights, biases = init_random_layer(train.n_features, config)
-    hidden = build_hidden_matrix(scaled, weights, biases, config.activation)
     targets = encode_targets(train.labels, train.n_classes)
-    output_weights = min_norm_lstsq(hidden, targets, rank_tol=config.rank_tol)
+    with _one_blas_thread():
+        hidden = build_hidden_matrix(scaled, weights, biases, config.activation)
+        output_weights = min_norm_lstsq(hidden, targets, rank_tol=config.rank_tol)
     elapsed = time.perf_counter() - start
     return ElmModel(
         weights=weights,

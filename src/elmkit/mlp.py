@@ -21,10 +21,11 @@ operating point (rate 0.25, momentum 0.2, 2200 iterations) close to its
 asymptotic accuracy on scenes of a few thousand samples, while 1.0
 undertrains badly there.  The gradient definition is untouched.
 
-Each training iteration runs one forward pass: the pass that computes
-the gradient at the current parameters also yields the cost there,
-which is the loss recorded after the previous step.  Only the loss
-after the final step costs a forward pass of its own (:func:`mlp_cost`).
+Each training iteration runs one fused forward/backward pass
+(``_loss_and_gradient``): the pass that computes the gradient at the
+current parameters also yields the cost there, which is the loss
+recorded after the previous step.  The pass after the final step is
+taken for its loss alone; its gradient goes unused.
 Both sigmoid layers use the one logistic kernel of :mod:`elmkit.elm`.
 """
 
@@ -213,10 +214,7 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
         for i in range(4):
             velocities[i] = config.momentum * velocities[i] - step * grads[i]
             params[i] = params[i] + velocities[i]
-        if iteration < config.iterations:
-            loss, grads = _loss_and_gradient(features, targets, *params)
-        else:
-            loss = mlp_cost(features, targets, *params)
+        loss, grads = _loss_and_gradient(features, targets, *params)
         if not np.isfinite(loss) or loss > ceiling:
             raise MlpDivergenceError(iteration, loss)
         history.append(loss)

@@ -6,6 +6,9 @@ Gauss-Jordan elimination for inverses, and the normal equations for
 full-column-rank pseudoinverses.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from elmkit.data import (
     scale_features,
     stratified_split,
 )
+from elmkit import linalg
 from elmkit.elm import ElmConfig, build_hidden_matrix, encode_targets, init_random_layer
 from elmkit.linalg import (
     LinalgError,
@@ -334,7 +338,72 @@ class TestMinNormLstsqMatchesPseudoinverse:
     def test_negative_rank_tol_rejected_by_the_solve(self, rank_tol):
         with pytest.raises(LinalgError, match="rank_tol") as excinfo:
             min_norm_lstsq(np.eye(3), np.ones((3, 1)), rank_tol=rank_tol)
-        assert excinfo.traceback[-1].name == "min_norm_lstsq"
+        # rejected by the solve's own check, before gelsd sees the cutoff
+        assert [entry.name for entry in excinfo.traceback][-2:] == [
+            "min_norm_lstsq", "_check_rank_tol"]
+
+
+# ---------------------------------------------------------------------------
+# _one_blas_thread
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def blas_threads():
+    controls = linalg._openblas_thread_controls()
+    if controls is None:
+        pytest.skip("numpy does not use its bundled OpenBLAS")
+    set_threads, get_threads = controls
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
+class TestOneBlasThread:
+    def test_one_thread_inside_and_count_restored(self, blas_threads):
+        with linalg._one_blas_thread():
+            assert blas_threads() == 1
+            with linalg._one_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    def test_count_restored_after_an_error(self, blas_threads):
+        with pytest.raises(LinalgError):
+            with linalg._one_blas_thread():
+                min_norm_lstsq(np.eye(2), np.ones((3, 1)))
+        assert blas_threads() == 2
+
+    def test_overlapping_users_restore_the_count(self, blas_threads):
+        """Many threads entering and leaving at once: one thread inside, count restored."""
+        seen, start = [], threading.Barrier(8)
+
+        def user():
+            start.wait(timeout=60)
+            for _ in range(1000):
+                with linalg._one_blas_thread():
+                    seen.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=user) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(seen) == 8 * 1000 and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_same_solution_on_one_thread(self, rng):
+        a = rng.standard_normal((600, 120))
+        y = rng.standard_normal((600, 4))
+        with linalg._one_blas_thread():
+            single = min_norm_lstsq(a, y)
+        np.testing.assert_allclose(single, min_norm_lstsq(a, y), rtol=1e-10, atol=1e-12)
 
 
 def _null_space_basis(a):
