@@ -36,6 +36,7 @@ from .data import (
     DEFAULT_TRAIN_FRACTION,
     LabeledDataset,
     SplitSpec,
+    _fmt_vector,
     generate_synthetic,
     littleport_like_config,
     load_csv,
@@ -81,7 +82,7 @@ _ERROR_EXIT_CODES = (
 def _config_comment_lines(config) -> list[str]:
     lines = [f"generator seed: {config.seed}", f"features: {config.n_features}"]
     for cls, name in enumerate(config.class_names):
-        mean = " ".join(repr(float(v)) for v in config.means[cls])
+        mean = _fmt_vector(config.means[cls])
         lines.append(f"class {name}: count {config.counts[cls]} mean {mean}")
     return lines
 
@@ -313,7 +314,9 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, MlpDivergenceError, OSError) as exc:
-        print(f"elmkit {args.command}: {exc}", file=sys.stderr)
+        # One line, even if the message echoes a newline from a bad input.
+        text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"elmkit {args.command}: {text}", file=sys.stderr)
         return next(code for types, code in _ERROR_EXIT_CODES if isinstance(exc, types))
 
 

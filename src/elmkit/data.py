@@ -4,11 +4,13 @@ and a synthetic multispectral generator.
 The on-disk formats are deliberately plain text:
 
 * **Labeled CSV** — comma-delimited, UTF-8, one header row naming the
-  feature columns plus a label column (default ``label``); features are
-  decimal-point reals, labels are class-name strings.
+  feature columns plus a ``label`` column; features are decimal-point
+  reals, labels are class-name strings.
 * **Generator config** — a key-value text file (see
-  :func:`save_synthetic_config`) holding per-class names, sample counts,
-  mean vectors, covariance rows, and the sampling seed.
+  :func:`save_synthetic_config`) holding the sampling seed, the feature
+  count, and per class a name, sample count, mean vector and covariance
+  rows, read back in exactly that order by the one ``key: value`` line
+  reader, which also reads :mod:`elmkit.modelio`'s model files.
 
 Everything here is a pure function over immutable values; datasets are
 frozen and their arrays are marked read-only.
@@ -17,6 +19,7 @@ frozen and their arrays are marked read-only.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -44,13 +47,12 @@ class LabeledDataset:
 
     ``features`` is K x p (finite reals), ``labels`` is length K with
     values in ``[0, len(class_names))``, and at least two classes must
-    be declared.  ``provenance`` is a free-text source tag.
+    be declared.
     """
 
     features: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         features = _frozen_array(self.features)
@@ -87,31 +89,114 @@ class LabeledDataset:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def subset(self, indices, provenance: str | None = None) -> "LabeledDataset":
+    def subset(self, indices) -> "LabeledDataset":
         """New dataset holding the given sample rows (class names unchanged)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            class_names=self.class_names,
-            provenance=self.provenance if provenance is None else provenance,
-        )
+        return LabeledDataset(self.features[idx], self.labels[idx], self.class_names)
+
+
+# ---------------------------------------------------------------------------
+# Line-oriented text files
+# ---------------------------------------------------------------------------
+
+def _read_lines(path, error, newline=None) -> list[str]:
+    """The lines of a UTF-8 file, split as by :func:`open`; bad bytes raise *error*."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line_no}: not valid UTF-8") from None
+    return io.StringIO(text, newline=newline).readlines()
+
+
+def _fmt_vector(vec) -> str:
+    return " ".join(repr(float(v)) for v in np.asarray(vec).ravel())
+
+
+class _Reader:
+    """In-order ``key: value`` line reader whose errors name the physical line."""
+
+    def __init__(self, path, error, skip_blank: bool = False):
+        self.path = path
+        self.error = error
+        lines = [(n, line.rstrip("\n"))
+                 for n, line in enumerate(_read_lines(path, error), start=1)]
+        if skip_blank:
+            lines = [item for item in lines if item[1].strip()]
+        while lines and not lines[-1][1].strip():
+            lines.pop()
+        if not lines:
+            raise error(f"{path}: file is empty")
+        self.lines = lines
+        self.pos = 0
+        self.line_no = 0  # physical line of the line read last
+
+    def fail(self, message: str):
+        raise self.error(f"{self.path}: line {self.line_no}: {message}")
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.lines)
+
+    def at_key(self, key: str) -> bool:
+        return not self.at_end() and self.lines[self.pos][1].startswith(f"{key}:")
+
+    def next_line(self) -> str:
+        if self.at_end():
+            self.line_no += 1  # the line after the last one
+            self.fail("unexpected end of file")
+        self.line_no, line = self.lines[self.pos]
+        self.pos += 1
+        return line
+
+    def expect_key(self, key: str, parse=str):
+        """The next line's value, which must follow ``key:``, read by *parse*."""
+        line = self.next_line()
+        prefix = f"{key}:"
+        if not line.startswith(prefix):
+            self.fail(f"expected '{prefix}', got '{line[:40]}'")
+        try:
+            return parse(line[len(prefix):].strip())
+        except ValueError as exc:
+            self.fail(f"bad value for '{key}': {exc}")
+
+    def read_vector(self, key: str, count: int) -> np.ndarray:
+        return self._parse_row(self.expect_key(key), count)
+
+    def read_matrix(self, key: str, rows: int, cols: int) -> np.ndarray:
+        if self.expect_key(key):
+            self.fail(f"'{key}:' marker line must be bare")
+        # Check the declared size against the file before building anything,
+        # so an inflated header fails here instead of exhausting memory.
+        left = len(self.lines) - self.pos
+        if rows > left:
+            self.fail(f"'{key}' declares {rows} rows but only {left} lines remain")
+        out = [self._parse_row(self.next_line(), cols) for _ in range(rows)]
+        return np.array(out).reshape(rows, cols)
+
+    def _parse_row(self, text: str, count: int) -> np.ndarray:
+        try:
+            row = np.array([float(t) for t in text.split()])
+        except ValueError:
+            self.fail(f"unparseable number in '{text[:60]}'")
+        if row.size != count:
+            self.fail(f"expected {count} values on a row, got {row.size}")
+        return row
 
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_csv(path, label_column: str, feature_columns: Sequence[str] | None,
-               label_required: bool):
+def _parse_csv(path, label_required: bool):
     """The one strict row parser behind :func:`load_csv` and :func:`load_feature_csv`.
 
-    Returns ``(feature_columns, features, labels, line_numbers)``: the
-    stripped label cells (empty without a label column) and the physical
-    line of each data row, which every error message also names.
+    Returns ``(feature_names, features, labels, line_numbers)``: the
+    stripped label cells (empty without a ``label`` column) and the
+    physical line of each data row, which every error message also names.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = handle.readlines()
+    lines = _read_lines(path, CsvFormatError, newline="")
     skip = 0
     while skip < len(lines) and lines[skip].lstrip().startswith("#"):
         skip += 1
@@ -122,20 +207,12 @@ def _parse_csv(path, label_column: str, feature_columns: Sequence[str] | None,
         raise CsvFormatError(f"{path}: file is empty") from None
     if len(set(header)) != len(header):
         raise CsvFormatError(f"{path}: duplicate column names in header")
-    has_label = label_column in header
-    if label_required and not has_label:
-        raise CsvFormatError(f"{path}: missing label column '{label_column}'")
-    if feature_columns is None:
-        feature_columns = [h for h in header if h != label_column]
-    else:
-        feature_columns = list(feature_columns)
-    if not feature_columns:
+    label_pos = header.index("label") if "label" in header else None
+    if label_required and label_pos is None:
+        raise CsvFormatError(f"{path}: missing label column 'label'")
+    columns = [(pos, name) for pos, name in enumerate(header) if name != "label"]
+    if not columns:
         raise CsvFormatError(f"{path}: no feature columns")
-    for name in feature_columns:
-        if name not in header:
-            raise CsvFormatError(f"{path}: missing feature column '{name}'")
-    feature_pos = [header.index(name) for name in feature_columns]
-    label_pos = header.index(label_column) if has_label else None
 
     rows: list[list[float]] = []
     labels: list[str] = []
@@ -148,7 +225,7 @@ def _parse_csv(path, label_column: str, feature_columns: Sequence[str] | None,
                 f"{path}: row {line_no} has {len(record)} cells, expected {len(header)}"
             )
         values = []
-        for name, pos in zip(feature_columns, feature_pos):
+        for pos, name in columns:
             cell = record[pos].strip()
             try:
                 value = float(cell)
@@ -162,34 +239,32 @@ def _parse_csv(path, label_column: str, feature_columns: Sequence[str] | None,
                 )
             values.append(value)
         rows.append(values)
-        if has_label:
+        if label_pos is not None:
             labels.append(record[label_pos].strip())
         line_numbers.append(line_no)
 
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    return feature_columns, np.array(rows), labels, line_numbers
+    return [name for _, name in columns], np.array(rows), labels, line_numbers
 
 
-def load_csv(path, label_column: str = "label", feature_columns: Sequence[str] | None = None,
-             class_names: Sequence[str] | None = None) -> LabeledDataset:
+def load_csv(path, class_names: Sequence[str] | None = None) -> LabeledDataset:
     """Read a labeled dataset from a delimited text file.
 
     Leading lines starting with ``#`` are ignored, so generated files
     may carry their provenance as comments.  The header row names the
-    columns.  All columns except *label_column* are treated as features
-    unless *feature_columns* narrows the set.  Label strings are mapped
-    to dense indices in order of first appearance, and that mapping is
-    recorded in ``class_names``; pass *class_names* explicitly to pin
-    the mapping instead (required for an exact round trip of a dataset
-    whose classes are not in first-appearance order).
+    columns; every column except ``label`` is a feature.  Label strings
+    are mapped to dense indices in order of first appearance, and that
+    mapping is recorded in ``class_names``; pass *class_names* explicitly
+    to pin the mapping instead (required for an exact round trip of a
+    dataset whose classes are not in first-appearance order).
 
-    Raises :class:`CsvFormatError` on an empty file, a missing column,
-    a row with the wrong cell count, an unparseable or non-finite cell,
-    or an unknown class, each reported with its physical line.
+    Raises :class:`CsvFormatError` on an empty or non-UTF-8 file, a
+    missing column, a row with the wrong cell count, an unparseable or
+    non-finite cell, or an unknown class, each reported with its
+    physical line.
     """
-    _, features, label_names, line_numbers = _parse_csv(
-        path, label_column, feature_columns, label_required=True)
+    _, features, label_names, line_numbers = _parse_csv(path, label_required=True)
 
     if class_names is None:
         ordered = tuple(dict.fromkeys(label_names))
@@ -201,11 +276,10 @@ def load_csv(path, label_column: str = "label", feature_columns: Sequence[str] |
             raise CsvFormatError(f"{path}: row {line_no}: unknown class '{name}'")
 
     labels = np.array([mapping[name] for name in label_names], dtype=np.int64)
-    return LabeledDataset(features, labels, ordered, provenance=str(path))
+    return LabeledDataset(features, labels, ordered)
 
 
-def save_csv(dataset: LabeledDataset, path, label_column: str = "label",
-             feature_names: Sequence[str] | None = None,
+def save_csv(dataset: LabeledDataset, path, feature_names: Sequence[str] | None = None,
              header_comments: Sequence[str] = ()) -> None:
     """Write a dataset in the labeled CSV layout read by :func:`load_csv`.
 
@@ -224,22 +298,19 @@ def save_csv(dataset: LabeledDataset, path, label_column: str = "label",
         for comment in header_comments:
             handle.write(f"# {comment}\n")
         writer = csv.writer(handle)
-        writer.writerow([*feature_names, label_column])
+        writer.writerow([*feature_names, "label"])
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([*(repr(float(v)) for v in row), dataset.class_names[label]])
 
 
-def load_feature_csv(path, feature_columns: Sequence[str] | None = None,
-                     label_column: str = "label") -> tuple[np.ndarray, list[str]]:
+def load_feature_csv(path) -> tuple[np.ndarray, list[str]]:
     """Read only the feature columns of a CSV (for prediction inputs).
 
     Rows are checked as strictly as by :func:`load_csv`: every row must
-    have one cell per header column, label column included.  With
-    *feature_columns* unset, every column except *label_column* (if
-    present) is parsed.  Returns ``(features, feature_names)``.
+    have one cell per header column, ``label`` included when present.
+    Every other column is parsed.  Returns ``(features, feature_names)``.
     """
-    names, features, _, _ = _parse_csv(path, label_column, feature_columns,
-                                       label_required=False)
+    names, features, _, _ = _parse_csv(path, label_required=False)
     return features, names
 
 
@@ -482,7 +553,6 @@ def generate_synthetic(config: SyntheticConfig) -> LabeledDataset:
         features=np.vstack(blocks),
         labels=np.concatenate(labels),
         class_names=config.class_names,
-        provenance=f"synthetic(seed={config.seed})",
     )
 
 
@@ -562,82 +632,35 @@ def save_synthetic_config(config: SyntheticConfig, path) -> None:
     (space-separated reals) and p ``cov:`` rows.  Numbers round-trip
     exactly.
     """
-    p = config.n_features
-    lines = [_CONFIG_TAG, f"seed: {config.seed}", f"features: {p}"]
+    lines = [_CONFIG_TAG, f"seed: {config.seed}", f"features: {config.n_features}"]
     for cls, name in enumerate(config.class_names):
         lines.append(f"class: {name}")
         lines.append(f"count: {config.counts[cls]}")
-        lines.append("mean: " + " ".join(repr(float(v)) for v in config.means[cls]))
-        for row in config.covariances[cls]:
-            lines.append("cov: " + " ".join(repr(float(v)) for v in row))
+        lines.append("mean: " + _fmt_vector(config.means[cls]))
+        lines += ["cov: " + _fmt_vector(row) for row in config.covariances[cls]]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def load_synthetic_config(path) -> SyntheticConfig:
-    """Read a generator config written by :func:`save_synthetic_config`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [(lineno, line.rstrip("\n"))
-                 for lineno, line in enumerate(handle, start=1) if line.strip()]
-    if not lines or lines[0][1].strip() != _CONFIG_TAG:
-        raise ConfigFormatError(f"{path}: missing '{_CONFIG_TAG}' tag line")
+    """Read a generator config in the key order :func:`save_synthetic_config` writes.
 
-    seed = None
-    features = None
-    names: list[str] = []
-    counts: list[int] = []
-    means: list[list[float]] = []
-    covs: list[list[list[float]]] = []
-
-    def parse_floats(value: str, lineno: int, expected: int) -> list[float]:
-        try:
-            row = [float(tok) for tok in value.split()]
-        except ValueError:
-            raise ConfigFormatError(f"{path}: line {lineno}: unparseable numbers") from None
-        if len(row) != expected:
-            raise ConfigFormatError(
-                f"{path}: line {lineno}: expected {expected} values, got {len(row)}"
-            )
-        return row
-
-    for lineno, line in lines[1:]:
-        key, sep, value = (part.strip() for part in line.partition(":"))
-        if not sep:
-            raise ConfigFormatError(f"{path}: line {lineno}: expected 'key: value'")
-        if key == "seed":
-            seed = int(value)
-        elif key == "features":
-            features = int(value)
-        elif key == "class":
-            names.append(value)
-            covs.append([])
-        elif key == "count":
-            counts.append(int(value))
-        elif key == "mean":
-            if features is None:
-                raise ConfigFormatError(f"{path}: 'features:' must come before class blocks")
-            means.append(parse_floats(value, lineno, features))
-        elif key == "cov":
-            covs[-1].append(parse_floats(value, lineno, features))
-        else:
-            raise ConfigFormatError(f"{path}: line {lineno}: unknown key '{key}'")
-
-    if seed is None or features is None:
-        raise ConfigFormatError(f"{path}: missing 'seed:' or 'features:' line")
-    if not (len(names) == len(counts) == len(means) == len(covs)):
-        raise ConfigFormatError(f"{path}: incomplete class block")
-    for cls, rows in enumerate(covs):
-        if len(rows) != features:
-            raise ConfigFormatError(
-                f"{path}: class '{names[cls]}' has {len(rows)} covariance rows, expected {features}"
-            )
+    Blank lines are skipped.  A line out of place or a bad value raises
+    :class:`ConfigFormatError` naming its physical line.
+    """
+    reader = _Reader(path, ConfigFormatError, skip_blank=True)
+    if reader.next_line().strip() != _CONFIG_TAG:
+        reader.fail(f"missing '{_CONFIG_TAG}' tag line")
+    seed = reader.expect_key("seed", int)
+    features = reader.expect_key("features", int)
+    names, counts, means, covs = [], [], [], []
+    while not reader.at_end():
+        names.append(reader.expect_key("class"))
+        counts.append(reader.expect_key("count", int))
+        means.append(reader.read_vector("mean", features))
+        covs.append([reader.read_vector("cov", features) for _ in range(features)])
     try:
-        return SyntheticConfig(
-            class_names=tuple(names),
-            means=np.asarray(means),
-            covariances=np.asarray(covs),
-            counts=tuple(counts),
-            seed=seed,
-        )
+        return SyntheticConfig(tuple(names), np.asarray(means), np.asarray(covs),
+                               tuple(counts), seed)
     except ValueError as exc:
         raise ConfigFormatError(f"{path}: {exc}") from None

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset, ScalingParams, _frozen_array, fit_scaling, scale_features
-from .linalg import _one_blas_thread, min_norm_lstsq
+from .linalg import _check_rank_tol, _one_blas_thread, min_norm_lstsq
 
 
 def _sigmoid(x):
@@ -74,8 +74,7 @@ class ElmConfig:
         lo, hi = self.weight_range
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"weight_range must be a finite (low, high) pair, got {self.weight_range}")
-        if self.rank_tol < 0:
-            raise ValueError(f"rank_tol must be non-negative, got {self.rank_tol}")
+        _check_rank_tol(self.rank_tol)
         object.__setattr__(self, "weight_range", (float(lo), float(hi)))
 
 

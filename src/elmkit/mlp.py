@@ -210,14 +210,16 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
     loss, grads = _loss_and_gradient(features, targets, *params)
     history = [loss]
     ceiling = config.divergence_factor * max(loss, np.finfo(float).tiny)
-    for iteration in range(1, config.iterations + 1):
-        for i in range(4):
-            velocities[i] = config.momentum * velocities[i] - step * grads[i]
-            params[i] = params[i] + velocities[i]
-        loss, grads = _loss_and_gradient(features, targets, *params)
-        if not np.isfinite(loss) or loss > ceiling:
-            raise MlpDivergenceError(iteration, loss)
-        history.append(loss)
+    # Divergence is reported by the loss check below, not by numpy warnings.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for iteration in range(1, config.iterations + 1):
+            for i in range(4):
+                velocities[i] = config.momentum * velocities[i] - step * grads[i]
+                params[i] = params[i] + velocities[i]
+            loss, grads = _loss_and_gradient(features, targets, *params)
+            if not np.isfinite(loss) or loss > ceiling:
+                raise MlpDivergenceError(iteration, loss)
+            history.append(loss)
     elapsed = time.perf_counter() - start
     return MlpModel(
         w_hidden=params[0],

@@ -4,19 +4,18 @@ Both classifiers serialize to a line-oriented format: a tag line naming
 the kind and version, ``key: value`` header lines, one ``class:`` line
 per class name, and matrix blocks introduced by a ``<name>:`` marker
 followed by one space-separated row per line.  Floats are written with
-``repr`` so loading reproduces every bit.  Informational fields
-(training time, loss history) are deliberately not stored: a model file
-depends only on the training inputs and config, never on the wall
-clock.
+``repr`` so loading reproduces every bit; :mod:`elmkit.data`'s line
+reader reads a file back in that order and names the line of any error.
+Informational fields (training time, loss history) are deliberately not
+stored: a model file depends only on the training inputs and config,
+never on the wall clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 
-import numpy as np
-
-from .data import ScalingParams
+from .data import ScalingParams, _fmt_vector, _Reader
 from .evaluate import _KINDS, _config_fields, _kind
 
 # Config field parsers, by declared field type.
@@ -34,61 +33,6 @@ def _tag(kind) -> str:
 
 class ModelFormatError(ValueError):
     """A model file has an unknown tag, missing fields, or malformed blocks."""
-
-
-def _fmt_vector(vec) -> str:
-    return " ".join(repr(float(v)) for v in np.asarray(vec).ravel())
-
-
-class _Reader:
-    """Sequential line reader with format-error reporting."""
-
-    def __init__(self, path, lines: list[str]):
-        self.path = path
-        self.lines = lines
-        self.pos = 0
-
-    def next_line(self) -> str:
-        if self.pos >= len(self.lines):
-            raise ModelFormatError(f"{self.path}: unexpected end of file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect_key(self, key: str) -> str:
-        line = self.next_line()
-        prefix = f"{key}:"
-        if not line.startswith(prefix):
-            raise ModelFormatError(f"{self.path}: expected '{key}:', got '{line[:40]}'")
-        return line[len(prefix):].strip()
-
-    def read_vector(self, key: str, count: int) -> np.ndarray:
-        return self._parse_row(self.expect_key(key), count)
-
-    def read_matrix(self, key: str, rows: int, cols: int) -> np.ndarray:
-        marker = self.expect_key(key)
-        if marker:
-            raise ModelFormatError(f"{self.path}: '{key}:' marker line must be bare")
-        # Check the declared size against the file before building anything,
-        # so an inflated header fails here instead of exhausting memory.
-        left = len(self.lines) - self.pos
-        if rows > left:
-            raise ModelFormatError(
-                f"{self.path}: '{key}' declares {rows} rows but only {left} lines remain"
-            )
-        out = [self._parse_row(self.next_line(), cols) for _ in range(rows)]
-        return np.array(out).reshape(rows, cols)
-
-    def _parse_row(self, text: str, count: int) -> np.ndarray:
-        tokens = text.split()
-        if len(tokens) != count:
-            raise ModelFormatError(
-                f"{self.path}: expected {count} values on a row, got {len(tokens)}"
-            )
-        try:
-            return np.array([float(t) for t in tokens])
-        except ValueError:
-            raise ModelFormatError(f"{self.path}: unparseable number in '{text[:60]}'") from None
 
 
 def save_model(model, path) -> None:
@@ -115,20 +59,15 @@ def save_model(model, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _read_classes(reader: _Reader) -> tuple[str, ...]:
-    names = []
-    while reader.pos < len(reader.lines) and reader.lines[reader.pos].startswith("class:"):
-        names.append(reader.next_line()[len("class:"):].strip())
-    if len(names) < 2:
-        raise ModelFormatError(f"{reader.path}: fewer than two 'class:' lines")
-    return tuple(names)
-
-
 def _read_model(reader: _Reader, kind):
-    config = kind.config(**{f.name: _PARSERS[f.type](reader.expect_key(f.name))
+    config = kind.config(**{f.name: reader.expect_key(f.name, _PARSERS[f.type])
                             for f in fields(kind.config)})
-    features = int(reader.expect_key("features"))
-    names = _read_classes(reader)
+    features = reader.expect_key("features", int)
+    names = []
+    while reader.at_key("class"):
+        names.append(reader.expect_key("class"))
+    if len(names) < 2:
+        reader.fail("fewer than two 'class:' lines")
     scaling = ScalingParams(reader.read_vector("scaling_min", features),
                             reader.read_vector("scaling_max", features))
     dims = {"hidden": config.hidden_nodes, "features": features, "classes": len(names)}
@@ -138,22 +77,16 @@ def _read_model(reader: _Reader, kind):
             arrays[name] = reader.read_vector(name, dims[rows])
         else:
             arrays[name] = reader.read_matrix(name, dims[rows], dims[cols])
-    return kind.model(**arrays, config=config, class_names=names, scaling=scaling)
+    return kind.model(**arrays, config=config, class_names=tuple(names), scaling=scaling)
 
 
 def load_model(path):
     """Read a model file back; the tag line selects the classifier kind."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ModelFormatError(f"{path}: file is empty")
-    reader = _Reader(path, lines)
+    reader = _Reader(path, ModelFormatError)
     tag = reader.next_line().strip()
     kind = next((k for k in _KINDS if _tag(k) == tag), None)
     if kind is None:
-        raise ModelFormatError(f"{path}: unknown model tag '{tag}'")
+        reader.fail(f"unknown model tag '{tag}'")
     try:
         return _read_model(reader, kind)
     except ModelFormatError:

@@ -73,6 +73,79 @@ class TestGenerate:
         assert code == 3
 
 
+SMALL_CONFIG = """\
+synthetic-config v1
+seed: 3
+features: 2
+class: a
+count: 5
+mean: 0.0 0.0
+cov: 1.0 0.0
+cov: 0.0 1.0
+class: b
+count: 3
+mean: 4.0 4.0
+cov: 1.0 0.5
+cov: 0.5 1.0
+"""
+
+
+def _config_lines(edit):
+    lines = SMALL_CONFIG.splitlines()
+    edit(lines)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _with_byte(path, line_index, byte=b"\xff"):
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line_index] = lines[line_index][:3] + byte + lines[line_index][4:]
+    return b"".join(lines)
+
+
+# Each case: an edit of SMALL_CONFIG that an earlier free-order reader took
+# wrongly, and the physical line the error must name.
+MALFORMED_INPUTS = {
+    "cov before class": (lambda lines: lines.insert(3, "cov: 1.0 0.0"), 4),
+    "non-integer seed": (lambda lines: lines.__setitem__(1, "seed: x1"), 2),
+    "class block without count": (lambda lines: lines.insert(9, lines.pop(4)), 5),
+    "second seed after a class": (lambda lines: lines.insert(8, "seed: 9"), 9),
+}
+
+
+class TestMalformedInputExits3:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_config(self, tmp_path, capsys, case):
+        edit, line_no = MALFORMED_INPUTS[case]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(_config_lines(edit))
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1
+        assert f"{cfg}: line {line_no}: " in err[0]
+
+    @pytest.mark.parametrize("kind", ["config", "model", "csv"])
+    def test_non_utf8_byte(self, tmp_path, rng, capsys, kind):
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        model = tmp_path / "elm.model"
+        assert main(["train", "--data", str(data), "--hidden", "4", "--out", str(model)]) == 0
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        out = str(tmp_path / "out.csv")
+        bad, argv = {
+            "config": (cfg, ["generate", "--config", str(cfg), "--out", out]),
+            "model": (model, ["predict", "--model", str(model), "--data", str(data), "--out", out]),
+            "csv": (data, ["train", "--data", str(data), "--out", out]),
+        }[kind]
+        bad.write_bytes(_with_byte(bad, 4))
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err == [f"elmkit {argv[0]}: {bad}: line 5: not valid UTF-8"]
+
+
 class TestTrainPredict:
     def test_elm_round_trip(self, tmp_path, rng, capsys):
         data = tmp_path / "train.csv"
@@ -176,6 +249,18 @@ class TestTrainPredict:
         lines = [l for l in proc.stderr.splitlines() if l.strip()]
         assert len(lines) == 1
         assert "'weights' declares 4000000000 rows" in lines[0]
+
+    def test_diverging_mlp_writes_one_stderr_line(self, tmp_path, rng):
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        proc = subprocess.run(
+            [sys.executable, "-m", "elmkit", "train", "--data", str(data),
+             "--classifier", "mlp", "--learning-rate", "1e308", "--momentum", "0.99",
+             "--iterations", "50", "--out", str(tmp_path / "m.model")],
+            capture_output=True, text=True)
+        assert proc.returncode == 5
+        assert proc.stderr.splitlines() == [
+            "elmkit train: training diverged at iteration 1: loss nan"]
 
     def test_corrupt_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -313,6 +398,13 @@ class TestEntryPoints:
         lines = [l for l in proc.stderr.splitlines() if l.strip()]
         assert len(lines) == 1
         assert lines[0].startswith("elmkit train: ")
+
+    def test_echoed_newline_stays_on_the_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text('f1,label\n"1\n2",a\n')
+        assert main(["train", "--data", str(bad), "--out", str(tmp_path / "m.model")]) == 3
+        assert capsys.readouterr().err == (
+            f"elmkit train: {bad}: row 2, column 'f1': could not parse '1\\n2' as a number\n")
 
     def test_help_documents_exit_codes(self):
         proc = subprocess.run([sys.executable, "-m", "elmkit", "--help"],

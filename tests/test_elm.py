@@ -94,6 +94,12 @@ class TestElmConfig:
         with pytest.raises(ValueError, match="weight_range"):
             ElmConfig(weight_range=(1.0, -1.0))
 
+    @pytest.mark.parametrize("rank_tol", [-1e-12, float("nan")])
+    def test_bad_rank_tol(self, rank_tol):
+        """The same cutoff rule as the solve: NaN is rejected, not just negatives."""
+        with pytest.raises(ValueError, match="rank_tol must be non-negative"):
+            ElmConfig(rank_tol=rank_tol)
+
 
 class TestInitRandomLayer:
     def test_shapes_and_range(self):

@@ -125,6 +125,35 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_nan_rank_tol_rejected(self, tmp_path, rng):
+        model = train_elm(blobs(rng), ElmConfig(hidden_nodes=6, seed=1))
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        path.write_text(path.read_text().replace("rank_tol: 1e-10\n", "rank_tol: nan\n"))
+        with pytest.raises(ModelFormatError, match="rank_tol"):
+            load_model(path)
+
+    def test_errors_name_the_physical_line(self, tmp_path, rng):
+        model = train_elm(blobs(rng), ElmConfig(hidden_nodes=6, seed=1))
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        lines[1] = "hidden_nodes: six"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=r"m\.model: line 2: bad value for 'hidden_nodes'"):
+            load_model(path)
+
+    def test_blank_line_inside_is_rejected_trailing_allowed(self, tmp_path, rng):
+        model = train_elm(blobs(rng), ElmConfig(hidden_nodes=6, seed=1))
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines) + "\n\n  \n")
+        np.testing.assert_array_equal(load_model(path).output_weights, model.output_weights)
+        path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
+        with pytest.raises(ModelFormatError, match="line 4: expected"):
+            load_model(path)
+
     def test_unsupported_type_rejected_on_save(self, tmp_path):
         with pytest.raises(TypeError):
             save_model({"not": "a model"}, tmp_path / "x.model")
