@@ -180,6 +180,8 @@ class _Reader:
             row = np.array([float(t) for t in text.split()])
         except ValueError:
             self.fail(f"unparseable number in '{text[:60]}'")
+        if not np.isfinite(row).all():
+            self.fail(f"non-finite number in '{text[:60]}'")
         if row.size != count:
             self.fail(f"expected {count} values on a row, got {row.size}")
         return row
@@ -194,7 +196,7 @@ def _parse_csv(path, label_required: bool):
 
     Returns ``(feature_names, features, labels, line_numbers)``: the
     stripped label cells (empty without a ``label`` column) and the
-    physical line of each data row, which every error message also names.
+    physical line each data row starts on, as every error names it.
     """
     lines = _read_lines(path, CsvFormatError, newline="")
     skip = 0
@@ -217,7 +219,9 @@ def _parse_csv(path, label_required: bool):
     rows: list[list[float]] = []
     labels: list[str] = []
     line_numbers: list[int] = []
-    for line_no, record in enumerate(reader, start=skip + 2):
+    start = skip + reader.line_num + 1  # the line the next record starts on
+    for record in reader:
+        line_no, start = start, skip + reader.line_num + 1
         if not record:
             continue
         if len(record) != len(header):
@@ -375,8 +379,9 @@ def _per_class_train_counts(class_sizes: np.ndarray, spec: SplitSpec,
             )
         return wanted
 
-    # Fraction mode: floor per class, then hand out the remainder one at a
-    # time across classes in seeded order (skipping exhausted classes).
+    # Fraction mode: floor per class, then one more sample for each of the
+    # first `remainder` classes in seeded order.  With 0 < fraction < 1 the
+    # remainder lies in [0, m] and every class has a sample left to give.
     fraction = spec.train_fraction
     if (class_sizes < 2).any():
         bad = int(np.argmax(class_sizes < 2))
@@ -386,18 +391,7 @@ def _per_class_train_counts(class_sizes: np.ndarray, spec: SplitSpec,
     counts = np.floor(fraction * class_sizes).astype(np.int64)
     target = int(round(fraction * int(class_sizes.sum())))
     remainder = target - int(counts.sum())
-    order = rng.permutation(m)
-    while remainder > 0:
-        progressed = False
-        for cls in order:
-            if remainder == 0:
-                break
-            if counts[cls] < class_sizes[cls]:
-                counts[cls] += 1
-                remainder -= 1
-                progressed = True
-        if not progressed:
-            break
+    counts[rng.permutation(m)[:remainder]] += 1
     return counts
 
 

@@ -52,16 +52,11 @@ ACTIVATIONS = {
 
 @dataclass(frozen=True)
 class ElmConfig:
-    """Hyperparameters for the randomized-hidden-layer classifier.
-
-    ``weight_range`` bounds the uniform draw for both the input weights
-    and the biases.
-    """
+    """Hyperparameters for the randomized-hidden-layer classifier."""
 
     hidden_nodes: int = 300
     activation: str = "sigmoid"
     seed: int = 0
-    weight_range: tuple[float, float] = (-1.0, 1.0)
     rank_tol: float = 1e-10
 
     def __post_init__(self):
@@ -71,11 +66,7 @@ class ElmConfig:
             raise ValueError(
                 f"unknown activation '{self.activation}'; choose from {sorted(ACTIVATIONS)}"
             )
-        lo, hi = self.weight_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError(f"weight_range must be a finite (low, high) pair, got {self.weight_range}")
         _check_rank_tol(self.rank_tol)
-        object.__setattr__(self, "weight_range", (float(lo), float(hi)))
 
 
 @dataclass(frozen=True)
@@ -121,16 +112,15 @@ class ElmModel:
 def init_random_layer(n_features: int, config: ElmConfig) -> tuple[np.ndarray, np.ndarray]:
     """Draw the frozen hidden layer for the given input width.
 
-    Both the (hidden_nodes, n_features) weight matrix and the bias
-    vector come from one uniform stream seeded by ``config.seed``;
+    The (hidden_nodes, n_features) weight matrix and the bias vector are
+    uniform on [-1, 1], from one stream seeded by ``config.seed``;
     weights are drawn first, then biases, so the layer is reproducible.
     """
     if n_features < 1:
         raise ValueError(f"n_features must be >= 1, got {n_features}")
-    lo, hi = config.weight_range
     rng = np.random.default_rng(config.seed)
-    weights = rng.uniform(lo, hi, size=(config.hidden_nodes, n_features))
-    biases = rng.uniform(lo, hi, size=config.hidden_nodes)
+    weights = rng.uniform(-1.0, 1.0, size=(config.hidden_nodes, n_features))
+    biases = rng.uniform(-1.0, 1.0, size=config.hidden_nodes)
     return weights, biases
 
 

@@ -62,17 +62,15 @@ def _kind(obj) -> _Kind:
     raise TypeError(f"unknown classifier type {type(obj).__name__}")
 
 
-def _config_fields(config, sep: str) -> list[tuple[str, str]]:
+def _config_fields(config) -> list[tuple[str, str]]:
     """Each config field as (name, text), in declaration order.
 
-    Floats render with ``repr`` so they round-trip exactly; a tuple
-    renders its items joined by *sep*.
+    Floats render with ``repr`` so they round-trip exactly.
     """
     out = []
     for f in fields(config):
         value = getattr(config, f.name)
-        items = value if isinstance(value, tuple) else (value,)
-        out.append((f.name, sep.join(repr(v) if isinstance(v, float) else str(v) for v in items)))
+        out.append((f.name, repr(value) if isinstance(value, float) else str(value)))
     return out
 
 
@@ -94,7 +92,7 @@ def dataset_fingerprint(dataset: LabeledDataset) -> str:
 def config_text(config) -> str:
     """Canonical one-line rendering of a classifier config."""
     parts = [f"classifier={_kind(config).name}"]
-    parts += [f"{name}={text}" for name, text in _config_fields(config, ",")]
+    parts += [f"{name}={text}" for name, text in _config_fields(config)]
     return " ".join(parts)
 
 

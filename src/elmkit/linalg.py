@@ -109,9 +109,9 @@ def svd(a) -> SvdFactors:
 
 
 def _check_rank_tol(rank_tol: float) -> None:
-    # NaN fails the comparison too
-    if not (rank_tol >= 0.0):
-        raise LinalgError(f"rank_tol must be non-negative, got {rank_tol}")
+    # NaN fails too; from 1 up, gelsd cuts nothing and the reference everything
+    if not (0.0 <= rank_tol < 1.0):
+        raise LinalgError(f"rank_tol must be non-negative and below 1, got {rank_tol}")
 
 
 def pseudoinverse(a, rank_tol: float = 1e-10) -> np.ndarray:

@@ -6,6 +6,9 @@ per class name, and matrix blocks introduced by a ``<name>:`` marker
 followed by one space-separated row per line.  Floats are written with
 ``repr`` so loading reproduces every bit; :mod:`elmkit.data`'s line
 reader reads a file back in that order and names the line of any error.
+Files are written as v2.  A v1 file differs only in three header lines
+that v2 dropped; it still loads when each holds the one value the v1
+writer ever gave it, since no v2 config can describe any other.
 Informational fields (training time, loss history) are deliberately not
 stored: a model file depends only on the training inputs and config,
 never on the wall clock.
@@ -19,16 +22,16 @@ from .data import ScalingParams, _fmt_vector, _Reader
 from .evaluate import _KINDS, _config_fields, _kind
 
 # Config field parsers, by declared field type.
-_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "tuple[float, float]": lambda text: tuple(float(t) for t in text.split()),
+_PARSERS = {"int": int, "float": float, "str": str}
+
+# The v1 header keys of each kind, in file order, and the fixed value of
+# each key that v2 dropped.
+_V1_KEYS = {
+    "elm": ("hidden_nodes", "activation", "seed", "weight_range", "rank_tol"),
+    "mlp": ("hidden_nodes", "learning_rate", "momentum", "iterations", "seed",
+            "init_range", "divergence_factor"),
 }
-
-
-def _tag(kind) -> str:
-    return f"{kind.name}-model v1"
+_V1_FIXED = {"weight_range": "-1.0 1.0", "init_range": "-0.5 0.5", "divergence_factor": "100.0"}
 
 
 class ModelFormatError(ValueError):
@@ -42,8 +45,8 @@ def save_model(model, path) -> None:
     follow in the kind's layout.
     """
     kind = _kind(model)
-    lines = [_tag(kind)]
-    lines += [f"{name}: {text}" for name, text in _config_fields(model.config, " ")]
+    lines = [f"{kind.name}-model v2"]
+    lines += [f"{name}: {text}" for name, text in _config_fields(model.config)]
     lines.append(f"features: {model.n_features}")
     lines += [f"class: {name}" for name in model.class_names]
     lines.append("scaling_min: " + _fmt_vector(model.scaling.feature_min))
@@ -59,9 +62,19 @@ def save_model(model, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _read_model(reader: _Reader, kind):
-    config = kind.config(**{f.name: reader.expect_key(f.name, _PARSERS[f.type])
-                            for f in fields(kind.config)})
+def _read_config(reader: _Reader, kind, version: str):
+    types = {f.name: f.type for f in fields(kind.config)}
+    values = {}
+    for key in (_V1_KEYS[kind.name] if version == "v1" else types):
+        if key in types:
+            values[key] = reader.expect_key(key, _PARSERS[types[key]])
+        elif (text := reader.expect_key(key)) != _V1_FIXED[key]:
+            reader.fail(f"'{key}: {text}' has no v2 equivalent; only '{_V1_FIXED[key]}' loads")
+    return kind.config(**values)
+
+
+def _read_model(reader: _Reader, kind, version: str):
+    config = _read_config(reader, kind, version)
     features = reader.expect_key("features", int)
     names = []
     while reader.at_key("class"):
@@ -81,14 +94,15 @@ def _read_model(reader: _Reader, kind):
 
 
 def load_model(path):
-    """Read a model file back; the tag line selects the classifier kind."""
+    """Read a v2 or v1 model file back; the tag line selects the classifier kind."""
     reader = _Reader(path, ModelFormatError)
     tag = reader.next_line().strip()
-    kind = next((k for k in _KINDS if _tag(k) == tag), None)
-    if kind is None:
+    name, _, version = tag.partition("-model ")
+    kind = next((k for k in _KINDS if k.name == name), None)
+    if kind is None or version not in ("v1", "v2"):
         reader.fail(f"unknown model tag '{tag}'")
     try:
-        return _read_model(reader, kind)
+        return _read_model(reader, kind, version)
     except ModelFormatError:
         raise
     except (ValueError, TypeError) as exc:

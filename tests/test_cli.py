@@ -3,6 +3,7 @@
 import importlib
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from elmkit.data import (
     save_csv,
     save_synthetic_config,
 )
+from elmkit.elm import ElmConfig
+from elmkit.mlp import MlpConfig
 from elmkit.modelio import load_model
 
 
@@ -249,6 +252,40 @@ class TestTrainPredict:
         lines = [l for l in proc.stderr.splitlines() if l.strip()]
         assert len(lines) == 1
         assert "'weights' declares 4000000000 rows" in lines[0]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_model_weight_exits_3(self, tmp_path, rng, capsys, value):
+        """A non-finite weight would put every sample in one class; it is malformed."""
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        model_path = tmp_path / "elm.model"
+        main(["train", "--data", str(data), "--hidden", "4", "--out", str(model_path)])
+        lines = model_path.read_text().splitlines()
+        row = lines.index("weights:") + 2
+        lines[row] = f"{value} " + lines[row].split(" ", 1)[1]
+        model_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1
+        assert err[0].startswith(f"elmkit predict: {model_path}: line {row + 1}: non-finite number")
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_every_config_field_comes_from_a_flag(self, tmp_path, rng):
+        """Flags away from every default reach every field of both configs."""
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        flags = ["--hidden", "7", "--activation", "tanh", "--rank-tol", "1e-8", "--seed", "3",
+                 "--learning-rate", "0.5", "--momentum", "0.5", "--iterations", "9"]
+        for kind, config_type in (("elm", ElmConfig), ("mlp", MlpConfig)):
+            model_path = tmp_path / f"{kind}.model"
+            assert main(["train", "--data", str(data), "--classifier", kind, *flags,
+                         "--out", str(model_path)]) == 0
+            config = load_model(model_path).config
+            for field in fields(config_type):
+                assert getattr(config, field.name) != field.default, (kind, field.name)
 
     def test_diverging_mlp_writes_one_stderr_line(self, tmp_path, rng):
         data = tmp_path / "train.csv"

@@ -2,10 +2,12 @@
 
 Model files, generator configs and labeled CSVs are cut at line
 boundaries, given seeded single-byte replacements, given a 0xff byte
-(never valid UTF-8), and given inflated counts.  No case may raise out
-of ``cli.main`` or exit 1, and every nonzero exit writes exactly one
-stderr line.
+(never valid UTF-8), given inflated counts, and given non-finite numbers
+in place of finite ones.  No case may raise out of ``cli.main`` or exit
+1, and every nonzero exit writes exactly one stderr line.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ cov: -0.5 1.0
 CLASS_BLOCK_LINES = 5
 HEADER_LINES = 3
 REPLACEMENTS = 60
+NON_FINITE = ("nan", "inf", "-inf", "NaN", "Infinity")
 
 
 @pytest.fixture
@@ -116,3 +119,25 @@ def test_inflated_counts_exit_3(inputs, capsys, name, key):
     index = next(i for i, line in enumerate(lines) if line.startswith(f"{key}:"))
     lines[index] = f"{key}: 4000000000\n"
     assert run_on(path, argv, "".join(lines).encode(), capsys) == 3
+
+
+def is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["config", "csv", "elm model", "mlp model"])
+def test_non_finite_numbers_exit_3(inputs, capsys, name):
+    """Any number, header value or array entry, replaced by nan or inf is malformed."""
+    path, argv = inputs[name]
+    original = path.read_text()
+    pieces = re.split(r"([ ,:\n]+)", original)
+    numbers = [i for i, piece in enumerate(pieces) if is_number(piece)]
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    for i in rng.choice(numbers, size=12, replace=False):
+        damaged = pieces.copy()
+        damaged[i] = NON_FINITE[int(rng.integers(len(NON_FINITE)))]
+        assert run_on(path, argv, "".join(damaged).encode(), capsys) == 3, pieces[i]

@@ -10,6 +10,7 @@ from elmkit.data import (
     ScalingParams,
     SplitSpec,
     SyntheticConfig,
+    _per_class_train_counts,
     default_split_spec,
     fit_scaling,
     generate_synthetic,
@@ -129,6 +130,16 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match="row 4"):
             load_csv(path)
 
+    def test_error_rows_count_lines_inside_quoted_cells(self, tmp_path):
+        """A label quoted across lines 3-4 leaves the bad cell on line 6."""
+        path = tmp_path / "data.csv"
+        path.write_text('f1,label\n1.0,a\n2.0,"two\nlines"\n3.0,b\noops,b\n')
+        with pytest.raises(CsvFormatError, match="row 6, column 'f1'"):
+            load_csv(path)
+        path.write_text('# note\nf1,label\n2.0,"two\nlines"\n1.0,z\n')
+        with pytest.raises(CsvFormatError, match="row 5: unknown class 'z'"):
+            load_csv(path, class_names=("a", "two\nlines"))
+
 
 class TestCsvErrors:
     def test_empty_file(self, tmp_path):
@@ -211,6 +222,24 @@ class TestLoadFeatureCsv:
         path.write_text("f1,f2\n1.0,2.0\n3.0,nan\n")
         with pytest.raises(CsvFormatError, match="row 3, column 'f2'"):
             load_feature_csv(path)
+
+
+def reference_fraction_counts(class_sizes, fraction, rng):
+    """The loop form of the fraction split: floors, then the remainder one
+    sample at a time over classes in seeded order, skipping full classes."""
+    counts = np.floor(fraction * class_sizes).astype(np.int64)
+    remainder = int(round(fraction * int(class_sizes.sum()))) - int(counts.sum())
+    order = rng.permutation(len(class_sizes))
+    while remainder > 0:
+        progressed = False
+        for cls in order:
+            if remainder and counts[cls] < class_sizes[cls]:
+                counts[cls] += 1
+                remainder -= 1
+                progressed = True
+        if not progressed:
+            break
+    return counts
 
 
 def class_counts(ds, n_classes):
@@ -316,6 +345,34 @@ class TestStratifiedSplit:
         ds = make_unbalanced(rng, [10, 10])
         with pytest.raises(ValueError, match="empty test"):
             stratified_split(ds, SplitSpec(train_count=10))
+
+    @pytest.mark.parametrize("sizes, fraction, seed, want", [
+        ([10, 10], 0.39, 0, [4, 4]),                    # remainder equals the class count
+        ([2, 2, 2, 2, 3], 0.9, 4, [2, 2, 2, 1, 3]),     # two-sample classes take their last
+        ([3, 3, 3, 3], 0.5, 1, [2, 2, 1, 1]),
+        ([2, 3, 5, 7], 0.9, 2, [1, 2, 5, 7]),
+        ([2, 9, 4], 1 / 3, 5, [0, 4, 1]),
+        ([10, 10, 11], 0.05, 7, [1, 0, 1]),             # floors all zero
+        ([4, 4, 4, 4, 4, 4], 0.625, 3, [2, 2, 3, 2, 3, 3]),
+        ([677] * 5 + [676] * 2, 2700 / 4737, 42, [385, 386, 386, 386, 386, 385, 386]),
+    ])
+    def test_fraction_counts_pinned(self, sizes, fraction, seed, want):
+        """Floors plus one sample each for the first classes in seeded order."""
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        ds = LabeledDataset(np.arange(labels.size, dtype=float)[:, None], labels,
+                            tuple("abcdefg"[:len(sizes)]))
+        train, _ = stratified_split(ds, SplitSpec(train_fraction=fraction, seed=seed))
+        np.testing.assert_array_equal(class_counts(train, len(sizes)), want)
+
+    def test_fraction_counts_match_the_reference_loop(self, rng):
+        for _ in range(2000):
+            sizes = rng.integers(2, int(rng.choice([4, 60])), size=int(rng.integers(2, 9)))
+            fraction = float(rng.choice([rng.uniform(0.0, 1.0), 1e-12, 1 - 1e-12, 0.5, 1 / 3]))
+            seed = int(rng.integers(1000))
+            got = _per_class_train_counts(sizes, SplitSpec(train_fraction=fraction, seed=seed),
+                                          np.random.default_rng(seed))
+            want = reference_fraction_counts(sizes, fraction, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want, err_msg=f"{sizes} {fraction} {seed}")
 
     def test_tiny_class_in_fraction_mode_rejected(self, rng):
         ds = make_unbalanced(rng, [10, 10])
@@ -464,6 +521,17 @@ class TestConfigFileRoundTrip:
             "class: a\ncount: 3\nmean: 1.0 oops\n"
         )
         with pytest.raises(ConfigFormatError, match="unparseable"):
+            load_synthetic_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.cfg"
+        save_synthetic_config(littleport_like_config(), path)
+        lines = path.read_text().splitlines()
+        assert lines[6].startswith("cov: ")
+        lines[6] = f"cov: 49.0 {value} 1.0 1.0 1.0 1.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigFormatError, match=r"bad\.cfg: line 7: non-finite number"):
             load_synthetic_config(path)
 
     def test_error_names_the_physical_line(self, tmp_path):

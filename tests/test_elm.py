@@ -80,7 +80,8 @@ class TestElmConfig:
         config = ElmConfig()
         assert config.hidden_nodes == 300
         assert config.activation == "sigmoid"
-        assert config.weight_range == (-1.0, 1.0)
+        assert config.seed == 0
+        assert config.rank_tol == 1e-10
 
     def test_bad_hidden_nodes(self):
         with pytest.raises(ValueError, match="hidden_nodes"):
@@ -90,13 +91,9 @@ class TestElmConfig:
         with pytest.raises(ValueError, match="activation"):
             ElmConfig(activation="relu")
 
-    def test_bad_weight_range(self):
-        with pytest.raises(ValueError, match="weight_range"):
-            ElmConfig(weight_range=(1.0, -1.0))
-
-    @pytest.mark.parametrize("rank_tol", [-1e-12, float("nan")])
+    @pytest.mark.parametrize("rank_tol", [-1e-12, float("nan"), 1.0, float("inf")])
     def test_bad_rank_tol(self, rank_tol):
-        """The same cutoff rule as the solve: NaN is rejected, not just negatives."""
+        """The same cutoff rule as the solve: NaN and 1 or more are rejected, not just negatives."""
         with pytest.raises(ValueError, match="rank_tol must be non-negative"):
             ElmConfig(rank_tol=rank_tol)
 
@@ -109,12 +106,6 @@ class TestInitRandomLayer:
         assert biases.shape == (20,)
         assert (np.abs(weights) <= 1.0).all()
         assert (np.abs(biases) <= 1.0).all()
-
-    def test_custom_range(self):
-        config = ElmConfig(hidden_nodes=50, seed=1, weight_range=(0.0, 0.5))
-        weights, biases = init_random_layer(3, config)
-        assert weights.min() >= 0.0 and weights.max() <= 0.5
-        assert biases.min() >= 0.0 and biases.max() <= 0.5
 
     def test_draw_order_is_weights_then_biases(self):
         config = ElmConfig(hidden_nodes=7, seed=99)

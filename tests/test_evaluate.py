@@ -106,20 +106,19 @@ class TestConfigText:
     def test_embeds_every_field(self):
         text = config_text(ElmConfig(hidden_nodes=40, activation="tanh", seed=5))
         for token in ("classifier=elm", "hidden_nodes=40", "activation=tanh",
-                      "seed=5", "weight_range=", "rank_tol="):
+                      "seed=5", "rank_tol="):
             assert token in text
         text = config_text(MlpConfig(iterations=100))
         for token in ("classifier=mlp", "hidden_nodes=26", "learning_rate=0.25",
-                      "momentum=0.2", "iterations=100", "init_range="):
+                      "momentum=0.2", "iterations=100", "seed=0"):
             assert token in text
 
     def test_exact_rendering(self):
         assert config_text(ElmConfig(hidden_nodes=40, activation="tanh", seed=5)) == (
-            "classifier=elm hidden_nodes=40 activation=tanh seed=5 "
-            "weight_range=-1.0,1.0 rank_tol=1e-10")
+            "classifier=elm hidden_nodes=40 activation=tanh seed=5 rank_tol=1e-10")
         assert config_text(MlpConfig(iterations=100)) == (
             "classifier=mlp hidden_nodes=26 learning_rate=0.25 momentum=0.2 "
-            "iterations=100 seed=0 init_range=-0.5,0.5 divergence_factor=100.0")
+            "iterations=100 seed=0")
 
 
 class TestEvaluate:

@@ -334,6 +334,15 @@ class TestMinNormLstsqMatchesPseudoinverse:
         assert np.linalg.norm(x - truncated(4)) > 0.1 * scale
         assert np.linalg.norm(x - truncated(2)) > 0.1 * scale
 
+    @pytest.mark.parametrize("rank_tol", [1.0, 2.0, float("inf")])
+    def test_rank_tol_of_one_or_more_rejected(self, rank_tol):
+        """The reference would cut every singular value; gelsd would cut none."""
+        a = np.random.default_rng(0).standard_normal((6, 3))
+        for solve in (lambda: pseudoinverse(a, rank_tol=rank_tol),
+                      lambda: min_norm_lstsq(a, np.ones((6, 1)), rank_tol=rank_tol)):
+            with pytest.raises(LinalgError, match="rank_tol must be non-negative and below 1"):
+                solve()
+
     @pytest.mark.parametrize("rank_tol", [-1e-12, -1.0, float("nan")])
     def test_negative_rank_tol_rejected_by_the_solve(self, rank_tol):
         with pytest.raises(LinalgError, match="rank_tol") as excinfo:

@@ -34,7 +34,8 @@ def blobs(rng, n_per_class=40, spread=0.8):
 def reference_train(ds, config):
     """The unfused training loop: gradient, step, then a full cost pass.
 
-    Returns (diverged iteration or None, loss history, parameters).
+    Returns (iteration whose loss went non-finite or None, loss history,
+    parameters).
     """
     features = scale_features(ds.features, fit_scaling(ds))
     targets = encode_targets(ds.labels, ds.n_classes)
@@ -42,17 +43,23 @@ def reference_train(ds, config):
     velocities = [np.zeros_like(p) for p in params]
     step = config.learning_rate * _MEAN_STEP_GAIN / ds.n_samples
     history = [mlp_cost(features, targets, *params)]
-    ceiling = config.divergence_factor * max(history[0], np.finfo(float).tiny)
-    for iteration in range(1, config.iterations + 1):
-        grads = mlp_gradient(features, targets, *params)
-        for i in range(4):
-            velocities[i] = config.momentum * velocities[i] - step * grads[i]
-            params[i] = params[i] + velocities[i]
-        loss = mlp_cost(features, targets, *params)
-        if not np.isfinite(loss) or loss > ceiling:
-            return iteration, history, params
-        history.append(loss)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for iteration in range(1, config.iterations + 1):
+            grads = mlp_gradient(features, targets, *params)
+            for i in range(4):
+                velocities[i] = config.momentum * velocities[i] - step * grads[i]
+                params[i] = params[i] + velocities[i]
+            loss = mlp_cost(features, targets, *params)
+            if not np.isfinite(loss):
+                return iteration, history, params
+            history.append(loss)
     return None, history, params
+
+
+def runaway_config(iterations):
+    """A step so large that blobs(default_rng(0)) overflows at iteration 22."""
+    return MlpConfig(hidden_nodes=8, learning_rate=10 ** 307.5, momentum=0.99,
+                     iterations=iterations, seed=1)
 
 
 def tiny_params():
@@ -71,7 +78,7 @@ class TestMlpConfig:
         assert config.learning_rate == 0.25
         assert config.momentum == 0.2
         assert config.iterations == 2200
-        assert config.init_range == (-0.5, 0.5)
+        assert config.seed == 0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="learning_rate"):
@@ -211,15 +218,13 @@ class TestTrainMlp:
         accuracy = (mlp_predict(model, test.features) == test.labels).mean()
         assert accuracy > 0.9
 
-    def test_divergence_aborts_with_iteration(self, rng):
-        """A runaway learning rate trips a tightened loss ceiling."""
-        ds = blobs(rng)
+    def test_divergence_aborts_with_iteration(self):
+        """A runaway learning rate overflows the loss, and training stops there."""
         with pytest.raises(MlpDivergenceError) as excinfo:
-            train_mlp(ds, MlpConfig(hidden_nodes=8, learning_rate=200.0,
-                                    momentum=0.9, iterations=500, seed=0,
-                                    divergence_factor=1.1))
-        assert excinfo.value.iteration >= 1
-        assert "iteration" in str(excinfo.value)
+            train_mlp(blobs(np.random.default_rng(0)), runaway_config(300))
+        assert excinfo.value.iteration == 22
+        assert not np.isfinite(excinfo.value.loss)
+        assert "iteration 22" in str(excinfo.value)
 
     def test_fused_loop_matches_reference_loop_bit_for_bit(self, rng):
         ds = blobs(rng)
@@ -233,14 +238,13 @@ class TestTrainMlp:
                              params):
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("iterations", [300, 2])
-    def test_divergence_iteration_matches_reference_loop(self, rng, iterations):
-        """The loss crosses the ceiling after step 2: mid-run, or on the last step."""
-        ds = blobs(rng)
-        config = MlpConfig(hidden_nodes=8, learning_rate=2.0, momentum=0.9,
-                           iterations=iterations, seed=0, divergence_factor=1.01)
+    @pytest.mark.parametrize("iterations", [300, 22])
+    def test_divergence_iteration_matches_reference_loop(self, iterations):
+        """The loss goes non-finite after step 22: mid-run, or on the last step."""
+        ds = blobs(np.random.default_rng(0))
+        config = runaway_config(iterations)
         diverged, _, _ = reference_train(ds, config)
-        assert diverged == 2
+        assert diverged == 22
         with pytest.raises(MlpDivergenceError) as excinfo:
             train_mlp(ds, config)
         assert excinfo.value.iteration == diverged

@@ -22,7 +22,7 @@ class TestElmRoundTrip:
     def test_bit_exact_arrays_and_config(self, tmp_path, rng):
         ds = blobs(rng)
         model = train_elm(ds, ElmConfig(hidden_nodes=9, activation="tanh", seed=17,
-                                        weight_range=(-0.75, 1.25), rank_tol=1e-9))
+                                        rank_tol=1e-9))
         path = tmp_path / "m.model"
         save_model(model, path)
         back = load_model(path)
@@ -159,27 +159,96 @@ class TestFormatErrors:
             save_model({"not": "a model"}, tmp_path / "x.model")
 
 
+def golden_elm():
+    return ElmModel(
+        weights=[[0.5, -0.25], [1.0, 2.0]],
+        biases=[0.125, -3.0],
+        output_weights=[[1.0, 0.0, -0.5], [0.0, 1.0, 0.25]],
+        config=ElmConfig(hidden_nodes=2, activation="tanh", seed=17, rank_tol=1e-9),
+        class_names=("north field", "south", "c,3"),
+        scaling=ScalingParams(np.array([0.0, -1.5]), np.array([6.0, 5.0])),
+    )
+
+
+def golden_mlp():
+    return MlpModel(
+        w_hidden=[[0.5, -0.25, 1.0], [1.0, 2.0, -2.0]],
+        b_hidden=[0.125, -3.0],
+        w_out=[[1.0, 0.0], [0.0, -0.5]],
+        b_out=[0.75, 0.0625],
+        config=MlpConfig(hidden_nodes=2, learning_rate=0.3, momentum=0.1,
+                         iterations=40, seed=11),
+        class_names=("a", "b"),
+        scaling=ScalingParams(np.array([0.0, 1.0, 2.0]), np.array([3.0, 4.0, 5.5])),
+    )
+
+
+ELM_ARRAYS = (
+    "weights:\n"
+    "0.5 -0.25\n"
+    "1.0 2.0\n"
+    "biases: 0.125 -3.0\n"
+    "output_weights:\n"
+    "1.0 0.0 -0.5\n"
+    "0.0 1.0 0.25\n"
+)
+
+MLP_ARRAYS = (
+    "w_hidden:\n"
+    "0.5 -0.25 1.0\n"
+    "1.0 2.0 -2.0\n"
+    "b_hidden: 0.125 -3.0\n"
+    "w_out:\n"
+    "1.0 0.0\n"
+    "0.0 -0.5\n"
+    "b_out: 0.75 0.0625\n"
+)
+
+# Model files as the v1 writer produced them, with the header lines that
+# v2 dropped.
+V1_ELM_TEXT = (
+    "elm-model v1\n"
+    "hidden_nodes: 2\n"
+    "activation: tanh\n"
+    "seed: 17\n"
+    "weight_range: -0.75 1.25\n"
+    "rank_tol: 1e-09\n"
+    "features: 2\n"
+    "class: north field\n"
+    "class: south\n"
+    "class: c,3\n"
+    "scaling_min: 0.0 -1.5\n"
+    "scaling_max: 6.0 5.0\n"
+) + ELM_ARRAYS
+
+V1_MLP_TEXT = (
+    "mlp-model v1\n"
+    "hidden_nodes: 2\n"
+    "learning_rate: 0.3\n"
+    "momentum: 0.1\n"
+    "iterations: 40\n"
+    "seed: 11\n"
+    "init_range: -0.5 0.5\n"
+    "divergence_factor: 100.0\n"
+    "features: 3\n"
+    "class: a\n"
+    "class: b\n"
+    "scaling_min: 0.0 1.0 2.0\n"
+    "scaling_max: 3.0 4.0 5.5\n"
+) + MLP_ARRAYS
+
+
 class TestGoldenFormat:
-    """The exact v1 text of both model kinds, header and array layout."""
+    """The exact v2 text of both model kinds, header and array layout."""
 
     def test_elm_file_text(self, tmp_path):
-        model = ElmModel(
-            weights=[[0.5, -0.25], [1.0, 2.0]],
-            biases=[0.125, -3.0],
-            output_weights=[[1.0, 0.0, -0.5], [0.0, 1.0, 0.25]],
-            config=ElmConfig(hidden_nodes=2, activation="tanh", seed=17,
-                             weight_range=(-0.75, 1.25), rank_tol=1e-9),
-            class_names=("north field", "south", "c,3"),
-            scaling=ScalingParams(np.array([0.0, -1.5]), np.array([6.0, 5.0])),
-        )
         path = tmp_path / "m.model"
-        save_model(model, path)
+        save_model(golden_elm(), path)
         assert path.read_text() == (
-            "elm-model v1\n"
+            "elm-model v2\n"
             "hidden_nodes: 2\n"
             "activation: tanh\n"
             "seed: 17\n"
-            "weight_range: -0.75 1.25\n"
             "rank_tol: 1e-09\n"
             "features: 2\n"
             "class: north field\n"
@@ -187,48 +256,67 @@ class TestGoldenFormat:
             "class: c,3\n"
             "scaling_min: 0.0 -1.5\n"
             "scaling_max: 6.0 5.0\n"
-            "weights:\n"
-            "0.5 -0.25\n"
-            "1.0 2.0\n"
-            "biases: 0.125 -3.0\n"
-            "output_weights:\n"
-            "1.0 0.0 -0.5\n"
-            "0.0 1.0 0.25\n"
-        )
+        ) + ELM_ARRAYS
 
     def test_mlp_file_text(self, tmp_path):
-        model = MlpModel(
-            w_hidden=[[0.5, -0.25, 1.0], [1.0, 2.0, -2.0]],
-            b_hidden=[0.125, -3.0],
-            w_out=[[1.0, 0.0], [0.0, -0.5]],
-            b_out=[0.75, 0.0625],
-            config=MlpConfig(hidden_nodes=2, learning_rate=0.3, momentum=0.1,
-                             iterations=40, seed=11),
-            class_names=("a", "b"),
-            scaling=ScalingParams(np.array([0.0, 1.0, 2.0]), np.array([3.0, 4.0, 5.5])),
-        )
         path = tmp_path / "m.model"
-        save_model(model, path)
+        save_model(golden_mlp(), path)
         assert path.read_text() == (
-            "mlp-model v1\n"
+            "mlp-model v2\n"
             "hidden_nodes: 2\n"
             "learning_rate: 0.3\n"
             "momentum: 0.1\n"
             "iterations: 40\n"
             "seed: 11\n"
-            "init_range: -0.5 0.5\n"
-            "divergence_factor: 100.0\n"
             "features: 3\n"
             "class: a\n"
             "class: b\n"
             "scaling_min: 0.0 1.0 2.0\n"
             "scaling_max: 3.0 4.0 5.5\n"
-            "w_hidden:\n"
-            "0.5 -0.25 1.0\n"
-            "1.0 2.0 -2.0\n"
-            "b_hidden: 0.125 -3.0\n"
-            "w_out:\n"
-            "1.0 0.0\n"
-            "0.0 -0.5\n"
-            "b_out: 0.75 0.0625\n"
-        )
+        ) + MLP_ARRAYS
+
+
+def assert_loads_as(tmp_path, text, want):
+    """*text* loads to *want*: equal config, and the same v2 file once saved."""
+    v1, v2 = tmp_path / "v1.model", tmp_path / "v2.model"
+    v1.write_text(text)
+    back = load_model(v1)
+    assert back.config == want.config
+    save_model(back, v1)
+    save_model(want, v2)
+    assert v1.read_text() == v2.read_text()
+
+
+class TestV1Files:
+    """v1 files load when each dropped header line holds its one v1 value."""
+
+    def test_mlp_file_loads_to_an_equal_model(self, tmp_path):
+        assert_loads_as(tmp_path, V1_MLP_TEXT, golden_mlp())
+
+    def test_elm_file_at_the_fixed_range_loads(self, tmp_path):
+        text = V1_ELM_TEXT.replace("weight_range: -0.75 1.25", "weight_range: -1.0 1.0")
+        assert_loads_as(tmp_path, text, golden_elm())
+
+    def test_elm_file_with_another_range_names_line_5(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text(V1_ELM_TEXT)
+        with pytest.raises(ModelFormatError,
+                           match=r"m\.model: line 5: 'weight_range: -0\.75 1\.25' has no v2"):
+            load_model(path)
+
+    @pytest.mark.parametrize("line, text", [(7, "init_range: -1.0 1.0"),
+                                            (8, "divergence_factor: 50.0")])
+    def test_mlp_file_with_another_value_names_its_line(self, tmp_path, line, text):
+        lines = V1_MLP_TEXT.splitlines()
+        lines[line - 1] = text
+        path = tmp_path / "m.model"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=rf"line {line}: '{text}' has no v2"):
+            load_model(path)
+
+    def test_v2_header_under_a_v1_tag_is_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(golden_mlp(), path)
+        path.write_text(path.read_text().replace("mlp-model v2", "mlp-model v1"))
+        with pytest.raises(ModelFormatError, match="line 7: expected 'init_range:'"):
+            load_model(path)
