@@ -18,7 +18,7 @@ so repeated runs produce byte-identical files apart from those lines.
 
 Exit codes: 0 success, 2 usage errors, 3 malformed input files,
 4 invalid data or configuration values, 5 training divergence,
-1 unexpected failure.
+6 out of memory, 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ exit codes:
   3  malformed input file (dataset, generator config, or model)
   4  invalid data or configuration values
   5  training diverged
+  6  out of memory
   1  unexpected failure
 """
 
@@ -75,6 +76,7 @@ _ERROR_EXIT_CODES = (
     ((CsvFormatError, ConfigFormatError, ModelFormatError), 3),
     (MlpDivergenceError, 5),
     (ValueError, 4),
+    (MemoryError, 6),
     (OSError, 1),
 )
 
@@ -313,9 +315,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, MlpDivergenceError, OSError) as exc:
+    except (ValueError, MlpDivergenceError, MemoryError, OSError) as exc:
+        message = str(exc)
+        if isinstance(exc, MemoryError):
+            message = f"out of memory: {message}" if message else "out of memory"
         # One line, even if the message echoes a newline from a bad input.
-        text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
         print(f"elmkit {args.command}: {text}", file=sys.stderr)
         return next(code for types, code in _ERROR_EXIT_CODES if isinstance(exc, types))
 

@@ -617,6 +617,12 @@ def default_split_spec(seed: int = DEFAULT_SEED) -> SplitSpec:
 
 _CONFIG_TAG = "synthetic-config v1"
 
+# Most feature cells (total count x features) a config file may ask the
+# generator for: 10 million float64 cells are 80 MB, over 350 times the
+# bundled scene.  A config past it is malformed, so an inflated count
+# fails while the file is read instead of when the samples are drawn.
+_MAX_GENERATED_CELLS = 10_000_000
+
 
 def save_synthetic_config(config: SyntheticConfig, path) -> None:
     """Write a generator config as a key-value text file.
@@ -640,7 +646,8 @@ def load_synthetic_config(path) -> SyntheticConfig:
     """Read a generator config in the key order :func:`save_synthetic_config` writes.
 
     Blank lines are skipped.  A line out of place or a bad value raises
-    :class:`ConfigFormatError` naming its physical line.
+    :class:`ConfigFormatError` naming its physical line, as does the
+    ``count:`` line that takes the total past ``_MAX_GENERATED_CELLS``.
     """
     reader = _Reader(path, ConfigFormatError, skip_blank=True)
     if reader.next_line().strip() != _CONFIG_TAG:
@@ -651,6 +658,9 @@ def load_synthetic_config(path) -> SyntheticConfig:
     while not reader.at_end():
         names.append(reader.expect_key("class"))
         counts.append(reader.expect_key("count", int))
+        if sum(counts) * features > _MAX_GENERATED_CELLS:
+            reader.fail(f"counts so far ({sum(counts)} samples x {features} features) "
+                        f"exceed the generator limit of {_MAX_GENERATED_CELLS} cells")
         means.append(reader.read_vector("mean", features))
         covs.append([reader.read_vector("cov", features) for _ in range(features)])
     try:

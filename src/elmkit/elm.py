@@ -28,11 +28,12 @@ from .data import LabeledDataset, ScalingParams, _frozen_array, fit_scaling, sca
 from .linalg import _check_rank_tol, _one_blas_thread, min_norm_lstsq
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     # The logistic function as 0.5 * (1 + tanh(x / 2)): tanh saturates at
     # +-1, so neither end can overflow, and the in-place ufuncs allocate
-    # nothing beyond the output array.
-    out = np.multiply(x, 0.5, dtype=np.float64)
+    # nothing beyond the output array.  *out* (which may be *x* itself)
+    # receives the result; without it a new array does and *x* is untouched.
+    out = np.multiply(x, 0.5, out=out, dtype=np.float64)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5

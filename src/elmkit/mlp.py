@@ -21,11 +21,23 @@ operating point (rate 0.25, momentum 0.2, 2200 iterations) close to its
 asymptotic accuracy on scenes of a few thousand samples, while 1.0
 undertrains badly there.  The gradient definition is untouched.
 
-Each training iteration runs one fused forward/backward pass
-(``_loss_and_gradient``): the pass that computes the gradient at the
-current parameters also yields the cost there, which is the loss
-recorded after the previous step.  The pass after the final step is
-taken for its loss alone; its gradient goes unused.
+All numerics run through one private pass (``_pass``) that keeps every
+activation, error and delta array as (units, samples): the hidden layer
+is ``w_hidden @ X^T`` with the bias added as a column, the bias
+gradients are contiguous row sums, and the weight gradients are
+``delta_out @ hidden^T`` and ``delta_hidden @ X``.  The pass writes into
+seven work arrays (``_Scratch``: three of hidden x samples, four of
+classes x samples) with ``out=`` and in-place ufuncs.  ``train_mlp``
+allocates them, and transposes the scaled features and the one-hot
+targets, once per fit, so no iteration allocates a samples-sized array.
+:func:`mlp_forward`, :func:`mlp_cost`, :func:`mlp_gradient` and
+:func:`mlp_predict_scores` run the same pass on arrays allocated per call
+and return (samples, units) arrays.
+
+Each training iteration runs one pass: the pass that computes the
+gradient at the current parameters also yields the cost there, which is
+the loss recorded after the previous step.  The pass after the final
+step is taken for its loss alone; its gradient goes unused.
 Both sigmoid layers use the one logistic kernel of :mod:`elmkit.elm`.
 """
 
@@ -132,39 +144,84 @@ def init_mlp_params(n_features: int, n_classes: int,
     return w_hidden, b_hidden, w_out, b_out
 
 
+class _Scratch:
+    """The pass's work arrays, all (units, samples) and C-ordered."""
+
+    def __init__(self, n_hidden: int, n_classes: int, n_samples: int):
+        self.hidden, self.hidden_slope, self.delta_hidden = (
+            np.empty((n_hidden, n_samples)) for _ in range(3))
+        self.output, self.error, self.delta_out, self.output_slope = (
+            np.empty((n_classes, n_samples)) for _ in range(4))
+
+
+def _layout(features):
+    """Features as C-ordered (samples, features) and (features, samples) copies.
+
+    Every caller of :func:`_pass` goes through here, so the GEMMs see the
+    same memory layout, and give the same bits, whatever the input order.
+    """
+    features = np.ascontiguousarray(features, dtype=np.float64)
+    return features, features.T.copy()
+
+
+def _pass(features, features_t, targets_t, params, scratch, gradient=True):
+    """One forward (and optionally backward) pass in the (units, samples) layout.
+
+    Fills ``scratch.hidden`` and ``scratch.output``.  With ``targets_t``
+    (classes, samples) it also returns the summed squared error, and with
+    *gradient* the exact gradient in parameter order; otherwise those are
+    None.
+    """
+    w_hidden, b_hidden, w_out, b_out = params
+    s = scratch
+    np.matmul(w_hidden, features_t, out=s.hidden)
+    s.hidden += b_hidden[:, None]
+    _sigmoid(s.hidden, out=s.hidden)
+    np.matmul(w_out, s.hidden, out=s.output)
+    s.output += b_out[:, None]
+    _sigmoid(s.output, out=s.output)
+    if targets_t is None:
+        return None, None
+    np.subtract(s.output, targets_t, out=s.error)
+    loss = float(np.square(s.error, out=s.output_slope).sum())
+    if not gradient:
+        return loss, None
+    # cost is sum of (output - target)^2: chain through both sigmoids
+    np.multiply(s.error, 2.0, out=s.delta_out)
+    s.delta_out *= s.output
+    np.subtract(1.0, s.output, out=s.output_slope)
+    s.delta_out *= s.output_slope
+    g_w_out = s.delta_out @ s.hidden.T
+    g_b_out = s.delta_out.sum(axis=1)
+    np.matmul(w_out.T, s.delta_out, out=s.delta_hidden)
+    s.delta_hidden *= s.hidden
+    np.subtract(1.0, s.hidden, out=s.hidden_slope)
+    s.delta_hidden *= s.hidden_slope
+    g_w_hidden = s.delta_hidden @ features
+    g_b_hidden = s.delta_hidden.sum(axis=1)
+    return loss, (g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+
+
+def _pass_once(features, targets, params, gradient=True):
+    """:func:`_pass` on work arrays allocated for this call alone."""
+    features, features_t = _layout(features)
+    targets_t = None if targets is None else np.asarray(targets, dtype=np.float64).T.copy()
+    scratch = _Scratch(len(params[1]), len(params[3]), len(features))
+    loss, grads = _pass(features, features_t, targets_t, params, scratch, gradient)
+    return scratch, loss, grads
+
+
 def mlp_forward(features, w_hidden, b_hidden, w_out, b_out):
-    """Forward pass; returns (hidden activations, output activations)."""
-    features = np.asarray(features, dtype=np.float64)
-    hidden = _sigmoid(features @ w_hidden.T + b_hidden)
-    output = _sigmoid(hidden @ w_out.T + b_out)
-    return hidden, output
+    """Forward pass; returns (hidden activations, output activations),
+    each (samples, units)."""
+    scratch, _, _ = _pass_once(features, None, (w_hidden, b_hidden, w_out, b_out))
+    return scratch.hidden.T, scratch.output.T
 
 
 def mlp_cost(features, targets, w_hidden, b_hidden, w_out, b_out) -> float:
     """Sum of squared errors of the forward pass against the targets."""
-    _, output = mlp_forward(features, w_hidden, b_hidden, w_out, b_out)
-    return float(np.sum((output - np.asarray(targets)) ** 2))
-
-
-def _loss_and_gradient(features, targets, w_hidden, b_hidden, w_out, b_out):
-    """Summed squared error and its exact gradient from one forward pass.
-
-    Returns ``(loss, (g_w_hidden, g_b_hidden, g_w_out, g_b_out))``; the
-    loss is bit-identical to :func:`mlp_cost` at the same parameters.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    hidden, output = mlp_forward(features, w_hidden, b_hidden, w_out, b_out)
-    error = output - targets
-    loss = float(np.sum(error ** 2))
-    # cost is sum of (output - target)^2: chain through both sigmoids
-    delta_out = 2.0 * error * output * (1.0 - output)
-    g_w_out = delta_out.T @ hidden
-    g_b_out = delta_out.sum(axis=0)
-    delta_hidden = (delta_out @ w_out) * hidden * (1.0 - hidden)
-    g_w_hidden = delta_hidden.T @ features
-    g_b_hidden = delta_hidden.sum(axis=0)
-    return loss, (g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+    params = (w_hidden, b_hidden, w_out, b_out)
+    return _pass_once(features, targets, params, gradient=False)[1]
 
 
 def mlp_gradient(features, targets, w_hidden, b_hidden, w_out, b_out):
@@ -173,7 +230,7 @@ def mlp_gradient(features, targets, w_hidden, b_hidden, w_out, b_out):
     Returns gradients in parameter order (w_hidden, b_hidden, w_out,
     b_out); each matches its parameter's shape.
     """
-    return _loss_and_gradient(features, targets, w_hidden, b_hidden, w_out, b_out)[1]
+    return _pass_once(features, targets, (w_hidden, b_hidden, w_out, b_out))[2]
 
 
 def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpModel:
@@ -191,30 +248,33 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
         config = MlpConfig()
     start = time.perf_counter()
     scaling = fit_scaling(train)
-    features = scale_features(train.features, scaling)
-    targets = encode_targets(train.labels, train.n_classes)
-    params = list(init_mlp_params(train.n_features, train.n_classes, config))
+    features, features_t = _layout(scale_features(train.features, scaling))
+    targets_t = encode_targets(train.labels, train.n_classes).T.copy()
+    params = init_mlp_params(train.n_features, train.n_classes, config)
     velocities = [np.zeros_like(p) for p in params]
+    scratch = _Scratch(config.hidden_nodes, train.n_classes, train.n_samples)
     step = config.learning_rate * _MEAN_STEP_GAIN / train.n_samples
 
-    loss, grads = _loss_and_gradient(features, targets, *params)
+    loss, grads = _pass(features, features_t, targets_t, params, scratch)
     history = [loss]
     # Divergence is reported by the loss check below, not by numpy warnings.
     with np.errstate(invalid="ignore", over="ignore"):
         for iteration in range(1, config.iterations + 1):
-            for i in range(4):
-                velocities[i] = config.momentum * velocities[i] - step * grads[i]
-                params[i] = params[i] + velocities[i]
-            loss, grads = _loss_and_gradient(features, targets, *params)
+            for param, velocity, grad in zip(params, velocities, grads):
+                velocity *= config.momentum
+                velocity -= step * grad
+                param += velocity
+            loss, grads = _pass(features, features_t, targets_t, params, scratch)
             if not np.isfinite(loss):
                 raise MlpDivergenceError(iteration, loss)
             history.append(loss)
     elapsed = time.perf_counter() - start
+    w_hidden, b_hidden, w_out, b_out = params
     return MlpModel(
-        w_hidden=params[0],
-        b_hidden=params[1],
-        w_out=params[2],
-        b_out=params[3],
+        w_hidden=w_hidden,
+        b_hidden=b_hidden,
+        w_out=w_out,
+        b_out=b_out,
         config=config,
         class_names=train.class_names,
         scaling=scaling,

@@ -3,12 +3,13 @@
 import importlib
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from elmkit.cli import main
+from elmkit.cli import _EXIT_CODES_HELP, main
 from elmkit.data import (
     LabeledDataset,
     littleport_like_config,
@@ -126,6 +127,22 @@ class TestMalformedInputExits3:
         assert code == 3
         assert len(err) == 1
         assert f"{cfg}: line {line_no}: " in err[0]
+
+    def test_inflated_count_fails_before_allocating(self, tmp_path, capsys):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_bytes(_config_lines(lambda lines: lines.__setitem__(9, "count: 1000000000000")))
+        tracemalloc.start()
+        try:
+            code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1
+        assert f"{cfg}: line 10: " in err[0]
+        assert peak < 1 << 20
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("kind", ["config", "model", "csv"])
     def test_non_utf8_byte(self, tmp_path, rng, capsys, kind):
@@ -450,3 +467,13 @@ class TestEntryPoints:
         assert "exit codes" in proc.stdout
         for code in ("0", "2", "3", "4", "5"):
             assert code in proc.stdout
+
+    def test_memory_error_is_one_line_exit_6(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 43.7 TiB for an array")
+
+        monkeypatch.setattr("elmkit.cli.generate_synthetic", exhausted)
+        assert main(["generate", "--out", str(tmp_path / "x.csv")]) == 6
+        assert capsys.readouterr().err == (
+            "elmkit generate: out of memory: Unable to allocate 43.7 TiB for an array\n")
+        assert "  6  out of memory" in _EXIT_CODES_HELP

@@ -108,6 +108,7 @@ def test_seeded_corruptions_fail_closed(inputs, capsys, name):
 
 @pytest.mark.parametrize("name, key", [
     ("config", "features"),
+    ("config", "count"),
     ("elm model", "hidden_nodes"),
     ("elm model", "features"),
     ("mlp model", "hidden_nodes"),

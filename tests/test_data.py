@@ -10,6 +10,7 @@ from elmkit.data import (
     ScalingParams,
     SplitSpec,
     SyntheticConfig,
+    _MAX_GENERATED_CELLS,
     _per_class_train_counts,
     default_split_spec,
     fit_scaling,
@@ -544,4 +545,17 @@ class TestConfigFileRoundTrip:
         lines[7] = "mean: 1.0 oops"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigFormatError, match=r"line 8: unparseable"):
+            load_synthetic_config(path)
+
+    def test_cell_limit_is_inclusive_and_names_the_count_line(self, tmp_path):
+        """The total over all classes counts; reading allocates no samples."""
+        at_limit = _MAX_GENERATED_CELLS // 2 - 3
+        text = ("synthetic-config v1\nseed: 1\nfeatures: 2\n"
+                "class: a\ncount: 3\nmean: 0.0 0.0\ncov: 1.0 0.0\ncov: 0.0 1.0\n"
+                "class: b\ncount: {}\nmean: 4.0 0.0\ncov: 1.0 0.0\ncov: 0.0 1.0\n")
+        path = tmp_path / "big.cfg"
+        path.write_text(text.format(at_limit))
+        assert load_synthetic_config(path).counts == (3, at_limit)
+        path.write_text(text.format(at_limit + 1))
+        with pytest.raises(ConfigFormatError, match=r"big\.cfg: line 10: .*10000000 cells"):
             load_synthetic_config(path)

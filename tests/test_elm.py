@@ -66,6 +66,12 @@ class TestActivations:
         _sigmoid(x)
         np.testing.assert_array_equal(x, before)
 
+    def test_sigmoid_in_place_matches_new_array(self, rng):
+        x = rng.standard_normal((4, 3)) * 20
+        want = _sigmoid(x)
+        assert _sigmoid(x, out=x) is x
+        assert x.tobytes() == want.tobytes()
+
     def test_tanh_matches_numpy(self, rng):
         x = rng.standard_normal(50)
         np.testing.assert_array_equal(ACTIVATIONS["tanh"](x), np.tanh(x))

@@ -138,6 +138,20 @@ class TestCost:
         np.testing.assert_allclose(total, parts, rtol=1e-12)
 
 
+class TestMemoryOrder:
+    def test_c_and_fortran_ordered_inputs_give_the_same_bits(self, rng):
+        params = init_mlp_params(5, 3, MlpConfig(hidden_nodes=9, seed=6))
+        x = rng.uniform(-1, 1, size=(300, 5))
+        y = encode_targets(rng.integers(0, 3, size=300), 3)
+        fx, fy = np.asfortranarray(x), np.asfortranarray(y)
+        assert not fx.flags.c_contiguous and not fy.flags.c_contiguous
+        for a, b in zip(mlp_forward(x, *params), mlp_forward(fx, *params)):
+            assert a.tobytes() == b.tobytes()
+        assert mlp_cost(x, y, *params) == mlp_cost(fx, fy, *params)
+        for a, b in zip(mlp_gradient(x, y, *params), mlp_gradient(fx, fy, *params)):
+            assert a.tobytes() == b.tobytes()
+
+
 def numerical_gradient(features, targets, params, index, step=1e-6):
     """Central-difference gradient for one parameter array."""
     param = params[index]
