@@ -35,6 +35,12 @@ class ConfigFormatError(ValueError):
     """A generator config file does not follow the documented key-value layout."""
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's generators would reject it too, with a message naming no field
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
@@ -340,6 +346,7 @@ class SplitSpec:
     def __post_init__(self):
         if (self.train_fraction is None) == (self.train_count is None):
             raise ValueError("exactly one of train_fraction and train_count must be set")
+        _check_seed(self.seed)
         if self.train_fraction is not None:
             if not (0.0 < self.train_fraction < 1.0):
                 raise ValueError(
@@ -505,6 +512,7 @@ class SyntheticConfig:
             raise ValueError(f"covariances must have shape ({m}, {p}, {p}), got {covs.shape}")
         if len(counts) != m or any(c < 1 for c in counts):
             raise ValueError("one positive sample count per class is required")
+        _check_seed(self.seed)
         for cls in range(m):
             cov = covs[cls]
             if not np.allclose(cov, cov.T, atol=1e-12):

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, ScalingParams, _frozen_array, fit_scaling, scale_features
+from .data import (LabeledDataset, ScalingParams, _check_seed, _frozen_array, fit_scaling,
+                   scale_features)
 from .linalg import _check_rank_tol, _one_blas_thread, min_norm_lstsq
 
 
@@ -40,8 +41,11 @@ def _sigmoid(x, out=None):
     return out
 
 
-def _hardlimit(x):
-    return (np.asarray(x) >= 0.0).astype(np.float64)
+def _hardlimit(x, out=None):
+    # 1.0 where x >= 0, else 0.0; *out* as in _sigmoid
+    if out is None:
+        out = np.empty(np.shape(x))
+    return np.greater_equal(x, 0.0, out=out)
 
 
 ACTIVATIONS = {
@@ -68,6 +72,7 @@ class ElmConfig:
                 f"unknown activation '{self.activation}'; choose from {sorted(ACTIVATIONS)}"
             )
         _check_rank_tol(self.rank_tol)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,13 @@ def init_random_layer(n_features: int, config: ElmConfig) -> tuple[np.ndarray, n
 
 def build_hidden_matrix(features: np.ndarray, weights: np.ndarray, biases: np.ndarray,
                         activation: str) -> np.ndarray:
-    """Activations of every hidden node on every sample: (samples, hidden)."""
+    """Activations of every hidden node on every sample: (samples, hidden).
+
+    The matrix is built as one (hidden, samples) C-ordered array, biases
+    added per row and the activation applied in place, and returned
+    transposed: (samples, hidden) in Fortran order, the layout LAPACK
+    factorises in place, so a solve needs no copy of it.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
@@ -135,8 +146,9 @@ def build_hidden_matrix(features: np.ndarray, weights: np.ndarray, biases: np.nd
         raise ValueError(
             f"feature width {features.shape[1]} does not match weights width {weights.shape[1]}"
         )
-    f = ACTIVATIONS[activation]
-    return f(features @ weights.T + biases)
+    hidden = weights @ features.T
+    hidden += np.reshape(biases, (-1, 1))
+    return ACTIVATIONS[activation](hidden, out=hidden).T
 
 
 def encode_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -165,7 +177,8 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
     Fits the [-1, 1] feature scaling on the split, draws the hidden
     layer, and solves for the output weights in one least-squares pass.
     The hidden-layer product and the solve run on one BLAS thread (see
-    :func:`elmkit.linalg._one_blas_thread`).
+    :func:`elmkit.linalg._one_blas_thread`), and the solve factorises the
+    hidden matrix in place, so a fit holds one copy of it.
     A class with no training samples gets an identically zero output
     column, so it can only be predicted when every other class scores
     non-positive.
@@ -179,7 +192,8 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
     targets = encode_targets(train.labels, train.n_classes)
     with _one_blas_thread():
         hidden = build_hidden_matrix(scaled, weights, biases, config.activation)
-        output_weights = min_norm_lstsq(hidden, targets, rank_tol=config.rank_tol)
+        output_weights = min_norm_lstsq(hidden, targets, rank_tol=config.rank_tol,
+                                        overwrite_a=True)
     elapsed = time.perf_counter() - start
     return ElmModel(
         weights=weights,

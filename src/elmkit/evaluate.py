@@ -11,6 +11,8 @@ model files and prediction outputs included, is bit-reproducible.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
@@ -19,6 +21,7 @@ import numpy as np
 
 from .data import LabeledDataset, _frozen_array
 from .elm import ElmConfig, ElmModel, predict, predict_scores, train_elm
+from .linalg import _one_blas_thread
 from .mlp import MlpConfig, MlpModel, mlp_predict, mlp_predict_scores, train_mlp
 
 DEFAULT_HIDDEN_GRID = tuple(range(25, 451, 25))
@@ -358,13 +361,57 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _sweep_point(train, test, config, hidden, seeds):
-    accs = []
-    for seed in seeds:
-        model = train_elm(train, replace(config, hidden_nodes=hidden, seed=seed))
-        predicted = predict(model, test.features)
-        accs.append(float((predicted == test.labels).mean()))
-    return accs
+def _cores() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def _fit_accuracy(train, test, config, hidden, seed) -> float:
+    model = train_elm(train, replace(config, hidden_nodes=hidden, seed=seed))
+    predicted = predict(model, test.features)
+    return float((predicted == test.labels).mean())
+
+
+def _run_fits(train, test, config, jobs) -> dict:
+    """Test accuracy of each (width, seed) fit in *jobs*, keyed by that pair.
+
+    Fits start in the order of *jobs* on min(cores, jobs) threads, the
+    caller's among them; a fit spends nearly all its time in BLAS and
+    LAPACK calls that release the GIL.  The first error a fit raises
+    stops further fits from starting and is re-raised here once every
+    thread has finished.
+    """
+    pending = iter(jobs)
+    results, errors = {}, []
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                job = None if errors else next(pending, None)
+            if job is None:
+                return
+            try:
+                accuracy = _fit_accuracy(train, test, config, *job)
+            except BaseException as exc:  # re-raised in the caller's thread below
+                with lock:
+                    errors.append(exc)
+                return
+            with lock:
+                results[job] = accuracy
+
+    helpers = [threading.Thread(target=work) for _ in range(min(_cores(), len(jobs)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
@@ -376,6 +423,11 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
     Each width trains ``n_seeds`` models with seeds ``base_seed + k``
     and reports median, min, and max accuracy; ``best_h`` breaks median
     ties toward the smaller width.
+
+    The fits are independent and run on every core available to the
+    process, largest widths first, each on one BLAS thread; each running
+    fit holds one hidden matrix (train rows x width float64).  Results
+    do not depend on the order in which fits finish.
     """
     if config is None:
         config = ElmConfig()
@@ -386,7 +438,10 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
         raise ValueError("n_seeds must be >= 1")
     seeds = [base_seed + k for k in range(n_seeds)]
 
-    all_accs = [_sweep_point(train, test, config, h, seeds) for h in grid]
+    jobs = sorted({(h, seed) for h in grid for seed in seeds}, key=lambda job: (-job[0], job[1]))
+    with _one_blas_thread():
+        accuracy = _run_fits(train, test, config, jobs)
+    all_accs = [[accuracy[(h, seed)] for seed in seeds] for h in grid]
 
     entries = tuple(
         SweepEntry(

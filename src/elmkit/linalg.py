@@ -3,7 +3,10 @@
 Matrices are plain 2-D float64 ndarrays with at least one row and one
 column and only finite entries; :func:`as_matrix` enforces that contract
 at every public entry point.  All functions are pure and never mutate
-their arguments, so they are safe to call concurrently.
+their arguments, so they are safe to call concurrently.  The one
+exception is :func:`min_norm_lstsq` with ``overwrite_a=True``: it may
+factorise its matrix argument in place, so that matrix must not be read
+by anyone else during or after the call.
 
 The SVD is computed by LAPACK through numpy and then normalised to a
 fixed sign convention (first nonzero entry of each left-singular vector
@@ -13,7 +16,8 @@ a testable way.
 
 :func:`min_norm_lstsq`, the solve behind training, goes straight to
 LAPACK's SVD-based least-squares routine (gelsd) instead of building the
-pseudoinverse; :func:`svd` and :func:`pseudoinverse` are the reference
+pseudoinverse, calling numpy's bundled OpenBLAS through ctypes where
+there is one; :func:`svd` and :func:`pseudoinverse` are the reference
 it is checked against.  :func:`_one_blas_thread` confines the BLAS
 and LAPACK calls in its block to one OpenBLAS thread; training runs its
 hidden-layer product and solve inside it.
@@ -26,7 +30,7 @@ import ctypes
 import functools
 import threading
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -143,22 +147,37 @@ def pseudoinverse(a, rank_tol: float = 1e-10) -> np.ndarray:
     return out
 
 
-# (set, get) names of the thread-count controls that numpy's bundled
-# OpenBLAS exports: scipy-openblas64 in numpy 2 wheels, openblas64_ in
-# numpy 1.22-1.26 wheels.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+# Symbols of numpy's bundled OpenBLAS, one (set thread count, get
+# thread count, dgelsd) triple per wheel generation: scipy-openblas64 in
+# numpy 2 wheels, openblas64_ in numpy 1.22-1.26 wheels.  Both are ILP64
+# builds, so every Fortran INTEGER is 64-bit.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_", "scipy_dgelsd_64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_", "dgelsd_64_"),
 )
+
+_int_p = ctypes.POINTER(ctypes.c_int64)
+_double_p = ctypes.POINTER(ctypes.c_double)
+# DGELSD(M, N, NRHS, A, LDA, B, LDB, S, RCOND, RANK, WORK, LWORK, IWORK, INFO)
+_DGELSD_ARGTYPES = [_int_p, _int_p, _int_p, _double_p, _int_p, _double_p, _int_p,
+                    _double_p, _double_p, _int_p, _double_p, _int_p, _int_p, _int_p]
+
+
+class _OpenBlas(NamedTuple):
+    set_threads: Callable
+    get_threads: Callable
+    dgelsd: Callable
 
 
 @functools.cache
-def _openblas_thread_controls():
-    """(set, get) thread-count functions of numpy's bundled OpenBLAS, or None.
+def _openblas() -> _OpenBlas | None:
+    """Thread-count controls and dgelsd of numpy's bundled OpenBLAS, or None.
 
     Wheels ship the library next to the package (``numpy.libs`` on Linux
     and Windows, ``numpy/.dylibs`` on macOS), already loaded by numpy
-    itself.  A numpy linked against another BLAS yields None.
+    itself.  A numpy linked against another BLAS (Accelerate in macOS
+    arm64 wheels, a distribution's own BLAS) yields None.  ctypes
+    releases the GIL for the duration of each call.
     """
     package = Path(np.__file__).parent
     libs = package.with_name(package.name + ".libs")
@@ -167,13 +186,15 @@ def _openblas_thread_controls():
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            setter = getattr(lib, set_name, None)
-            getter = getattr(lib, get_name, None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return setter, getter
+        for names in _OPENBLAS_SYMBOLS:
+            found = [getattr(lib, name, None) for name in names]
+            if None in found:
+                continue
+            set_threads, get_threads, dgelsd = found
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            dgelsd.argtypes, dgelsd.restype = _DGELSD_ARGTYPES, None
+            return _OpenBlas(set_threads, get_threads, dgelsd)
     return None
 
 
@@ -196,11 +217,11 @@ def _one_blas_thread():
     Without a recognised OpenBLAS this does nothing.
     """
     global _blas_users, _blas_threads_before
-    controls = _openblas_thread_controls()
-    if controls is None:
+    blas = _openblas()
+    if blas is None:
         yield
         return
-    set_threads, get_threads = controls
+    set_threads, get_threads = blas.set_threads, blas.get_threads
     with _blas_lock:
         if _blas_users == 0:
             _blas_threads_before = get_threads()
@@ -215,7 +236,50 @@ def _one_blas_thread():
                 set_threads(_blas_threads_before)
 
 
-def min_norm_lstsq(a, y, rank_tol: float = 1e-10) -> np.ndarray:
+def _dgelsd(dgelsd, a: np.ndarray, y: np.ndarray, rank_tol: float,
+            overwrite_a: bool) -> np.ndarray:
+    """gelsd as ``np.linalg.lstsq`` calls it, on *a* itself where allowed.
+
+    The workspace query and sizes match numpy's, so the results match
+    bit for bit.  *a* is factorised in place only when *overwrite_a* is
+    set and it is a writable Fortran-ordered array; anything else is
+    copied first.
+    """
+    m, n = a.shape
+    nrhs = y.shape[1]
+    if not (overwrite_a and a.flags.f_contiguous and a.flags.writeable):
+        a = np.array(a, order="F")
+    # gelsd returns the solution in the first n rows of b
+    b = np.zeros((max(m, n), nrhs), order="F")
+    b[:m] = y
+    s = np.empty(min(m, n))
+    dims = [ctypes.byref(ctypes.c_int64(v)) for v in (m, n, nrhs)]
+    lda, ldb = ctypes.byref(ctypes.c_int64(m)), ctypes.byref(ctypes.c_int64(b.shape[0]))
+    rcond, rank, info = ctypes.c_double(rank_tol), ctypes.c_int64(), ctypes.c_int64()
+
+    def run(work, iwork, lwork):
+        dgelsd(*dims, a.ctypes.data_as(_double_p), lda, b.ctypes.data_as(_double_p), ldb,
+               s.ctypes.data_as(_double_p), ctypes.byref(rcond), ctypes.byref(rank),
+               work.ctypes.data_as(_double_p), ctypes.byref(ctypes.c_int64(lwork)),
+               iwork.ctypes.data_as(_int_p), ctypes.byref(info))
+
+    # lwork = -1 asks for the workspace sizes, returned in work[0] and iwork[0]
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    run(work, iwork, -1)
+    if info.value == 0:
+        work, iwork = np.empty(int(work[0])), np.empty(max(1, iwork[0]), dtype=np.int64)
+        run(work, iwork, work.size)
+    if info.value > 0:
+        raise SvdConvergenceError(
+            f"least-squares SVD did not converge for {m}x{n} input: "
+            f"{info.value} off-diagonal elements did not converge to zero"
+        )
+    if info.value < 0:
+        raise LinalgError(f"gelsd rejected argument {-info.value} for {m}x{n} input")
+    return np.ascontiguousarray(b[:n])
+
+
+def min_norm_lstsq(a, y, rank_tol: float = 1e-10, overwrite_a: bool = False) -> np.ndarray:
     """Minimum-norm least-squares solution of ``a @ x = y``.
 
     Among all x minimising the Frobenius norm of ``a @ x - y``, returns
@@ -224,10 +288,16 @@ def min_norm_lstsq(a, y, rank_tol: float = 1e-10) -> np.ndarray:
     s_max`` count as zero, the same cutoff as :func:`pseudoinverse`.
 
     The solve runs in LAPACK's divide-and-conquer SVD least-squares
-    routine (gelsd) through ``np.linalg.lstsq``, which never forms the
-    left singular vectors or the pseudoinverse; :func:`svd` and
-    :func:`pseudoinverse` stay as the reference it is tested against.
-    Identical inputs give bit-identical results.
+    routine (gelsd), which never forms the left singular vectors or the
+    pseudoinverse; :func:`svd` and :func:`pseudoinverse` stay as the
+    reference it is tested against.  With numpy's bundled OpenBLAS it
+    calls gelsd directly, elsewhere through ``np.linalg.lstsq``; both
+    give the same bits, and identical inputs give bit-identical results.
+
+    With *overwrite_a* set, the solve may destroy *a* (scipy's name for
+    this): a writable Fortran-ordered float64 *a* is then factorised in
+    place with no copy, which halves the memory a tall solve needs.
+    Without it, *a* is left unchanged.
     """
     a = as_matrix(a, "a")
     y = as_matrix(y, "y")
@@ -237,12 +307,16 @@ def min_norm_lstsq(a, y, rank_tol: float = 1e-10) -> np.ndarray:
         )
     # gelsd would silently read a negative cutoff as machine precision
     _check_rank_tol(rank_tol)
-    try:
-        out = np.linalg.lstsq(a, y, rcond=rank_tol)[0]
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(
-            f"least-squares SVD did not converge for {a.shape[0]}x{a.shape[1]} input: {exc}"
-        ) from None
+    blas = _openblas()
+    if blas is not None:
+        out = _dgelsd(blas.dgelsd, a, y, rank_tol, overwrite_a)
+    else:
+        try:
+            out = np.linalg.lstsq(a, y, rcond=rank_tol)[0]
+        except np.linalg.LinAlgError as exc:
+            raise SvdConvergenceError(
+                f"least-squares SVD did not converge for {a.shape[0]}x{a.shape[1]} input: {exc}"
+            ) from None
     if not np.isfinite(out).all():
         raise LinalgError("min_norm_lstsq produced non-finite entries")
     return out

@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, ScalingParams, _frozen_array, fit_scaling, scale_features
+from .data import (LabeledDataset, ScalingParams, _check_seed, _frozen_array, fit_scaling,
+                   scale_features)
 from .elm import _sigmoid, decode_scores, encode_targets
 
 
@@ -89,6 +90,7 @@ class MlpConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -421,6 +421,69 @@ class TestSweepCommand:
         assert "base_seed=2" in rec
 
 
+    def test_error_in_one_fit_keeps_its_exit_code(self, tmp_path, rng, capsys, monkeypatch):
+        """A fit failing on a worker thread ends the sweep as it would sequentially."""
+        evaluate = importlib.import_module("elmkit.evaluate")
+        data = tmp_path / "scene.csv"
+        write_blobs_csv(data, rng, n_per_class=40)
+        train_elm = evaluate.train_elm
+
+        def exhausted_at_width_100(train, config):
+            if config.hidden_nodes == 100:
+                raise MemoryError("Unable to allocate 2.1 MiB for an array")
+            return train_elm(train, config)
+
+        monkeypatch.setattr(evaluate, "train_elm", exhausted_at_width_100)
+        monkeypatch.setattr(evaluate, "_cores", lambda: 2)
+        code = main(["sweep", "--data", str(data), "--train-fraction", "0.5",
+                     "--seeds", "2", "--out", str(tmp_path / "sweep")])
+        assert code == 6
+        assert capsys.readouterr().err == (
+            "elmkit sweep: out of memory: Unable to allocate 2.1 MiB for an array\n")
+        assert not (tmp_path / "sweep").exists()
+
+
+class TestNegativeSeed:
+    """A negative seed is rejected where it is configured, with a message naming it."""
+
+    @pytest.mark.parametrize("command", [["train", "--classifier", "elm"],
+                                         ["train", "--classifier", "mlp"],
+                                         ["benchmark"], ["sweep"], ["generate"]])
+    def test_flag_exits_4(self, tmp_path, rng, capsys, command):
+        data = tmp_path / "scene.csv"
+        write_blobs_csv(data, rng)
+        inputs = [] if command[0] == "generate" else ["--data", str(data)]
+        code = main(command + inputs + ["--seed", "-3", "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"elmkit {command[0]}: seed must be non-negative, got -3\n")
+
+    @pytest.mark.parametrize("classifier", ["elm", "mlp"])
+    def test_model_file_exits_3(self, tmp_path, rng, capsys, classifier):
+        data = tmp_path / "scene.csv"
+        write_blobs_csv(data, rng)
+        model_path = tmp_path / f"{classifier}.model"
+        assert main(["train", "--data", str(data), "--classifier", classifier,
+                     "--hidden", "4", "--iterations", "5", "--out", str(model_path)]) == 0
+        text = model_path.read_text()
+        assert "\nseed: 0\n" in text
+        model_path.write_text(text.replace("\nseed: 0\n", "\nseed: -5\n"))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"elmkit predict: {model_path}: seed must be non-negative, got -5\n")
+
+    def test_generator_config_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(_config_lines(lambda lines: lines.__setitem__(1, "seed: -5")))
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"elmkit generate: {cfg}: seed must be non-negative, got -5\n")
+
+
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "scene.csv"

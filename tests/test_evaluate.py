@@ -1,5 +1,9 @@
 """Tests for evaluation, benchmarking, and the width sweep."""
 
+import importlib
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 
 from elmkit.data import LabeledDataset, SplitSpec, stratified_split
 from elmkit.elm import ElmConfig, train_elm
+from elmkit.linalg import SvdConvergenceError
 from elmkit.evaluate import (
     BenchmarkResult,
     ConfusionMatrix,
@@ -27,6 +32,9 @@ def blobs(rng, n_per_class=50, spread=0.7):
         rows.append(center + spread * rng.standard_normal((n_per_class, 2)))
         labels.append(np.full(n_per_class, cls))
     return LabeledDataset(np.vstack(rows), np.concatenate(labels), ("a", "b", "c"))
+
+
+evaluate_module = importlib.import_module("elmkit.evaluate")
 
 
 def confusion_oracle(actual, predicted, m):
@@ -220,6 +228,74 @@ class TestSweep:
         for b in runs:
             assert a.entries == b.entries
             assert a.best_h == b.best_h
+
+    def test_identical_on_one_two_and_three_workers(self, rng, monkeypatch):
+        """Every (width, seed) fit runs once, and the result does not depend on
+        the worker count, with more workers than this machine may have cores."""
+        ds = blobs(rng, n_per_class=40, spread=2.0)  # seeds differ in accuracy
+        train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))
+        fits = []
+
+        def counted(train, config):
+            fits.append((config.hidden_nodes, config.seed))
+            return train_elm(train, config)
+
+        monkeypatch.setattr(evaluate_module, "train_elm", counted)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(evaluate_module, "_cores", lambda: workers)
+                fits.clear()
+                results[workers] = sweep_hidden_nodes(train, test, hidden_grid=(5, 15, 25, 35),
+                                                       n_seeds=3)
+                assert sorted(fits) == [(h, s) for h in (5, 15, 25, 35) for s in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(len(set(e.accuracies)) > 1 for e in results[1].entries)
+        assert results[1] == results[2] == results[3]
+        assert results[1].to_record() == results[3].to_record()
+
+    def test_identical_when_fits_finish_out_of_order(self, rng, monkeypatch):
+        ds = blobs(rng, n_per_class=40, spread=2.0)  # seeds differ in accuracy
+        train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))
+        monkeypatch.setattr(evaluate_module, "_cores", lambda: 1)
+        sequential = sweep_hidden_nodes(train, test, hidden_grid=(5, 15, 25), n_seeds=2)
+        finished = []
+
+        def slow_first(train, config):
+            # the first fit to start is held back until the others are done
+            if (config.hidden_nodes, config.seed) == (25, 0):
+                time.sleep(0.2)
+            model = train_elm(train, config)
+            finished.append((config.hidden_nodes, config.seed))
+            return model
+
+        monkeypatch.setattr(evaluate_module, "train_elm", slow_first)
+        monkeypatch.setattr(evaluate_module, "_cores", lambda: 3)
+        threaded = sweep_hidden_nodes(train, test, hidden_grid=(5, 15, 25), n_seeds=2)
+        assert finished[-1] == (25, 0)
+        assert len(set(sequential.entries[-1].accuracies)) > 1
+        assert threaded == sequential
+
+    def test_error_in_one_fit_reaches_the_caller(self, rng, monkeypatch):
+        ds = blobs(rng, n_per_class=40)
+        train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))
+        started = []
+
+        def failing_at_15(train, config):
+            started.append(threading.current_thread())
+            if config.hidden_nodes == 15:
+                raise SvdConvergenceError("least-squares SVD did not converge")
+            return train_elm(train, config)
+
+        monkeypatch.setattr(evaluate_module, "train_elm", failing_at_15)
+        monkeypatch.setattr(evaluate_module, "_cores", lambda: 2)
+        with pytest.raises(SvdConvergenceError, match="did not converge"):
+            sweep_hidden_nodes(train, test, hidden_grid=(5, 15, 25, 35), n_seeds=3)
+        # no fit outlives the call
+        assert not any(t.is_alive() for t in started if t is not threading.current_thread())
 
     def test_easy_problem_reaches_full_accuracy(self, rng):
         """Well-separated clusters are classified perfectly at modest width."""

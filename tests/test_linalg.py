@@ -280,6 +280,9 @@ def assert_matches_pseudoinverse(a, y, rank_tol=1e-10):
     kept by the cutoff; both sides are backward-stable SVD solves.
     """
     x = min_norm_lstsq(a, y, rank_tol=rank_tol)
+    # the in-place solve of a Fortran-ordered copy gives the same bits
+    in_place = min_norm_lstsq(a.copy(order="F"), y, rank_tol=rank_tol, overwrite_a=True)
+    assert in_place.tobytes() == x.tobytes()
     ref = pseudoinverse(a, rank_tol=rank_tol) @ y
     s = svd(a).singular_values
     kept = s[s > rank_tol * s[0]]
@@ -353,15 +356,84 @@ class TestMinNormLstsqMatchesPseudoinverse:
 
 
 # ---------------------------------------------------------------------------
+# min_norm_lstsq: the direct gelsd call against np.linalg.lstsq
+# ---------------------------------------------------------------------------
+
+def _training_systems(widths=(25, 300, 450)):
+    """Hidden matrices and targets the size of the bundled training split."""
+    train, _ = stratified_split(generate_synthetic(littleport_like_config()),
+                                default_split_spec())
+    features = scale_features(train.features, fit_scaling(train))
+    targets = encode_targets(train.labels, train.n_classes)
+    for width in widths:
+        weights, biases = init_random_layer(6, ElmConfig(hidden_nodes=width))
+        yield build_hidden_matrix(features, weights, biases, "sigmoid"), targets
+
+
+class TestDirectGelsd:
+    def test_bit_identical_to_numpy_lstsq_on_training_sized_systems(self):
+        for hidden, targets in _training_systems():
+            assert hidden.flags.f_contiguous
+            want = np.linalg.lstsq(hidden, targets, rcond=1e-10)[0]
+            got = min_norm_lstsq(hidden, targets, overwrite_a=True)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_unchanged_without_overwrite_a(self, rng, order):
+        a = np.array(rng.standard_normal((40, 12)), order=order)
+        before = a.copy(order="K")
+        min_norm_lstsq(a, rng.standard_normal((40, 2)))
+        assert a.tobytes(order="A") == before.tobytes(order="A")
+
+    def test_overwrite_a_factorises_a_fortran_input_in_place(self, rng):
+        if linalg._openblas() is None:
+            pytest.skip("numpy does not use its bundled OpenBLAS")
+        a = np.asfortranarray(rng.standard_normal((40, 12)))
+        original = a.copy(order="F")
+        y = rng.standard_normal((40, 2))
+        want = min_norm_lstsq(a, y)
+        got = min_norm_lstsq(a, y, overwrite_a=True)
+        assert got.tobytes() == want.tobytes()
+        # no copy was made: gelsd's factors now sit in a
+        assert not np.array_equal(a, original)
+
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
+    def test_c_ordered_input_with_overwrite_a_is_solved(self, rng, shape):
+        a = np.ascontiguousarray(rng.standard_normal(shape))
+        y = rng.standard_normal((shape[0], 3))
+        got = min_norm_lstsq(a, y, overwrite_a=True)
+        assert got.tobytes() == np.linalg.lstsq(a, y, rcond=1e-10)[0].tobytes()
+
+    def test_fallback_without_bundled_openblas_gives_the_same_bits(self, monkeypatch):
+        systems = list(_training_systems(widths=(25, 300)))
+        direct = [min_norm_lstsq(a, y) for a, y in systems]
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        for (a, y), want in zip(systems, direct):
+            assert min_norm_lstsq(a, y, overwrite_a=True).tobytes() == want.tobytes()
+
+    def test_convergence_failure_raises_svd_convergence_error(self, monkeypatch):
+        if linalg._openblas() is None:
+            pytest.skip("numpy does not use its bundled OpenBLAS")
+
+        def failing(*args):
+            args[-1]._obj.value = 2  # INFO > 0: the SVD did not converge
+
+        monkeypatch.setattr(linalg, "_openblas",
+                            lambda: linalg._OpenBlas(None, None, failing))
+        with pytest.raises(linalg.SvdConvergenceError, match="did not converge for 5x3"):
+            min_norm_lstsq(np.ones((5, 3)), np.ones((5, 1)))
+
+
+# ---------------------------------------------------------------------------
 # _one_blas_thread
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def blas_threads():
-    controls = linalg._openblas_thread_controls()
-    if controls is None:
+    blas = linalg._openblas()
+    if blas is None:
         pytest.skip("numpy does not use its bundled OpenBLAS")
-    set_threads, get_threads = controls
+    set_threads, get_threads = blas.set_threads, blas.get_threads
     before = get_threads()
     set_threads(2)
     yield get_threads
