@@ -38,7 +38,6 @@ from .elm import (
     predict,
     predict_scores,
     train_elm,
-    training_cost,
 )
 from .evaluate import (
     BenchmarkResult,
@@ -52,6 +51,7 @@ from .evaluate import (
     evaluate,
     model_predict,
     sweep_hidden_nodes,
+    training_cost,
 )
 from .linalg import (
     LinalgError,

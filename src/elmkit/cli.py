@@ -28,8 +28,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .data import (
     ConfigFormatError,
     CsvFormatError,
@@ -45,15 +43,15 @@ from .data import (
     save_csv,
     stratified_split,
 )
-from .elm import ACTIVATIONS, ElmConfig, encode_targets, train_elm
+from .elm import ACTIVATIONS, ElmConfig, train_elm
 from .evaluate import (
-    _kind,
     benchmark,
     config_text,
     confusion,
     dataset_fingerprint,
     model_predict,
     sweep_hidden_nodes,
+    training_cost,
 )
 from .mlp import MlpConfig, MlpDivergenceError, train_mlp
 from .modelio import ModelFormatError, load_model, save_model
@@ -115,7 +113,7 @@ def cmd_generate(args) -> int:
 
 def _elm_config(args) -> ElmConfig:
     return ElmConfig(
-        hidden_nodes=args.hidden if args.hidden is not None else 300,
+        hidden_nodes=args.hidden if args.hidden is not None else ElmConfig.hidden_nodes,
         activation=args.activation,
         seed=args.seed,
         rank_tol=args.rank_tol,
@@ -124,7 +122,7 @@ def _elm_config(args) -> ElmConfig:
 
 def _mlp_config(args, hidden: int | None) -> MlpConfig:
     return MlpConfig(
-        hidden_nodes=hidden if hidden is not None else 26,
+        hidden_nodes=hidden if hidden is not None else MlpConfig.hidden_nodes,
         learning_rate=args.learning_rate,
         momentum=args.momentum,
         iterations=args.iterations,
@@ -140,15 +138,13 @@ def _training_report(model, dataset) -> str:
     """
     predicted = model_predict(model, dataset.features)
     matrix = confusion(dataset.labels, predicted, dataset.class_names)
-    scores = _kind(model).scores(model, dataset.features)
-    cost = float(np.sum((scores - encode_targets(dataset.labels, dataset.n_classes)) ** 2))
     lines = [
         "training report",
         f"config: {config_text(model.config)}",
         f"data fingerprint: {dataset_fingerprint(dataset)}",
         f"train samples: {dataset.n_samples}",
         f"training accuracy: {100.0 * matrix.overall_accuracy():.4f}%",
-        f"training cost (sum of squared errors): {repr(cost)}",
+        f"training cost (sum of squared errors): {repr(training_cost(model, dataset))}",
         f"train time seconds: {model.train_time_s:.6f}",
         "confusion matrix (rows actual, columns predicted):",
         matrix.render_text(),
@@ -256,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stratified train share (default matches the bundled scene)")
 
     def add_elm_flags(p):
-        p.add_argument("--activation", default="sigmoid", choices=tuple(ACTIVATIONS),
-                       help="elm hidden activation (default sigmoid)")
-        p.add_argument("--rank-tol", type=float, default=1e-10,
+        p.add_argument("--activation", default=ElmConfig.activation, choices=tuple(ACTIVATIONS),
+                       help="elm hidden activation (default %(default)s)")
+        p.add_argument("--rank-tol", type=float, default=ElmConfig.rank_tol,
                        help="relative singular-value cutoff for the elm solve")
 
     def add_classifier_flags(p, with_classifier=True):
@@ -266,15 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--classifier", choices=("elm", "mlp"), default="elm",
                            help="classifier kind (default elm)")
         p.add_argument("--hidden", type=int,
-                       help="hidden-layer width (default: 300 elm, 26 mlp)")
+                       help=f"hidden-layer width (default: {ElmConfig.hidden_nodes} elm, "
+                            f"{MlpConfig.hidden_nodes} mlp)")
         add_elm_flags(p)
         p.add_argument("--seed", type=int, default=0, help="classifier seed (default 0)")
-        p.add_argument("--learning-rate", type=float, default=0.25,
-                       help="mlp learning rate (default 0.25)")
-        p.add_argument("--momentum", type=float, default=0.2,
-                       help="mlp momentum (default 0.2)")
-        p.add_argument("--iterations", type=int, default=2200,
-                       help="mlp training iterations (default 2200)")
+        p.add_argument("--learning-rate", type=float, default=MlpConfig.learning_rate,
+                       help="mlp learning rate (default %(default)s)")
+        p.add_argument("--momentum", type=float, default=MlpConfig.momentum,
+                       help="mlp momentum (default %(default)s)")
+        p.add_argument("--iterations", type=int, default=MlpConfig.iterations,
+                       help="mlp training iterations (default %(default)s)")
 
     train = sub.add_parser("train", help="fit a classifier on a labeled CSV")
     train.add_argument("--data", required=True, help="labeled training CSV")
@@ -294,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_split_flags(bench)
     add_classifier_flags(bench, with_classifier=False)
     bench.add_argument("--mlp-hidden", type=int,
-                       help="baseline hidden width (default 26); --hidden sets the elm width")
+                       help=f"baseline hidden width (default {MlpConfig.hidden_nodes}); "
+                            "--hidden sets the elm width")
     bench.add_argument("--out", required=True, help="output directory for artifacts")
     bench.set_defaults(handler=cmd_benchmark)
 

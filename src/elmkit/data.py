@@ -167,6 +167,13 @@ class _Reader:
         except ValueError as exc:
             self.fail(f"bad value for '{key}': {exc}")
 
+    def read_class(self, names: list) -> None:
+        """Append the next ``class:`` line's name to *names*, which must not hold it yet."""
+        name = self.expect_key("class")
+        if name in names:
+            self.fail(f"class '{name}' repeats an earlier 'class:' line")
+        names.append(name)
+
     def read_vector(self, key: str, count: int) -> np.ndarray:
         return self._parse_row(self.expect_key(key), count)
 
@@ -330,65 +337,32 @@ def load_feature_csv(path) -> tuple[np.ndarray, list[str]]:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Stratified train/test split request.
+    """Stratified train/test split request at a global train fraction.
 
-    Exactly one of *train_fraction* (global fraction, per-class counts
-    derived by floor-with-seeded-remainder) or *train_count* (one count
-    applied to every class, or a per-class sequence) must be given.
-    Splits are deterministic per *seed*; train and test are disjoint and
-    together exhaust the input.
+    Each class gives floor(*train_fraction* x its size) samples to the
+    training side, and the remainder up to the rounded global target goes
+    one sample per class in seeded order.  Splits are deterministic per
+    *seed*; train and test are disjoint and together exhaust the input.
     """
 
-    train_fraction: float | None = None
-    train_count: int | tuple[int, ...] | None = None
+    train_fraction: float
     seed: int = 0
 
     def __post_init__(self):
-        if (self.train_fraction is None) == (self.train_count is None):
-            raise ValueError("exactly one of train_fraction and train_count must be set")
         _check_seed(self.seed)
-        if self.train_fraction is not None:
-            if not (0.0 < self.train_fraction < 1.0):
-                raise ValueError(
-                    f"train_fraction must be in (0, 1) so the test set is nonempty, "
-                    f"got {self.train_fraction}"
-                )
-        if self.train_count is not None:
-            counts = self.train_count
-            if isinstance(counts, (int, np.integer)):
-                if counts < 1:
-                    raise ValueError(f"train_count must be positive, got {counts}")
-            else:
-                counts = tuple(int(c) for c in counts)
-                if any(c < 0 for c in counts) or sum(counts) < 1:
-                    raise ValueError(f"per-class train counts must be non-negative and not all zero: {counts}")
-                object.__setattr__(self, "train_count", counts)
+        if not (0.0 < self.train_fraction < 1.0):
+            raise ValueError(
+                f"train_fraction must be in (0, 1) so the test set is nonempty, "
+                f"got {self.train_fraction}"
+            )
 
 
 def _per_class_train_counts(class_sizes: np.ndarray, spec: SplitSpec,
                             rng: np.random.Generator) -> np.ndarray:
-    m = len(class_sizes)
-    if spec.train_count is not None:
-        if isinstance(spec.train_count, (int, np.integer)):
-            wanted = np.full(m, int(spec.train_count))
-        else:
-            if len(spec.train_count) != m:
-                raise ValueError(
-                    f"per-class train counts: got {len(spec.train_count)} values for {m} classes"
-                )
-            wanted = np.array(spec.train_count, dtype=np.int64)
-        over = wanted > class_sizes
-        if over.any():
-            bad = int(np.argmax(over))
-            raise ValueError(
-                f"requested {wanted[bad]} training samples for class {bad}, "
-                f"which has only {class_sizes[bad]}"
-            )
-        return wanted
-
-    # Fraction mode: floor per class, then one more sample for each of the
-    # first `remainder` classes in seeded order.  With 0 < fraction < 1 the
+    # Floor per class, then one more sample for each of the first
+    # `remainder` classes in seeded order.  With 0 < fraction < 1 the
     # remainder lies in [0, m] and every class has a sample left to give.
+    m = len(class_sizes)
     fraction = spec.train_fraction
     if (class_sizes < 2).any():
         bad = int(np.argmax(class_sizes < 2))
@@ -405,10 +379,11 @@ def _per_class_train_counts(class_sizes: np.ndarray, spec: SplitSpec,
 def stratified_split(dataset: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Split a dataset into disjoint, exhaustive train/test subsets, per class.
 
-    Sampling is without replacement inside each class and deterministic
-    for a fixed seed; row order within each subset preserves the input
-    order.  Raises ``ValueError`` if a per-class request exceeds the
-    class population or if either side would come out empty.
+    Per-class train counts follow :class:`SplitSpec`.  Sampling is
+    without replacement inside each class and deterministic for a fixed
+    seed; row order within each subset preserves the input order.  Raises
+    ``ValueError`` if a class has fewer than 2 samples or if either side
+    would come out empty.
     """
     rng = np.random.default_rng(spec.seed)
     labels = dataset.labels
@@ -418,10 +393,6 @@ def stratified_split(dataset: LabeledDataset, spec: SplitSpec) -> tuple[LabeledD
     train_mask = np.zeros(dataset.n_samples, dtype=bool)
     for cls in range(dataset.n_classes):
         members = np.flatnonzero(labels == cls)
-        if members.size == 0:
-            if counts[cls] > 0:
-                raise ValueError(f"class {cls} has no samples but {counts[cls]} were requested")
-            continue
         chosen = rng.permutation(members)[: counts[cls]]
         train_mask[chosen] = True
 
@@ -461,12 +432,9 @@ class ScalingParams:
         object.__setattr__(self, "feature_max", hi)
 
 
-def fit_scaling(train) -> ScalingParams:
-    """Fit per-feature min/max on a training split (dataset or raw matrix)."""
-    features = train.features if isinstance(train, LabeledDataset) else np.asarray(train, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValueError("fit_scaling needs a nonempty 2-D feature matrix")
-    return ScalingParams(features.min(axis=0), features.max(axis=0))
+def fit_scaling(train: LabeledDataset) -> ScalingParams:
+    """Fit per-feature min/max on a training split."""
+    return ScalingParams(train.features.min(axis=0), train.features.max(axis=0))
 
 
 def scale_features(features: np.ndarray, params: ScalingParams) -> np.ndarray:
@@ -664,7 +632,7 @@ def load_synthetic_config(path) -> SyntheticConfig:
     features = reader.expect_key("features", int)
     names, counts, means, covs = [], [], [], []
     while not reader.at_end():
-        names.append(reader.expect_key("class"))
+        reader.read_class(names)
         counts.append(reader.expect_key("count", int))
         if sum(counts) * features > _MAX_GENERATED_CELLS:
             reader.fail(f"counts so far ({sum(counts)} samples x {features} features) "

@@ -217,9 +217,3 @@ def predict(model: ElmModel, features: np.ndarray) -> np.ndarray:
     """Predicted label indices for unscaled input features."""
     return decode_scores(predict_scores(model, features))
 
-
-def training_cost(model: ElmModel, train: LabeledDataset) -> float:
-    """Sum of squared errors between training scores and one-hot targets."""
-    scores = predict_scores(model, train.features)
-    targets = encode_targets(train.labels, model.n_classes)
-    return float(np.sum((scores - targets) ** 2))

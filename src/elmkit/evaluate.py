@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import LabeledDataset, _frozen_array
-from .elm import ElmConfig, ElmModel, predict, predict_scores, train_elm
+from .elm import ElmConfig, ElmModel, encode_targets, predict, predict_scores, train_elm
 from .linalg import _one_blas_thread
 from .mlp import MlpConfig, MlpModel, mlp_predict, mlp_predict_scores, train_mlp
 
@@ -223,6 +223,12 @@ def model_predict(model, features: np.ndarray) -> np.ndarray:
     return _kind(model).predict(model, features)
 
 
+def training_cost(model, train: LabeledDataset) -> float:
+    """Sum of squared errors between either kind's scores on *train* and its one-hot targets."""
+    scores = _kind(model).scores(model, train.features)
+    return float(np.sum((scores - encode_targets(train.labels, train.n_classes)) ** 2))
+
+
 def evaluate(model, train: LabeledDataset, test: LabeledDataset) -> EvalReport:
     """Score a trained model on a held-out split and build its report."""
     started = time.perf_counter()
@@ -282,9 +288,9 @@ def benchmark(train: LabeledDataset, test: LabeledDataset,
               mlp_config: MlpConfig | None = None) -> BenchmarkResult:
     """Train and evaluate both classifiers on the same split.
 
-    Both classifiers must see the identical split; the shared
-    fingerprints stamped on the two reports are computed once and
-    asserted equal.  Each classifier trains and predicts start to
+    Both classifiers must see the identical split: each report computes
+    the train and test fingerprints, and the two reports' fingerprints
+    are asserted equal.  Each classifier trains and predicts start to
     finish before the other begins, so neither timing includes the
     other's memory traffic.
     """
@@ -325,8 +331,8 @@ class SweepResult:
     config: str
     train_fingerprint: str
     test_fingerprint: str
-    n_seeds: int = 3
-    base_seed: int = 0
+    n_seeds: int
+    base_seed: int
 
     def render_text(self) -> str:
         lines = [

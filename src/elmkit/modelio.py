@@ -78,7 +78,7 @@ def _read_model(reader: _Reader, kind, version: str):
     features = reader.expect_key("features", int)
     names = []
     while reader.at_key("class"):
-        names.append(reader.expect_key("class"))
+        reader.read_class(names)
     if len(names) < 2:
         reader.fail("fewer than two 'class:' lines")
     scaling = ScalingParams(reader.read_vector("scaling_min", features),

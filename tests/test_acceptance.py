@@ -21,8 +21,8 @@ from elmkit.data import (
     save_csv,
     stratified_split,
 )
-from elmkit.elm import ElmConfig, encode_targets, train_elm, training_cost
-from elmkit.evaluate import benchmark, sweep_hidden_nodes
+from elmkit.elm import ElmConfig, encode_targets, train_elm
+from elmkit.evaluate import benchmark, sweep_hidden_nodes, training_cost
 from elmkit.linalg import min_norm_lstsq, pseudoinverse
 from elmkit.mlp import (
     MlpConfig,
@@ -243,13 +243,8 @@ def test_criterion_7_split_invariants(tmp_path):
         ds = LabeledDataset(features[perm], labels[perm],
                             tuple(f"c{i}" for i in range(n_classes)))
 
-        if case % 2 == 0:
-            fraction = float(rng.uniform(0.2, 0.8))
-            spec = SplitSpec(train_fraction=fraction, seed=case)
-        else:
-            counts = tuple(int(rng.integers(1, s)) for s in sizes)
-            spec = SplitSpec(train_count=counts, seed=case)
-        train, test = stratified_split(ds, spec)
+        fraction = float(rng.uniform(0.2, 0.8))
+        train, test = stratified_split(ds, SplitSpec(train_fraction=fraction, seed=case))
 
         # disjoint and exhaustive, by row identity
         key = lambda m: sorted(map(lambda r: r.tobytes(), m))
@@ -259,12 +254,9 @@ def test_criterion_7_split_invariants(tmp_path):
         assert not (train_keys & test_keys)
 
         per_class = np.bincount(train.labels, minlength=n_classes)
-        if spec.train_fraction is not None:
-            assert train.n_samples == round(fraction * ds.n_samples)
-            floors = np.floor(fraction * sizes).astype(int)
-            assert (per_class >= floors).all() and (per_class <= sizes).all()
-        else:
-            assert tuple(per_class) == counts
+        assert train.n_samples == round(fraction * ds.n_samples)
+        floors = np.floor(fraction * sizes).astype(int)
+        assert (per_class >= floors).all() and (per_class <= sizes).all()
 
         if case % 10 == 0:
             path = tmp_path / f"case_{case}.csv"

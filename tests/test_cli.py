@@ -18,6 +18,7 @@ from elmkit.data import (
     save_synthetic_config,
 )
 from elmkit.elm import ElmConfig
+from elmkit.evaluate import config_text
 from elmkit.mlp import MlpConfig
 from elmkit.modelio import load_model
 
@@ -113,6 +114,7 @@ MALFORMED_INPUTS = {
     "non-integer seed": (lambda lines: lines.__setitem__(1, "seed: x1"), 2),
     "class block without count": (lambda lines: lines.insert(9, lines.pop(4)), 5),
     "second seed after a class": (lambda lines: lines.insert(8, "seed: 9"), 9),
+    "repeated class name": (lambda lines: lines.__setitem__(8, "class: a"), 9),
 }
 
 
@@ -289,6 +291,34 @@ class TestTrainPredict:
         assert len(err) == 1
         assert err[0].startswith(f"elmkit predict: {model_path}: line {row + 1}: non-finite number")
         assert not (tmp_path / "p.csv").exists()
+
+    def test_repeated_model_class_exits_3(self, tmp_path, rng, capsys):
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        model_path = tmp_path / "elm.model"
+        main(["train", "--data", str(data), "--hidden", "4", "--out", str(model_path)])
+        lines = model_path.read_text().splitlines()
+        row = lines.index("class: b")
+        lines[row] = "class: a"
+        model_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"elmkit predict: {model_path}: line {row + 1}: "
+            "class 'a' repeats an earlier 'class:' line\n")
+
+    def test_no_tuning_flags_give_the_config_defaults(self, tmp_path, rng):
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        for kind, config in (("elm", ElmConfig()), ("mlp", MlpConfig())):
+            model_path = tmp_path / f"{kind}.model"
+            assert main(["train", "--data", str(data), "--classifier", kind,
+                         "--out", str(model_path)]) == 0
+            report = (tmp_path / f"{kind}.model.report.txt").read_text().splitlines()
+            assert report[1] == f"config: {config_text(config)}"
+            assert load_model(model_path).config == config
 
     def test_every_config_field_comes_from_a_flag(self, tmp_path, rng):
         """Flags away from every default reach every field of both configs."""

@@ -261,23 +261,10 @@ def make_unbalanced(rng, sizes):
 
 
 class TestSplitSpecValidation:
-    def test_both_modes_rejected(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            SplitSpec(train_fraction=0.5, train_count=3)
-
-    def test_neither_mode_rejected(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            SplitSpec()
-
     def test_fraction_bounds(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError, match="train_fraction"):
                 SplitSpec(train_fraction=bad)
-
-    def test_count_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            SplitSpec(train_count=0)
-
 
 class TestStratifiedSplit:
     def test_disjoint_and_exhaustive(self, rng):
@@ -289,17 +276,6 @@ class TestStratifiedSplit:
         key = lambda a: sorted(map(tuple, a))
         assert key(combined) == key(original)
         assert train.n_samples + test.n_samples == ds.n_samples
-
-    def test_exact_per_class_counts(self, rng):
-        ds = make_unbalanced(rng, [20, 30, 25])
-        train, test = stratified_split(ds, SplitSpec(train_count=(5, 10, 15), seed=1))
-        np.testing.assert_array_equal(class_counts(train, 3), [5, 10, 15])
-        np.testing.assert_array_equal(class_counts(test, 3), [15, 20, 10])
-
-    def test_scalar_count_applies_to_every_class(self, rng):
-        ds = make_unbalanced(rng, [20, 30, 25])
-        train, _ = stratified_split(ds, SplitSpec(train_count=8, seed=1))
-        np.testing.assert_array_equal(class_counts(train, 3), [8, 8, 8])
 
     def test_fraction_total_matches_rounded_target(self, rng):
         for trial in range(20):
@@ -337,15 +313,11 @@ class TestStratifiedSplit:
             positions = [rows[tuple(r)] for r in subset.features]
             assert positions == sorted(positions)
 
-    def test_count_exceeding_population(self, rng):
-        ds = make_unbalanced(rng, [10, 10])
-        with pytest.raises(ValueError, match="only 10"):
-            stratified_split(ds, SplitSpec(train_count=11))
-
     def test_empty_test_rejected(self, rng):
+        # floors 9 + 9 fall two short of round(0.99 * 20) = 20, so each class gives all 10
         ds = make_unbalanced(rng, [10, 10])
         with pytest.raises(ValueError, match="empty test"):
-            stratified_split(ds, SplitSpec(train_count=10))
+            stratified_split(ds, SplitSpec(train_fraction=0.99))
 
     @pytest.mark.parametrize("sizes, fraction, seed, want", [
         ([10, 10], 0.39, 0, [4, 4]),                    # remainder equals the class count
@@ -385,7 +357,7 @@ class TestStratifiedSplit:
 class TestScaling:
     def test_train_extremes_hit_plus_minus_one(self, rng):
         features = rng.uniform(-100, 400, size=(30, 4))
-        params = fit_scaling(features)
+        params = fit_scaling(LabeledDataset(features, np.zeros(30), ("a", "b")))
         scaled = scale_features(features, params)
         np.testing.assert_allclose(scaled.min(axis=0), -1.0, atol=1e-12)
         np.testing.assert_allclose(scaled.max(axis=0), 1.0, atol=1e-12)
@@ -398,7 +370,7 @@ class TestScaling:
         np.testing.assert_allclose(out, [[1.3529411764705883]])
 
     def test_constant_feature_maps_to_zero(self):
-        train = np.array([[5.0, 1.0], [5.0, 3.0]])
+        train = LabeledDataset(np.array([[5.0, 1.0], [5.0, 3.0]]), [0, 1], ("a", "b"))
         params = fit_scaling(train)
         out = scale_features(np.array([[5.0, 2.0], [7.0, 3.0]]), params)
         assert out[0, 0] == 0.0

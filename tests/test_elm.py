@@ -16,8 +16,8 @@ from elmkit.elm import (
     predict,
     predict_scores,
     train_elm,
-    training_cost,
 )
+from elmkit.evaluate import training_cost
 
 
 def blobs(rng, n_per_class=40, spread=1.0):

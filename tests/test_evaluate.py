@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from elmkit.data import LabeledDataset, SplitSpec, stratified_split
-from elmkit.elm import ElmConfig, train_elm
+from elmkit.elm import ElmConfig, predict_scores, train_elm
 from elmkit.linalg import SvdConvergenceError
 from elmkit.evaluate import (
     BenchmarkResult,
@@ -21,8 +21,9 @@ from elmkit.evaluate import (
     dataset_fingerprint,
     evaluate,
     sweep_hidden_nodes,
+    training_cost,
 )
-from elmkit.mlp import MlpConfig
+from elmkit.mlp import MlpConfig, mlp_predict_scores, train_mlp
 
 
 def blobs(rng, n_per_class=50, spread=0.7):
@@ -156,6 +157,17 @@ class TestEvaluate:
             assert any("time" in l for l in a.splitlines())
 
 
+class TestTrainingCost:
+    def test_both_kinds_match_their_scores(self, rng):
+        ds = blobs(rng)
+        targets = np.eye(3)[ds.labels]
+        elm = train_elm(ds, ElmConfig(hidden_nodes=8, seed=5))
+        mlp = train_mlp(ds, MlpConfig(hidden_nodes=4, iterations=20))
+        for model, scores in ((elm, predict_scores), (mlp, mlp_predict_scores)):
+            want = np.sum((scores(model, ds.features) - targets) ** 2)
+            assert training_cost(model, ds) == want
+
+
 class TestBenchmark:
     def test_reports_share_fingerprints_and_split(self, rng):
         ds = blobs(rng, n_per_class=60)
@@ -213,7 +225,8 @@ class TestSweep:
         assert best.hidden_nodes == 5
         result = SweepResult(entries=entries, best_h=best.hidden_nodes,
                              best_accuracy=best.median_accuracy, config="c",
-                             train_fingerprint="t", test_fingerprint="u")
+                             train_fingerprint="t", test_fingerprint="u",
+                             n_seeds=3, base_seed=0)
         assert result.best_h == 5
 
     def test_deterministic_and_thread_pool_equivalent(self, rng):
