@@ -316,8 +316,10 @@ def save_csv(dataset: LabeledDataset, path, feature_names: Sequence[str] | None 
             handle.write(f"# {comment}\n")
         writer = csv.writer(handle)
         writer.writerow([*feature_names, "label"])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([*(repr(float(v)) for v in row), dataset.class_names[label]])
+        # repr of the Python floats of tolist(): the same text as a numpy
+        # scalar's, without making one per cell
+        for row, label in zip(dataset.features.tolist(), dataset.labels):
+            writer.writerow([*map(repr, row), dataset.class_names[label]])
 
 
 def load_feature_csv(path) -> tuple[np.ndarray, list[str]]:

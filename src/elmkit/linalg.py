@@ -14,13 +14,19 @@ is non-negative), which makes repeated factorisations of the same input
 bit-identical and keeps the downstream least-squares solution unique in
 a testable way.
 
-:func:`min_norm_lstsq`, the solve behind training, goes straight to
-LAPACK's SVD-based least-squares routine (gelsd) instead of building the
-pseudoinverse, calling numpy's bundled OpenBLAS through ctypes where
-there is one; :func:`svd` and :func:`pseudoinverse` are the reference
-it is checked against.  :func:`_one_blas_thread` confines the BLAS
-and LAPACK calls in its block to one OpenBLAS thread; training runs its
-hidden-layer product and solve inside it.
+:func:`min_norm_lstsq`, the solve behind training, never builds the
+pseudoinverse.  With numpy's bundled OpenBLAS, called through ctypes, a
+tall matrix is factorised by Householder QR and solved by
+back-substitution when ``||A||_F * ||R^-1||_F``, a bound on its condition
+number, is at most ``0.01 / rank_tol``: then the cutoff would remove no
+singular value even with a 100-fold margin.  Anything else goes to
+LAPACK's SVD-based least-squares routine (gelsd): a tall matrix that
+fails the bound through its R factor, a wide one directly, and every
+input through ``np.linalg.lstsq`` where there is no bundled OpenBLAS.
+:func:`svd` and :func:`pseudoinverse` are the reference all routes are
+checked against.  :func:`_one_blas_thread` confines the BLAS and LAPACK
+calls in its block to one OpenBLAS thread; training runs its hidden-layer
+product and solve inside it.
 """
 
 from __future__ import annotations
@@ -147,37 +153,71 @@ def pseudoinverse(a, rank_tol: float = 1e-10) -> np.ndarray:
     return out
 
 
-# Symbols of numpy's bundled OpenBLAS, one (set thread count, get
-# thread count, dgelsd) triple per wheel generation: scipy-openblas64 in
-# numpy 2 wheels, openblas64_ in numpy 1.22-1.26 wheels.  Both are ILP64
-# builds, so every Fortran INTEGER is 64-bit.
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_", "scipy_dgelsd_64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_", "dgelsd_64_"),
-)
-
 _int_p = ctypes.POINTER(ctypes.c_int64)
 _double_p = ctypes.POINTER(ctypes.c_double)
-# DGELSD(M, N, NRHS, A, LDA, B, LDB, S, RCOND, RANK, WORK, LWORK, IWORK, INFO)
-_DGELSD_ARGTYPES = [_int_p, _int_p, _int_p, _double_p, _int_p, _double_p, _int_p,
-                    _double_p, _double_p, _int_p, _double_p, _int_p, _int_p, _int_p]
+# A CHARACTER argument and, after all the others, its hidden length
+_char, _len = ctypes.c_char_p, ctypes.c_size_t
+# Argument and result types of the BLAS and LAPACK routines of the solve,
+# in the order of the fields of _OpenBlas
+_SIGNATURES = {
+    # DGELSD(M, N, NRHS, A, LDA, B, LDB, S, RCOND, RANK, WORK, LWORK, IWORK, INFO)
+    "dgelsd": ([_int_p, _int_p, _int_p, _double_p, _int_p, _double_p, _int_p,
+                _double_p, _double_p, _int_p, _double_p, _int_p, _int_p, _int_p], None),
+    # DGEQRF(M, N, A, LDA, TAU, WORK, LWORK, INFO)
+    "dgeqrf": ([_int_p, _int_p, _double_p, _int_p, _double_p, _double_p, _int_p, _int_p], None),
+    # DORMQR(SIDE, TRANS, M, N, K, A, LDA, TAU, C, LDC, WORK, LWORK, INFO)
+    "dormqr": ([_char, _char, _int_p, _int_p, _int_p, _double_p, _int_p, _double_p,
+                _double_p, _int_p, _double_p, _int_p, _int_p, _len, _len], None),
+    # DLACPY(UPLO, M, N, A, LDA, B, LDB)
+    "dlacpy": ([_char, _int_p, _int_p, _double_p, _int_p, _double_p, _int_p, _len], None),
+    # DTRTRI(UPLO, DIAG, N, A, LDA, INFO)
+    "dtrtri": ([_char, _char, _int_p, _double_p, _int_p, _int_p, _len, _len], None),
+    # DTRTRS(UPLO, TRANS, DIAG, N, NRHS, A, LDA, B, LDB, INFO)
+    "dtrtrs": ([_char, _char, _char, _int_p, _int_p, _double_p, _int_p, _double_p, _int_p,
+                _int_p, _len, _len, _len], None),
+    # DNRM2(N, X, INCX): the scaled 2-norm, safe from overflow and underflow
+    "dnrm2": ([_int_p, _double_p, _int_p], ctypes.c_double),
+    # DLANTR(NORM, UPLO, DIAG, M, N, A, LDA, WORK)
+    "dlantr": ([_char, _char, _char, _int_p, _int_p, _double_p, _int_p, _double_p,
+                _len, _len, _len], ctypes.c_double),
+}
+
+# Symbols of numpy's bundled OpenBLAS: the thread-count setter and
+# getter, then the BLAS and LAPACK routines of the solve.  numpy 2 wheels
+# bundle scipy-openblas64 (scipy_-prefixed names), numpy 1.22-1.26 wheels
+# openblas64_ (plain names); both are ILP64 builds, so every Fortran
+# INTEGER is 64-bit.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_",
+     *(f"scipy_{name}_64_" for name in _SIGNATURES)),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_",
+     *(f"{name}_64_" for name in _SIGNATURES)),
+)
 
 
 class _OpenBlas(NamedTuple):
     set_threads: Callable
     get_threads: Callable
     dgelsd: Callable
+    dgeqrf: Callable
+    dormqr: Callable
+    dlacpy: Callable
+    dtrtri: Callable
+    dtrtrs: Callable
+    dnrm2: Callable
+    dlantr: Callable
 
 
 @functools.cache
 def _openblas() -> _OpenBlas | None:
-    """Thread-count controls and dgelsd of numpy's bundled OpenBLAS, or None.
+    """Thread-count controls and solve routines of numpy's bundled OpenBLAS, or None.
 
     Wheels ship the library next to the package (``numpy.libs`` on Linux
     and Windows, ``numpy/.dylibs`` on macOS), already loaded by numpy
     itself.  A numpy linked against another BLAS (Accelerate in macOS
-    arm64 wheels, a distribution's own BLAS) yields None.  ctypes
-    releases the GIL for the duration of each call.
+    arm64 wheels, a distribution's own BLAS), or a library missing any of
+    the symbols, yields None.  ctypes releases the GIL for the duration
+    of each call.
     """
     package = Path(np.__file__).parent
     libs = package.with_name(package.name + ".libs")
@@ -190,11 +230,12 @@ def _openblas() -> _OpenBlas | None:
             found = [getattr(lib, name, None) for name in names]
             if None in found:
                 continue
-            set_threads, get_threads, dgelsd = found
+            set_threads, get_threads, *routines = found
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            dgelsd.argtypes, dgelsd.restype = _DGELSD_ARGTYPES, None
-            return _OpenBlas(set_threads, get_threads, dgelsd)
+            for name, routine in zip(_SIGNATURES, routines):
+                routine.argtypes, routine.restype = _SIGNATURES[name]
+            return _OpenBlas(set_threads, get_threads, *routines)
     return None
 
 
@@ -236,6 +277,19 @@ def _one_blas_thread():
                 set_threads(_blas_threads_before)
 
 
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _ptr(x: np.ndarray):
+    return x.ctypes.data_as(_double_p)
+
+
+def _check_arguments(routine: str, info: ctypes.c_int64, shape) -> None:
+    if info.value < 0:
+        raise LinalgError(f"{routine} rejected argument {-info.value} for {shape[0]}x{shape[1]} input")
+
+
 def _dgelsd(dgelsd, a: np.ndarray, y: np.ndarray, rank_tol: float,
             overwrite_a: bool) -> np.ndarray:
     """gelsd as ``np.linalg.lstsq`` calls it, on *a* itself where allowed.
@@ -253,15 +307,12 @@ def _dgelsd(dgelsd, a: np.ndarray, y: np.ndarray, rank_tol: float,
     b = np.zeros((max(m, n), nrhs), order="F")
     b[:m] = y
     s = np.empty(min(m, n))
-    dims = [ctypes.byref(ctypes.c_int64(v)) for v in (m, n, nrhs)]
-    lda, ldb = ctypes.byref(ctypes.c_int64(m)), ctypes.byref(ctypes.c_int64(b.shape[0]))
     rcond, rank, info = ctypes.c_double(rank_tol), ctypes.c_int64(), ctypes.c_int64()
 
     def run(work, iwork, lwork):
-        dgelsd(*dims, a.ctypes.data_as(_double_p), lda, b.ctypes.data_as(_double_p), ldb,
-               s.ctypes.data_as(_double_p), ctypes.byref(rcond), ctypes.byref(rank),
-               work.ctypes.data_as(_double_p), ctypes.byref(ctypes.c_int64(lwork)),
-               iwork.ctypes.data_as(_int_p), ctypes.byref(info))
+        dgelsd(_int(m), _int(n), _int(nrhs), _ptr(a), _int(m), _ptr(b), _int(b.shape[0]),
+               _ptr(s), ctypes.byref(rcond), ctypes.byref(rank),
+               _ptr(work), _int(lwork), iwork.ctypes.data_as(_int_p), ctypes.byref(info))
 
     # lwork = -1 asks for the workspace sizes, returned in work[0] and iwork[0]
     work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
@@ -274,9 +325,75 @@ def _dgelsd(dgelsd, a: np.ndarray, y: np.ndarray, rank_tol: float,
             f"least-squares SVD did not converge for {m}x{n} input: "
             f"{info.value} off-diagonal elements did not converge to zero"
         )
-    if info.value < 0:
-        raise LinalgError(f"gelsd rejected argument {-info.value} for {m}x{n} input")
+    _check_arguments("gelsd", info, a.shape)
     return np.ascontiguousarray(b[:n])
+
+
+# Largest rank_tol * ||A||_F * ||R^-1||_F that takes the QR route: that
+# product bounds rank_tol * cond_2(A), so the route's systems are 100
+# times too well conditioned for the cutoff to remove a singular value.
+_QR_MARGIN = 0.01
+
+
+def _qr_solve(blas: _OpenBlas, a: np.ndarray, y: np.ndarray, rank_tol: float,
+              overwrite_a: bool) -> np.ndarray:
+    """Least squares for a tall *a* by Householder QR and back-substitution.
+
+    A = QR is factorised in place (dgeqrf) and Q^T is applied to y
+    (dormqr).  R^-1 (dtrtri) gives cond_2(A) <= ||A||_F * ||R^-1||_F;
+    where that bound is at most ``_QR_MARGIN / rank_tol``, no singular
+    value is cut and R x = (Q^T y)[:n] is solved by back-substitution
+    (dtrtrs).  Otherwise gelsd solves that triangular system, which has
+    the singular values and the minimum-norm solution of the full one.
+    Like :func:`_dgelsd`, *a* is factorised in place only when
+    *overwrite_a* allows it.
+    """
+    m, n = a.shape
+    nrhs = y.shape[1]
+    if not (overwrite_a and a.flags.f_contiguous and a.flags.writeable):
+        a = np.array(a, order="F")
+    b = np.array(y, order="F")
+    norm_a = blas.dnrm2(_int(m * n), _ptr(a), _int(1))
+    tau, info = np.empty(n), ctypes.c_int64()
+
+    def with_workspace(routine, call):
+        # lwork = -1 asks for the workspace size, returned in work[0]
+        work = np.empty(1)
+        call(work, -1)
+        work = np.empty(max(1, int(work[0])))
+        call(work, work.size)
+        _check_arguments(routine, info, (m, n))
+
+    with_workspace("dgeqrf", lambda work, lwork: blas.dgeqrf(
+        _int(m), _int(n), _ptr(a), _int(m), _ptr(tau), _ptr(work), _int(lwork),
+        ctypes.byref(info)))
+    with_workspace("dormqr", lambda work, lwork: blas.dormqr(
+        b"L", b"T", _int(m), _int(nrhs), _int(n), _ptr(a), _int(m), _ptr(tau), _ptr(b), _int(m),
+        _ptr(work), _int(lwork), ctypes.byref(info), 1, 1))
+    # Q^T y is formed, so the Householder vectors below R are spent: rows
+    # n to 2n - 1 of a can hold R^-1 when a has that many rows
+    if m >= 2 * n:
+        inv, ld_inv = a[n:2 * n], m
+    else:
+        inv, ld_inv = np.empty((n, n), order="F"), n
+    # a numpy copy between two views of a would go through a temporary
+    blas.dlacpy(b"U", _int(n), _int(n), _ptr(a), _int(m), _ptr(inv), _int(ld_inv), 1)
+    blas.dtrtri(b"U", b"N", _int(n), _ptr(inv), _int(ld_inv), ctypes.byref(info), 1, 1)
+    _check_arguments("dtrtri", info, (m, n))
+    if info.value == 0:  # info > 0 marks an exact zero on R's diagonal
+        # the Frobenius norm does not reference dlantr's WORK argument
+        norm_inv = blas.dlantr(b"F", b"U", b"N", _int(n), _int(n), _ptr(inv), _int(ld_inv),
+                               _ptr(tau), 1, 1, 1)
+        # NaN or infinity in either norm fails the test
+        if rank_tol * norm_a * norm_inv <= _QR_MARGIN:
+            blas.dtrtrs(b"U", b"N", b"N", _int(n), _int(nrhs), _ptr(a), _int(m), _ptr(b), _int(m),
+                        ctypes.byref(info), 1, 1, 1)
+            _check_arguments("dtrtrs", info, (m, n))
+            return np.ascontiguousarray(b[:n])
+    try:
+        return _dgelsd(blas.dgelsd, np.triu(a[:n]), b[:n], rank_tol, overwrite_a=True)
+    except SvdConvergenceError as exc:
+        raise SvdConvergenceError(f"{exc} (the R factor of a {m}x{n} input)") from None
 
 
 def min_norm_lstsq(a, y, rank_tol: float = 1e-10, overwrite_a: bool = False) -> np.ndarray:
@@ -287,12 +404,18 @@ def min_norm_lstsq(a, y, rank_tol: float = 1e-10, overwrite_a: bool = False) -> 
     @ y`` up to rounding.  Singular values s_i with ``s_i <= rank_tol *
     s_max`` count as zero, the same cutoff as :func:`pseudoinverse`.
 
-    The solve runs in LAPACK's divide-and-conquer SVD least-squares
-    routine (gelsd), which never forms the left singular vectors or the
-    pseudoinverse; :func:`svd` and :func:`pseudoinverse` stay as the
-    reference it is tested against.  With numpy's bundled OpenBLAS it
-    calls gelsd directly, elsewhere through ``np.linalg.lstsq``; both
-    give the same bits, and identical inputs give bit-identical results.
+    With numpy's bundled OpenBLAS, a tall *a* (rows >= cols) is
+    factorised by Householder QR.  When ``||a||_F * ||R^-1||_F``, an
+    upper bound on the condition number, is at most ``0.01 / rank_tol``,
+    the cutoff would remove no singular value even with a 100-fold
+    margin, and back-substitution with R gives the solution.  Otherwise
+    LAPACK's SVD least-squares routine (gelsd) solves the n x n system in
+    R, with the same cutoff.  A wide *a* goes to gelsd directly, and
+    without the bundled OpenBLAS everything goes through
+    ``np.linalg.lstsq`` (gelsd too).  The routes agree within rounding,
+    not bit for bit; identical inputs give bit-identical results.  None
+    of them forms the pseudoinverse; :func:`svd` and :func:`pseudoinverse`
+    stay as the reference they are tested against.
 
     With *overwrite_a* set, the solve may destroy *a* (scipy's name for
     this): a writable Fortran-ordered float64 *a* is then factorised in
@@ -308,15 +431,17 @@ def min_norm_lstsq(a, y, rank_tol: float = 1e-10, overwrite_a: bool = False) -> 
     # gelsd would silently read a negative cutoff as machine precision
     _check_rank_tol(rank_tol)
     blas = _openblas()
-    if blas is not None:
-        out = _dgelsd(blas.dgelsd, a, y, rank_tol, overwrite_a)
-    else:
+    if blas is None:
         try:
             out = np.linalg.lstsq(a, y, rcond=rank_tol)[0]
         except np.linalg.LinAlgError as exc:
             raise SvdConvergenceError(
                 f"least-squares SVD did not converge for {a.shape[0]}x{a.shape[1]} input: {exc}"
             ) from None
+    elif a.shape[0] >= a.shape[1]:
+        out = _qr_solve(blas, a, y, rank_tol, overwrite_a)
+    else:
+        out = _dgelsd(blas.dgelsd, a, y, rank_tol, overwrite_a)
     if not np.isfinite(out).all():
         raise LinalgError("min_norm_lstsq produced non-finite entries")
     return out

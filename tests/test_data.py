@@ -99,6 +99,17 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.class_names == ds.class_names
 
+    def test_exact_cell_text(self, tmp_path):
+        """Cells are Python float reprs: signed zero, subnormals and exponents included."""
+        values = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16]
+        ds = LabeledDataset(np.array([values]), np.array([1]), ("a", "b"))
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        assert path.read_bytes() == (b"f1,f2,f3,f4,f5,label\r\n"
+                                     b"-0.0,5e-324,1e-300,0.30000000000000004,1e+16,b\r\n")
+        back = load_csv(path, class_names=ds.class_names)
+        assert back.features.tobytes() == ds.features.tobytes()
+
     def test_first_appearance_label_order(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("f1,label\n1.0,beta\n2.0,alpha\n3.0,beta\n")

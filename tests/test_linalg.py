@@ -356,7 +356,7 @@ class TestMinNormLstsqMatchesPseudoinverse:
 
 
 # ---------------------------------------------------------------------------
-# min_norm_lstsq: the direct gelsd call against np.linalg.lstsq
+# min_norm_lstsq: the direct OpenBLAS calls against np.linalg.lstsq
 # ---------------------------------------------------------------------------
 
 def _training_systems(widths=(25, 300, 450)):
@@ -370,12 +370,25 @@ def _training_systems(widths=(25, 300, 450)):
         yield build_hidden_matrix(features, weights, biases, "sigmoid"), targets
 
 
+@pytest.fixture
+def blas():
+    found = linalg._openblas()
+    if found is None:
+        pytest.skip("numpy does not use its bundled OpenBLAS")
+    return found
+
+
 class TestDirectGelsd:
-    def test_bit_identical_to_numpy_lstsq_on_training_sized_systems(self):
+    def test_bit_identical_to_numpy_lstsq_on_training_sized_systems(self, blas):
         for hidden, targets in _training_systems():
             assert hidden.flags.f_contiguous
             want = np.linalg.lstsq(hidden, targets, rcond=1e-10)[0]
-            got = min_norm_lstsq(hidden, targets, overwrite_a=True)
+            # a wide system goes to gelsd through the public solve
+            rows = hidden.shape[1] - 5
+            wide = min_norm_lstsq(hidden[:rows], targets[:rows])
+            assert wide.tobytes() == np.linalg.lstsq(hidden[:rows], targets[:rows],
+                                                     rcond=1e-10)[0].tobytes()
+            got = linalg._dgelsd(blas.dgelsd, hidden, targets, 1e-10, overwrite_a=True)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -385,43 +398,144 @@ class TestDirectGelsd:
         min_norm_lstsq(a, rng.standard_normal((40, 2)))
         assert a.tobytes(order="A") == before.tobytes(order="A")
 
-    def test_overwrite_a_factorises_a_fortran_input_in_place(self, rng):
-        if linalg._openblas() is None:
-            pytest.skip("numpy does not use its bundled OpenBLAS")
+    def test_overwrite_a_factorises_a_fortran_input_in_place(self, rng, blas):
         a = np.asfortranarray(rng.standard_normal((40, 12)))
         original = a.copy(order="F")
         y = rng.standard_normal((40, 2))
         want = min_norm_lstsq(a, y)
         got = min_norm_lstsq(a, y, overwrite_a=True)
         assert got.tobytes() == want.tobytes()
-        # no copy was made: gelsd's factors now sit in a
+        # no copy was made: the QR factors now sit in a
         assert not np.array_equal(a, original)
 
     @pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
     def test_c_ordered_input_with_overwrite_a_is_solved(self, rng, shape):
         a = np.ascontiguousarray(rng.standard_normal(shape))
+        before = a.copy()
         y = rng.standard_normal((shape[0], 3))
         got = min_norm_lstsq(a, y, overwrite_a=True)
-        assert got.tobytes() == np.linalg.lstsq(a, y, rcond=1e-10)[0].tobytes()
+        # a C-ordered matrix is copied, never factorised in place
+        assert np.array_equal(a, before)
+        if shape[0] < shape[1]:  # wide: gelsd, as in np.linalg.lstsq
+            assert got.tobytes() == np.linalg.lstsq(a, y, rcond=1e-10)[0].tobytes()
+        else:
+            assert got.tobytes() == min_norm_lstsq(np.asfortranarray(a), y).tobytes()
+            assert_matches_pseudoinverse(a, y)
 
-    def test_fallback_without_bundled_openblas_gives_the_same_bits(self, monkeypatch):
+    def test_fallback_without_bundled_openblas_agrees_within_tolerance(self, monkeypatch):
         systems = list(_training_systems(widths=(25, 300)))
         direct = [min_norm_lstsq(a, y) for a, y in systems]
         monkeypatch.setattr(linalg, "_openblas", lambda: None)
-        for (a, y), want in zip(systems, direct):
-            assert min_norm_lstsq(a, y, overwrite_a=True).tobytes() == want.tobytes()
+        for (a, y), qr in zip(systems, direct):
+            x = assert_matches_pseudoinverse(a, y)
+            s = svd(a).singular_values
+            err = np.linalg.norm(x - qr) / np.linalg.norm(x)
+            assert err <= 10.0 * (s[0] / s[-1]) * EPS, err
 
-    def test_convergence_failure_raises_svd_convergence_error(self, monkeypatch):
-        if linalg._openblas() is None:
-            pytest.skip("numpy does not use its bundled OpenBLAS")
-
+    def test_convergence_failure_raises_svd_convergence_error(self, monkeypatch, blas):
+        """A wide input reaches gelsd directly, a rank-one tall one through R."""
         def failing(*args):
             args[-1]._obj.value = 2  # INFO > 0: the SVD did not converge
 
-        monkeypatch.setattr(linalg, "_openblas",
-                            lambda: linalg._OpenBlas(None, None, failing))
-        with pytest.raises(linalg.SvdConvergenceError, match="did not converge for 5x3"):
-            min_norm_lstsq(np.ones((5, 3)), np.ones((5, 1)))
+        monkeypatch.setattr(linalg, "_openblas", lambda: blas._replace(dgelsd=failing))
+        for rows, cols in [(3, 5), (5, 3)]:
+            with pytest.raises(linalg.SvdConvergenceError,
+                               match=f"did not converge for .*{rows}x{cols} input"):
+                min_norm_lstsq(np.ones((rows, cols)), np.ones((rows, 1)))
+
+
+# ---------------------------------------------------------------------------
+# min_norm_lstsq: the QR route and its fallback to gelsd
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def gelsd_calls(blas, monkeypatch):
+    """Shapes of the matrices gelsd is called on, in call order."""
+    calls, gelsd = [], linalg._dgelsd
+
+    def spy(dgelsd, a, *args, **kwargs):
+        calls.append(a.shape)
+        return gelsd(dgelsd, a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_dgelsd", spy)
+    return calls
+
+
+class TestQrRoute:
+    def test_training_sized_systems_take_the_qr_route(self, gelsd_calls):
+        for hidden, targets in _training_systems(widths=(25, 100, 300, 450)):
+            assert_matches_pseudoinverse(hidden, targets)
+        assert gelsd_calls == []
+
+    def test_graded_singular_values_fall_back_and_cut_nothing(self, rng, gelsd_calls):
+        """cond 1e9 exceeds the bound's 0.01 / rank_tol = 1e8 but not 1 / rank_tol."""
+        u, _ = np.linalg.qr(rng.standard_normal((200, 20)))
+        v, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        s = np.logspace(0, -9, 20)
+        a = u @ np.diag(s) @ v.T
+        y = rng.standard_normal((200, 3))
+        x = assert_matches_pseudoinverse(a, y)
+        # both solves, the copy and the in-place one, ran gelsd on the 20 x 20 R
+        assert gelsd_calls == [(20, 20), (20, 20)]
+        untruncated = v @ ((u.T @ y) / s[:, None])
+        err = np.linalg.norm(x - untruncated) / np.linalg.norm(untruncated)
+        assert err <= 10.0 * 1e9 * EPS, err
+
+    def test_duplicate_columns_fall_back(self, rng, gelsd_calls):
+        """Rounding leaves a tiny diagonal entry in R, and the bound rejects it."""
+        a = rng.standard_normal((40, 6))
+        a[:, 4] = a[:, 1]
+        assert_matches_pseudoinverse(a, rng.standard_normal((40, 2)))
+        assert gelsd_calls == [(6, 6), (6, 6)]
+
+    def test_exact_zero_on_the_diagonal_of_r_falls_back(self, blas, gelsd_calls, monkeypatch,
+                                                        rng):
+        """Duplicate unit columns factorise exactly, so R has a zero pivot and dtrtri fails."""
+        infos = []
+
+        def dtrtri(*args):
+            blas.dtrtri(*args)
+            infos.append(args[5]._obj.value)
+
+        monkeypatch.setattr(linalg, "_openblas", lambda: blas._replace(dtrtri=dtrtri))
+        a = np.zeros((30, 6))
+        a[:6] = np.eye(6)
+        a[:, 4] = a[:, 1]
+        y = rng.standard_normal((30, 2))
+        x = min_norm_lstsq(a, y)
+        assert infos == [5] and gelsd_calls == [(6, 6)]
+        np.testing.assert_allclose(x, pseudoinverse(a) @ y, rtol=0, atol=1e-14)
+
+    def test_cut_singular_values_take_the_fallback(self, rng, gelsd_calls):
+        TestMinNormLstsqMatchesPseudoinverse().test_cuts_the_same_singular_values(rng)
+        assert gelsd_calls == [(5, 5), (5, 5)]
+
+    def test_all_zero_matrix_takes_the_fallback(self, rng, gelsd_calls):
+        out = min_norm_lstsq(np.zeros((5, 3)), rng.standard_normal((5, 2)))
+        assert not out.any()
+        assert gelsd_calls == [(3, 3)]
+
+    def test_concurrent_solves_give_the_serial_bits(self):
+        systems = list(_training_systems(widths=(100, 300)))
+        with linalg._one_blas_thread():
+            serial = [min_norm_lstsq(a, y).tobytes() for a, y in systems]
+        results, start = {}, threading.Barrier(2)
+
+        def solve(index):
+            start.wait(timeout=60)
+            with linalg._one_blas_thread():
+                for repeat in range(3):
+                    a, y = systems[(index + repeat) % len(systems)]
+                    x = min_norm_lstsq(a.copy(order="F"), y, overwrite_a=True)
+                    results[index, repeat] = x.tobytes() == serial[(index + repeat) % len(systems)]
+
+        workers = [threading.Thread(target=solve, args=(index,)) for index in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(results) == 6 and all(results.values())
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +543,7 @@ class TestDirectGelsd:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def blas_threads():
-    blas = linalg._openblas()
-    if blas is None:
-        pytest.skip("numpy does not use its bundled OpenBLAS")
+def blas_threads(blas):
     set_threads, get_threads = blas.set_threads, blas.get_threads
     before = get_threads()
     set_threads(2)
