@@ -95,14 +95,16 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     dataset = generate_synthetic(config)
+    # split first, so that a split that fails writes nothing
+    if args.train_fraction is not None:
+        spec = SplitSpec(train_fraction=args.train_fraction, seed=config.seed)
+        train, test = stratified_split(dataset, spec)
     comments = _config_comment_lines(config)
     out = Path(args.out)
     save_csv(dataset, out, header_comments=comments)
     print(f"wrote {dataset.n_samples} samples, {dataset.n_classes} classes to {out}")
 
     if args.train_fraction is not None:
-        spec = SplitSpec(train_fraction=args.train_fraction, seed=config.seed)
-        train, test = stratified_split(dataset, spec)
         comments.append(f"split: train_fraction={repr(args.train_fraction)} seed={config.seed}")
         paths = [out.with_name(f"{out.stem}.{part}{out.suffix}") for part in ("train", "test")]
         for subset, path in zip((train, test), paths):

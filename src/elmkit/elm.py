@@ -177,8 +177,8 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
     Fits the [-1, 1] feature scaling on the split, draws the hidden
     layer, and solves for the output weights in one least-squares pass.
     The hidden-layer product and the solve run on one BLAS thread (see
-    :func:`elmkit.linalg._one_blas_thread`), and the solve factorises the
-    hidden matrix in place, so a fit holds one copy of it.
+    :func:`elmkit.linalg._one_blas_thread`), and the solve factorises a
+    tall hidden matrix in place, so such a fit holds one copy of it.
     A class with no training samples gets an identically zero output
     column, so it can only be predicted when every other class scores
     non-positive.

@@ -385,8 +385,9 @@ def _run_fits(train, test, config, jobs) -> dict:
     """Test accuracy of each (width, seed) fit in *jobs*, keyed by that pair.
 
     Fits start in the order of *jobs* on min(cores, jobs) threads, the
-    caller's among them; a fit spends nearly all its time in BLAS and
-    LAPACK calls that release the GIL.  The first error a fit raises
+    caller's among them; a tall fit spends nearly all its time in BLAS
+    and LAPACK calls that release the GIL (``np.linalg.lstsq``, which
+    solves wide fits, holds it in part).  The first error a fit raises
     stops further fits from starting and is re-raised here once every
     thread has finished.
     """

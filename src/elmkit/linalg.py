@@ -20,9 +20,9 @@ tall matrix is factorised by Householder QR and solved by
 back-substitution when ``||A||_F * ||R^-1||_F``, a bound on its condition
 number, is at most ``0.01 / rank_tol``: then the cutoff would remove no
 singular value even with a 100-fold margin.  Anything else goes to
-LAPACK's SVD-based least-squares routine (gelsd): a tall matrix that
-fails the bound through its R factor, a wide one directly, and every
-input through ``np.linalg.lstsq`` where there is no bundled OpenBLAS.
+``np.linalg.lstsq``, LAPACK's SVD-based least-squares routine (gelsd): a
+tall matrix that fails the bound through its R factor, a wide one
+directly, and every input where there is no bundled OpenBLAS.
 :func:`svd` and :func:`pseudoinverse` are the reference all routes are
 checked against.  :func:`_one_blas_thread` confines the BLAS and LAPACK
 calls in its block to one OpenBLAS thread; training runs its hidden-layer
@@ -157,12 +157,9 @@ _int_p = ctypes.POINTER(ctypes.c_int64)
 _double_p = ctypes.POINTER(ctypes.c_double)
 # A CHARACTER argument and, after all the others, its hidden length
 _char, _len = ctypes.c_char_p, ctypes.c_size_t
-# Argument and result types of the BLAS and LAPACK routines of the solve,
-# in the order of the fields of _OpenBlas
+# Argument and result types of the BLAS and LAPACK routines of the QR
+# solve; each is a field of _OpenBlas
 _SIGNATURES = {
-    # DGELSD(M, N, NRHS, A, LDA, B, LDB, S, RCOND, RANK, WORK, LWORK, IWORK, INFO)
-    "dgelsd": ([_int_p, _int_p, _int_p, _double_p, _int_p, _double_p, _int_p,
-                _double_p, _double_p, _int_p, _double_p, _int_p, _int_p, _int_p], None),
     # DGEQRF(M, N, A, LDA, TAU, WORK, LWORK, INFO)
     "dgeqrf": ([_int_p, _int_p, _double_p, _int_p, _double_p, _double_p, _int_p, _int_p], None),
     # DORMQR(SIDE, TRANS, M, N, K, A, LDA, TAU, C, LDC, WORK, LWORK, INFO)
@@ -183,7 +180,7 @@ _SIGNATURES = {
 }
 
 # Symbols of numpy's bundled OpenBLAS: the thread-count setter and
-# getter, then the BLAS and LAPACK routines of the solve.  numpy 2 wheels
+# getter, then the BLAS and LAPACK routines of the QR solve.  numpy 2 wheels
 # bundle scipy-openblas64 (scipy_-prefixed names), numpy 1.22-1.26 wheels
 # openblas64_ (plain names); both are ILP64 builds, so every Fortran
 # INTEGER is 64-bit.
@@ -195,17 +192,9 @@ _OPENBLAS_SYMBOLS = (
 )
 
 
-class _OpenBlas(NamedTuple):
-    set_threads: Callable
-    get_threads: Callable
-    dgelsd: Callable
-    dgeqrf: Callable
-    dormqr: Callable
-    dlacpy: Callable
-    dtrtri: Callable
-    dtrtrs: Callable
-    dnrm2: Callable
-    dlantr: Callable
+# Fields in the order of the symbols of _OPENBLAS_SYMBOLS
+_OpenBlas = NamedTuple("_OpenBlas", [(name, Callable)
+                                     for name in ("set_threads", "get_threads", *_SIGNATURES)])
 
 
 @functools.cache
@@ -248,9 +237,9 @@ _blas_threads_before = 1
 def _one_blas_thread():
     """Run the enclosed BLAS/LAPACK calls on one OpenBLAS thread.
 
-    On training-sized inputs (a few thousand rows by 25-450 columns)
-    gelsd took 13-48% less time on one thread than on two on a 2-vCPU
-    machine, and a threaded call stalls at every synchronisation point
+    On training-sized inputs (2,700 rows by 25-450 columns) the QR solve
+    took 2-48% less time on one thread than on two on a 2-vCPU machine,
+    and a threaded call stalls at every synchronisation point
     while the machine runs something else on one of its threads' cores.
 
     The thread count is process-wide, so concurrent users are counted:
@@ -290,43 +279,14 @@ def _check_arguments(routine: str, info: ctypes.c_int64, shape) -> None:
         raise LinalgError(f"{routine} rejected argument {-info.value} for {shape[0]}x{shape[1]} input")
 
 
-def _dgelsd(dgelsd, a: np.ndarray, y: np.ndarray, rank_tol: float,
-            overwrite_a: bool) -> np.ndarray:
-    """gelsd as ``np.linalg.lstsq`` calls it, on *a* itself where allowed.
-
-    The workspace query and sizes match numpy's, so the results match
-    bit for bit.  *a* is factorised in place only when *overwrite_a* is
-    set and it is a writable Fortran-ordered array; anything else is
-    copied first.
-    """
-    m, n = a.shape
-    nrhs = y.shape[1]
-    if not (overwrite_a and a.flags.f_contiguous and a.flags.writeable):
-        a = np.array(a, order="F")
-    # gelsd returns the solution in the first n rows of b
-    b = np.zeros((max(m, n), nrhs), order="F")
-    b[:m] = y
-    s = np.empty(min(m, n))
-    rcond, rank, info = ctypes.c_double(rank_tol), ctypes.c_int64(), ctypes.c_int64()
-
-    def run(work, iwork, lwork):
-        dgelsd(_int(m), _int(n), _int(nrhs), _ptr(a), _int(m), _ptr(b), _int(b.shape[0]),
-               _ptr(s), ctypes.byref(rcond), ctypes.byref(rank),
-               _ptr(work), _int(lwork), iwork.ctypes.data_as(_int_p), ctypes.byref(info))
-
-    # lwork = -1 asks for the workspace sizes, returned in work[0] and iwork[0]
-    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
-    run(work, iwork, -1)
-    if info.value == 0:
-        work, iwork = np.empty(int(work[0])), np.empty(max(1, iwork[0]), dtype=np.int64)
-        run(work, iwork, work.size)
-    if info.value > 0:
+def _lstsq(a: np.ndarray, y: np.ndarray, rank_tol: float, shape) -> np.ndarray:
+    """``np.linalg.lstsq`` (LAPACK gelsd), its failure named by the caller's *shape*."""
+    try:
+        return np.linalg.lstsq(a, y, rcond=rank_tol)[0]
+    except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(
-            f"least-squares SVD did not converge for {m}x{n} input: "
-            f"{info.value} off-diagonal elements did not converge to zero"
-        )
-    _check_arguments("gelsd", info, a.shape)
-    return np.ascontiguousarray(b[:n])
+            f"least-squares SVD did not converge for {shape[0]}x{shape[1]} input: {exc}"
+        ) from None
 
 
 # Largest rank_tol * ||A||_F * ||R^-1||_F that takes the QR route: that
@@ -343,10 +303,10 @@ def _qr_solve(blas: _OpenBlas, a: np.ndarray, y: np.ndarray, rank_tol: float,
     (dormqr).  R^-1 (dtrtri) gives cond_2(A) <= ||A||_F * ||R^-1||_F;
     where that bound is at most ``_QR_MARGIN / rank_tol``, no singular
     value is cut and R x = (Q^T y)[:n] is solved by back-substitution
-    (dtrtrs).  Otherwise gelsd solves that triangular system, which has
-    the singular values and the minimum-norm solution of the full one.
-    Like :func:`_dgelsd`, *a* is factorised in place only when
-    *overwrite_a* allows it.
+    (dtrtrs).  Otherwise :func:`_lstsq` solves that triangular system,
+    which has the singular values and the minimum-norm solution of the
+    full one.  *a* is factorised in place only when *overwrite_a* is set
+    and it is a writable Fortran-ordered array; anything else is copied.
     """
     m, n = a.shape
     nrhs = y.shape[1]
@@ -390,10 +350,7 @@ def _qr_solve(blas: _OpenBlas, a: np.ndarray, y: np.ndarray, rank_tol: float,
                         ctypes.byref(info), 1, 1, 1)
             _check_arguments("dtrtrs", info, (m, n))
             return np.ascontiguousarray(b[:n])
-    try:
-        return _dgelsd(blas.dgelsd, np.triu(a[:n]), b[:n], rank_tol, overwrite_a=True)
-    except SvdConvergenceError as exc:
-        raise SvdConvergenceError(f"{exc} (the R factor of a {m}x{n} input)") from None
+    return _lstsq(np.triu(a[:n]), b[:n], rank_tol, (m, n))
 
 
 def min_norm_lstsq(a, y, rank_tol: float = 1e-10, overwrite_a: bool = False) -> np.ndarray:
@@ -409,18 +366,19 @@ def min_norm_lstsq(a, y, rank_tol: float = 1e-10, overwrite_a: bool = False) -> 
     upper bound on the condition number, is at most ``0.01 / rank_tol``,
     the cutoff would remove no singular value even with a 100-fold
     margin, and back-substitution with R gives the solution.  Otherwise
-    LAPACK's SVD least-squares routine (gelsd) solves the n x n system in
-    R, with the same cutoff.  A wide *a* goes to gelsd directly, and
-    without the bundled OpenBLAS everything goes through
-    ``np.linalg.lstsq`` (gelsd too).  The routes agree within rounding,
-    not bit for bit; identical inputs give bit-identical results.  None
-    of them forms the pseudoinverse; :func:`svd` and :func:`pseudoinverse`
-    stay as the reference they are tested against.
+    ``np.linalg.lstsq``, LAPACK's SVD least-squares routine (gelsd),
+    solves the n x n system in R with the same cutoff.  A wide *a*, and
+    any *a* without the bundled OpenBLAS, goes to ``np.linalg.lstsq``
+    directly.  The two routes agree within rounding, not bit for bit;
+    identical inputs give bit-identical results.  Neither forms the
+    pseudoinverse; :func:`svd` and :func:`pseudoinverse` stay as the
+    reference they are tested against.
 
     With *overwrite_a* set, the solve may destroy *a* (scipy's name for
-    this): a writable Fortran-ordered float64 *a* is then factorised in
-    place with no copy, which halves the memory a tall solve needs.
-    Without it, *a* is left unchanged.
+    this): on the QR route a writable Fortran-ordered float64 *a* is then
+    factorised in place with no copy, which halves the memory a tall
+    solve needs.  ``np.linalg.lstsq`` always works on a copy.  Without
+    *overwrite_a*, *a* is left unchanged.
     """
     a = as_matrix(a, "a")
     y = as_matrix(y, "y")
@@ -431,17 +389,10 @@ def min_norm_lstsq(a, y, rank_tol: float = 1e-10, overwrite_a: bool = False) -> 
     # gelsd would silently read a negative cutoff as machine precision
     _check_rank_tol(rank_tol)
     blas = _openblas()
-    if blas is None:
-        try:
-            out = np.linalg.lstsq(a, y, rcond=rank_tol)[0]
-        except np.linalg.LinAlgError as exc:
-            raise SvdConvergenceError(
-                f"least-squares SVD did not converge for {a.shape[0]}x{a.shape[1]} input: {exc}"
-            ) from None
-    elif a.shape[0] >= a.shape[1]:
+    if blas is not None and a.shape[0] >= a.shape[1]:
         out = _qr_solve(blas, a, y, rank_tol, overwrite_a)
     else:
-        out = _dgelsd(blas.dgelsd, a, y, rank_tol, overwrite_a)
+        out = _lstsq(a, y, rank_tol, a.shape)
     if not np.isfinite(out).all():
         raise LinalgError("min_norm_lstsq produced non-finite entries")
     return out

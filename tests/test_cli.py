@@ -77,6 +77,20 @@ class TestGenerate:
         code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("one_sample_class", [False, True])
+    def test_failed_split_writes_nothing(self, tmp_path, capsys, one_sample_class):
+        out = tmp_path / "scene.csv"
+        argv = ["generate", "--out", str(out), "--train-fraction", "1.5"]
+        if one_sample_class:
+            cfg = tmp_path / "scene.cfg"
+            cfg.write_bytes(_config_lines(lambda lines: lines.__setitem__(9, "count: 1")))
+            argv = ["generate", "--config", str(cfg), "--out", str(out), "--train-fraction", "0.5"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 4
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert list(tmp_path.glob("*.csv")) == []
+
 
 SMALL_CONFIG = """\
 synthetic-config v1

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from elmkit import linalg
 from elmkit.data import LabeledDataset, SplitSpec, stratified_split
 from elmkit.elm import ElmConfig, predict_scores, train_elm
 from elmkit.linalg import SvdConvergenceError
@@ -269,6 +270,27 @@ class TestSweep:
         assert all(len(set(e.accuracies)) > 1 for e in results[1].entries)
         assert results[1] == results[2] == results[3]
         assert results[1].to_record() == results[3].to_record()
+
+    def test_wide_fits_identical_on_one_two_and_three_workers(self, rng, monkeypatch):
+        """Widths past the training rows make wide systems, solved by np.linalg.lstsq."""
+        ds = blobs(rng, n_per_class=6, spread=2.0)
+        train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))
+        assert train.n_samples < 20
+        lstsq, wide = linalg._lstsq, []
+
+        def spy(a, *args):
+            wide.append(a.shape[0] < a.shape[1])
+            return lstsq(a, *args)
+
+        monkeypatch.setattr(linalg, "_lstsq", spy)
+        records = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(evaluate_module, "_cores", lambda: workers)
+            result = sweep_hidden_nodes(train, test, hidden_grid=(3, 6, 12, 24, 48), n_seeds=3)
+            records.add(result.to_record())
+        assert wide.count(True) == 3 * 3 * 3  # widths 12, 24 and 48, three seeds, three runs
+        assert len({e.median_accuracy for e in result.entries}) > 1
+        assert len(records) == 1
 
     def test_identical_when_fits_finish_out_of_order(self, rng, monkeypatch):
         ds = blobs(rng, n_per_class=40, spread=2.0)  # seeds differ in accuracy

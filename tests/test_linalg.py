@@ -356,7 +356,7 @@ class TestMinNormLstsqMatchesPseudoinverse:
 
 
 # ---------------------------------------------------------------------------
-# min_norm_lstsq: the direct OpenBLAS calls against np.linalg.lstsq
+# min_norm_lstsq: its two routes against np.linalg.lstsq
 # ---------------------------------------------------------------------------
 
 def _training_systems(widths=(25, 300, 450)):
@@ -379,17 +379,13 @@ def blas():
 
 
 class TestDirectGelsd:
-    def test_bit_identical_to_numpy_lstsq_on_training_sized_systems(self, blas):
+    def test_bit_identical_to_numpy_lstsq_on_training_sized_systems(self):
+        """A wide system goes to np.linalg.lstsq through the public solve."""
         for hidden, targets in _training_systems():
-            assert hidden.flags.f_contiguous
-            want = np.linalg.lstsq(hidden, targets, rcond=1e-10)[0]
-            # a wide system goes to gelsd through the public solve
             rows = hidden.shape[1] - 5
             wide = min_norm_lstsq(hidden[:rows], targets[:rows])
             assert wide.tobytes() == np.linalg.lstsq(hidden[:rows], targets[:rows],
                                                      rcond=1e-10)[0].tobytes()
-            got = linalg._dgelsd(blas.dgelsd, hidden, targets, 1e-10, overwrite_a=True)
-            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_input_unchanged_without_overwrite_a(self, rng, order):
@@ -416,7 +412,7 @@ class TestDirectGelsd:
         got = min_norm_lstsq(a, y, overwrite_a=True)
         # a C-ordered matrix is copied, never factorised in place
         assert np.array_equal(a, before)
-        if shape[0] < shape[1]:  # wide: gelsd, as in np.linalg.lstsq
+        if shape[0] < shape[1]:  # wide: np.linalg.lstsq itself
             assert got.tobytes() == np.linalg.lstsq(a, y, rcond=1e-10)[0].tobytes()
         else:
             assert got.tobytes() == min_norm_lstsq(np.asfortranarray(a), y).tobytes()
@@ -433,11 +429,11 @@ class TestDirectGelsd:
             assert err <= 10.0 * (s[0] / s[-1]) * EPS, err
 
     def test_convergence_failure_raises_svd_convergence_error(self, monkeypatch, blas):
-        """A wide input reaches gelsd directly, a rank-one tall one through R."""
-        def failing(*args):
-            args[-1]._obj.value = 2  # INFO > 0: the SVD did not converge
+        """A wide input reaches np.linalg.lstsq directly, a rank-one tall one through R."""
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
-        monkeypatch.setattr(linalg, "_openblas", lambda: blas._replace(dgelsd=failing))
+        monkeypatch.setattr(np.linalg, "lstsq", failing)
         for rows, cols in [(3, 5), (5, 3)]:
             with pytest.raises(linalg.SvdConvergenceError,
                                match=f"did not converge for .*{rows}x{cols} input"):
@@ -445,19 +441,19 @@ class TestDirectGelsd:
 
 
 # ---------------------------------------------------------------------------
-# min_norm_lstsq: the QR route and its fallback to gelsd
+# min_norm_lstsq: the QR route and its fallback to np.linalg.lstsq
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def gelsd_calls(blas, monkeypatch):
-    """Shapes of the matrices gelsd is called on, in call order."""
-    calls, gelsd = [], linalg._dgelsd
+    """Shapes of the matrices np.linalg.lstsq (gelsd) is called on, in call order."""
+    calls, lstsq = [], linalg._lstsq
 
-    def spy(dgelsd, a, *args, **kwargs):
+    def spy(a, *args):
         calls.append(a.shape)
-        return gelsd(dgelsd, a, *args, **kwargs)
+        return lstsq(a, *args)
 
-    monkeypatch.setattr(linalg, "_dgelsd", spy)
+    monkeypatch.setattr(linalg, "_lstsq", spy)
     return calls
 
 
