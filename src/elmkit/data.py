@@ -18,6 +18,7 @@ frozen and their arrays are marked read-only.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -108,7 +109,8 @@ class LabeledDataset:
 def _read_lines(path, error, newline=None) -> list[str]:
     """The lines of a UTF-8 file, split as by :func:`open`; bad bytes raise *error*."""
     with open(path, "rb") as handle:
-        raw = handle.read()
+        # one leading byte-order mark goes before decoding, so error offsets still give lines
+        raw = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -278,8 +280,8 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> LabeledDataset:
 
     Raises :class:`CsvFormatError` on an empty or non-UTF-8 file, a
     missing column, a row with the wrong cell count, an unparseable or
-    non-finite cell, or an unknown class, each reported with its
-    physical line.
+    non-finite cell, an unknown class, or a class name holding a line
+    break, each reported with its physical line.
     """
     _, features, label_names, line_numbers = _parse_csv(path, label_required=True)
 
@@ -289,6 +291,9 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> LabeledDataset:
         ordered = tuple(str(n) for n in class_names)
     mapping = {name: i for i, name in enumerate(ordered)}
     for line_no, name in zip(line_numbers, label_names):
+        # a model file is read line by line, so such a class name could not be read back
+        if "\n" in name or "\r" in name:
+            raise CsvFormatError(f"{path}: row {line_no}: class name contains a line break")
         if name not in mapping:
             raise CsvFormatError(f"{path}: row {line_no}: unknown class '{name}'")
 

@@ -181,6 +181,17 @@ class TestMalformedInputExits3:
         assert code == 3
         assert err == [f"elmkit {argv[0]}: {bad}: line 5: not valid UTF-8"]
 
+    def test_class_name_with_line_break(self, tmp_path, capsys):
+        """A model file could not hold such a name, so training writes none."""
+        data = tmp_path / "train.csv"
+        data.write_text('f1,label\n1.0,a\n2.0,"a\nb"\n3.0,b\n')
+        model = tmp_path / "elm.model"
+        code = main(["train", "--data", str(data), "--hidden", "2", "--out", str(model)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err == [f"elmkit train: {data}: row 3: class name contains a line break"]
+        assert not model.exists()
+
 
 class TestTrainPredict:
     def test_elm_round_trip(self, tmp_path, rng, capsys):
@@ -200,6 +211,18 @@ class TestTrainPredict:
         accuracy = (predicted.labels == ds.labels).mean()
         assert accuracy > 0.9
         assert pred_path.read_text().startswith("# classifier=elm")
+
+    def test_byte_order_mark_trains_the_same_model(self, tmp_path):
+        scene = tmp_path / "scene.csv"
+        assert main(["generate", "--out", str(scene)]) == 0
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + scene.read_bytes())
+        models = []
+        for data in (scene, marked):
+            models.append(tmp_path / f"{data.stem}.model")
+            assert main(["train", "--data", str(data), "--hidden", "25",
+                         "--out", str(models[-1])]) == 0
+        assert models[0].read_bytes() == models[1].read_bytes()
 
     def test_mlp_training(self, tmp_path, rng):
         data = tmp_path / "train.csv"
@@ -536,6 +559,15 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.is_file()
+
+    def test_import_leaves_the_thread_pool_unloaded(self):
+        """Only the sweep needs concurrent.futures, whose logging import costs every command."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, elmkit.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"
 
     def test_usage_error_exits_2(self):
         proc = subprocess.run(

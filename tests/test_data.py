@@ -143,14 +143,34 @@ class TestCsvRoundTrip:
             load_csv(path)
 
     def test_error_rows_count_lines_inside_quoted_cells(self, tmp_path):
-        """A label quoted across lines 3-4 leaves the bad cell on line 6."""
+        """A label quoted across lines 3-4 leaves the bad cell on line 6, and a
+        feature cell quoted across lines 3-4 leaves the unknown class on line 5."""
         path = tmp_path / "data.csv"
         path.write_text('f1,label\n1.0,a\n2.0,"two\nlines"\n3.0,b\noops,b\n')
         with pytest.raises(CsvFormatError, match="row 6, column 'f1'"):
             load_csv(path)
-        path.write_text('# note\nf1,label\n2.0,"two\nlines"\n1.0,z\n')
+        path.write_text('# note\nf1,label\n"2.0\n",a\n1.0,z\n')
         with pytest.raises(CsvFormatError, match="row 5: unknown class 'z'"):
-            load_csv(path, class_names=("a", "two\nlines"))
+            load_csv(path, class_names=("a", "b"))
+
+    @pytest.mark.parametrize("comment", ["# comment\n", ""], ids=["comment", "no-comment"])
+    @pytest.mark.parametrize("header, rows", [
+        ("f1,f2,label", "1.0,2.0,a\n3.0,4.0,b\n"),
+        ("label,f1,f2", "a,1.0,2.0\nb,3.0,4.0\n"),
+    ], ids=["label-last", "label-first"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, comment, header, rows):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{comment}{header}\n{rows}".encode())
+        ds = load_csv(path)
+        assert ds.class_names == ("a", "b")
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+        assert load_feature_csv(path)[1] == ["f1", "f2"]
+
+    def test_byte_order_mark_keeps_error_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbff1,label\n1.0,a\n\xff,b\n")
+        with pytest.raises(CsvFormatError, match="line 3: not valid UTF-8"):
+            load_csv(path)
 
 
 class TestCsvErrors:
@@ -201,6 +221,13 @@ class TestCsvErrors:
         path.write_text("f1,label\n1.0,a\n2.0,z\n")
         with pytest.raises(CsvFormatError, match="row 3.*'z'"):
             load_csv(path, class_names=("a", "b"))
+
+    @pytest.mark.parametrize("line_break", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_class_name_with_line_break_rejected(self, tmp_path, line_break):
+        path = tmp_path / "data.csv"
+        path.write_bytes(f'f1,label\n1.0,a\n2.0,"a{line_break}b"\n3.0,b\n'.encode())
+        with pytest.raises(CsvFormatError, match="row 3: class name contains a line break"):
+            load_csv(path)
 
     def test_unknown_class_line_counts_comment_lines(self, tmp_path):
         path = tmp_path / "unknown.csv"

@@ -262,8 +262,10 @@ class TestSweep:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(evaluate_module, "_cores", lambda: workers)
                 fits.clear()
+                threads = threading.active_count()
                 results[workers] = sweep_hidden_nodes(train, test, hidden_grid=(5, 15, 25, 35),
                                                        n_seeds=3)
+                assert threading.active_count() == threads
                 assert sorted(fits) == [(h, s) for h in (5, 15, 25, 35) for s in range(3)]
         finally:
             sys.setswitchinterval(interval)
@@ -314,23 +316,26 @@ class TestSweep:
         assert len(set(sequential.entries[-1].accuracies)) > 1
         assert threaded == sequential
 
-    def test_error_in_one_fit_reaches_the_caller(self, rng, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("failing", [35, 15, 5])  # the first, a middle and the last job
+    def test_error_in_one_fit_reaches_the_caller(self, rng, monkeypatch, failing, workers):
         ds = blobs(rng, n_per_class=40)
         train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))
         started = []
 
-        def failing_at_15(train, config):
+        def failing_at_width(train, config):
             started.append(threading.current_thread())
-            if config.hidden_nodes == 15:
+            if config.hidden_nodes == failing:
                 raise SvdConvergenceError("least-squares SVD did not converge")
             return train_elm(train, config)
 
-        monkeypatch.setattr(evaluate_module, "train_elm", failing_at_15)
-        monkeypatch.setattr(evaluate_module, "_cores", lambda: 2)
+        monkeypatch.setattr(evaluate_module, "train_elm", failing_at_width)
+        monkeypatch.setattr(evaluate_module, "_cores", lambda: workers)
         with pytest.raises(SvdConvergenceError, match="did not converge"):
             sweep_hidden_nodes(train, test, hidden_grid=(5, 15, 25, 35), n_seeds=3)
-        # no fit outlives the call
-        assert not any(t.is_alive() for t in started if t is not threading.current_thread())
+        # the caller's thread fits nothing, and no fit outlives the call
+        assert threading.current_thread() not in started
+        assert not any(t.is_alive() for t in started)
 
     def test_easy_problem_reaches_full_accuracy(self, rng):
         """Well-separated clusters are classified perfectly at modest width."""
