@@ -16,9 +16,7 @@ format, CSV outputs as leading ``#`` comments, reports as config lines)
 and nothing embeds wall-clock state except clearly marked timing lines,
 so repeated runs produce byte-identical files apart from those lines.
 
-Exit codes: 0 success, 2 usage errors, 3 malformed input files,
-4 invalid data or configuration values, 5 training divergence,
-6 out of memory, 1 unexpected failure.
+Exit codes are listed once, in ``_EXIT_CODES``, which ``--help`` prints.
 """
 
 from __future__ import annotations
@@ -56,27 +54,22 @@ from .evaluate import (
 from .mlp import MlpConfig, MlpDivergenceError, train_mlp
 from .modelio import ModelFormatError, load_model, save_model
 
-_EXIT_CODES_HELP = """\
-exit codes:
-  0  success
-  2  usage error (bad flags or arguments)
-  3  malformed input file (dataset, generator config, or model)
-  4  invalid data or configuration values
-  5  training diverged
-  6  out of memory
-  1  unexpected failure
-"""
-
-
-# Exit code per error type, first match first: the format errors and
-# LinalgError are ValueErrors too.
-_ERROR_EXIT_CODES = (
-    ((CsvFormatError, ConfigFormatError, ModelFormatError), 3),
-    (MlpDivergenceError, 5),
-    (ValueError, 4),
-    (MemoryError, 6),
-    (OSError, 1),
+# (code, meaning, error types) in help order.  main returns the code of the
+# first row whose types match, so the format errors come before ValueError:
+# they, and LinalgError, are ValueErrors too.
+_EXIT_CODES = (
+    (0, "success", ()),
+    (2, "usage error (bad flags or arguments)", ()),
+    (3, "malformed input file (dataset, generator config, or model)",
+     (CsvFormatError, ConfigFormatError, ModelFormatError)),
+    (4, "invalid data or configuration values", (ValueError,)),
+    (5, "training diverged", (MlpDivergenceError,)),
+    (6, "out of memory", (MemoryError,)),
+    (1, "unexpected failure", (OSError,)),
 )
+
+_EXIT_CODES_HELP = "exit codes:\n" + "".join(
+    f"  {code}  {meaning}\n" for code, meaning, _ in _EXIT_CODES)
 
 
 def _config_comment_lines(config) -> list[str]:
@@ -315,14 +308,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, MlpDivergenceError, MemoryError, OSError) as exc:
+    except tuple(t for _, _, types in _EXIT_CODES for t in types) as exc:
         message = str(exc)
         if isinstance(exc, MemoryError):
             message = f"out of memory: {message}" if message else "out of memory"
         # One line, even if the message echoes a newline from a bad input.
         text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
         print(f"elmkit {args.command}: {text}", file=sys.stderr)
-        return next(code for types, code in _ERROR_EXIT_CODES if isinstance(exc, types))
+        return next(code for code, _, types in _EXIT_CODES if isinstance(exc, types))
 
 
 def entry_point() -> None:

@@ -48,13 +48,27 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _class_names(names) -> tuple[str, ...]:
+    """*names* as a tuple of two or more distinct strings that every file
+    format reads back unchanged: readers strip names and take one per line."""
+    names = tuple(str(n) for n in names)
+    if len(names) < 2:
+        raise ValueError("at least two classes are required")
+    if len(set(names)) != len(names):
+        raise ValueError("class names must be distinct")
+    for name in names:
+        if name != name.strip() or "\n" in name or "\r" in name:
+            raise ValueError(f"class name {name!r} has outer whitespace or a line break")
+    return names
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix with integer class labels and class names.
 
     ``features`` is K x p (finite reals), ``labels`` is length K with
-    values in ``[0, len(class_names))``, and at least two classes must
-    be declared.
+    values in ``[0, len(class_names))``, and at least two distinct class
+    names, none with outer whitespace or a line break, must be declared.
     """
 
     features: np.ndarray
@@ -72,11 +86,7 @@ class LabeledDataset:
             raise ValueError(
                 f"labels must be one per sample: {labels.shape} labels for {features.shape[0]} samples"
             )
-        names = tuple(str(n) for n in self.class_names)
-        if len(names) < 2:
-            raise ValueError("at least two classes are required")
-        if len(set(names)) != len(names):
-            raise ValueError("class names must be distinct")
+        names = _class_names(self.class_names)
         if labels.size and (labels.min() < 0 or labels.max() >= len(names)):
             raise ValueError(f"labels must lie in [0, {len(names)}), got range "
                              f"[{labels.min()}, {labels.max()}]")
@@ -473,13 +483,11 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        names = tuple(str(n) for n in self.class_names)
+        names = _class_names(self.class_names)
         means = _frozen_array(self.means)
         covs = _frozen_array(self.covariances)
         counts = tuple(int(c) for c in self.counts)
         m = len(names)
-        if m < 2:
-            raise ValueError("at least two classes are required")
         if means.ndim != 2 or means.shape[0] != m:
             raise ValueError(f"means must be (classes, features), got {means.shape}")
         p = means.shape[1]

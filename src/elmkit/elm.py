@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (LabeledDataset, ScalingParams, _check_seed, _frozen_array, fit_scaling,
-                   scale_features)
+from .data import (LabeledDataset, ScalingParams, _check_seed, _class_names, _frozen_array,
+                   fit_scaling, scale_features)
 from .linalg import _check_rank_tol, _one_blas_thread, min_norm_lstsq
 
 
@@ -104,7 +104,7 @@ class ElmModel:
                 f"output_weights shape {self.output_weights.shape} does not match "
                 f"({h}, {len(self.class_names)})"
             )
-        object.__setattr__(self, "class_names", tuple(str(n) for n in self.class_names))
+        object.__setattr__(self, "class_names", _class_names(self.class_names))
 
     @property
     def n_features(self) -> int:

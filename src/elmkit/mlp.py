@@ -26,7 +26,7 @@ activation, error and delta array as (units, samples): the hidden layer
 is ``w_hidden @ X^T`` with the bias added as a column, the bias
 gradients are contiguous row sums, and the weight gradients are
 ``delta_out @ hidden^T`` and ``delta_hidden @ X``.  The pass writes into
-seven work arrays (``_Scratch``: three of hidden x samples, four of
+five work arrays (``_Scratch``: two of hidden x samples, three of
 classes x samples) with ``out=`` and in-place ufuncs.  ``train_mlp``
 allocates them, and transposes the scaled features and the one-hot
 targets, once per fit, so no iteration allocates a samples-sized array.
@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (LabeledDataset, ScalingParams, _check_seed, _frozen_array, fit_scaling,
-                   scale_features)
+from .data import (LabeledDataset, ScalingParams, _check_seed, _class_names, _frozen_array,
+                   fit_scaling, scale_features)
 from .elm import _sigmoid, decode_scores, encode_targets
 
 
@@ -119,7 +119,7 @@ class MlpModel:
         m = len(self.class_names)
         if self.b_hidden.shape != (h,) or self.w_out.shape != (m, h) or self.b_out.shape != (m,):
             raise ValueError("layer shapes are inconsistent")
-        object.__setattr__(self, "class_names", tuple(str(n) for n in self.class_names))
+        object.__setattr__(self, "class_names", _class_names(self.class_names))
         object.__setattr__(self, "loss_history", tuple(float(v) for v in self.loss_history))
 
     @property
@@ -150,10 +150,9 @@ class _Scratch:
     """The pass's work arrays, all (units, samples) and C-ordered."""
 
     def __init__(self, n_hidden: int, n_classes: int, n_samples: int):
-        self.hidden, self.hidden_slope, self.delta_hidden = (
-            np.empty((n_hidden, n_samples)) for _ in range(3))
-        self.output, self.error, self.delta_out, self.output_slope = (
-            np.empty((n_classes, n_samples)) for _ in range(4))
+        self.hidden, self.delta_hidden = (np.empty((n_hidden, n_samples)) for _ in range(2))
+        self.output, self.error, self.delta_out = (
+            np.empty((n_classes, n_samples)) for _ in range(3))
 
 
 def _layout(features):
@@ -166,13 +165,13 @@ def _layout(features):
     return features, features.T.copy()
 
 
-def _pass(features, features_t, targets_t, params, scratch, gradient=True):
-    """One forward (and optionally backward) pass in the (units, samples) layout.
+def _pass(features, features_t, targets_t, params, scratch):
+    """One forward pass, and with targets a backward one, in the (units, samples) layout.
 
     Fills ``scratch.hidden`` and ``scratch.output``.  With ``targets_t``
-    (classes, samples) it also returns the summed squared error, and with
-    *gradient* the exact gradient in parameter order; otherwise those are
-    None.
+    (classes, samples) it returns the summed squared error and the exact
+    gradient in parameter order, and leaves ``1 - activation`` in those
+    two arrays; otherwise it returns (None, None).
     """
     w_hidden, b_hidden, w_out, b_out = params
     s = scratch
@@ -185,31 +184,29 @@ def _pass(features, features_t, targets_t, params, scratch, gradient=True):
     if targets_t is None:
         return None, None
     np.subtract(s.output, targets_t, out=s.error)
-    loss = float(np.square(s.error, out=s.output_slope).sum())
-    if not gradient:
-        return loss, None
+    loss = float(np.square(s.error, out=s.delta_out).sum())
     # cost is sum of (output - target)^2: chain through both sigmoids
     np.multiply(s.error, 2.0, out=s.delta_out)
     s.delta_out *= s.output
-    np.subtract(1.0, s.output, out=s.output_slope)
-    s.delta_out *= s.output_slope
+    np.subtract(1.0, s.output, out=s.output)
+    s.delta_out *= s.output
     g_w_out = s.delta_out @ s.hidden.T
     g_b_out = s.delta_out.sum(axis=1)
     np.matmul(w_out.T, s.delta_out, out=s.delta_hidden)
     s.delta_hidden *= s.hidden
-    np.subtract(1.0, s.hidden, out=s.hidden_slope)
-    s.delta_hidden *= s.hidden_slope
+    np.subtract(1.0, s.hidden, out=s.hidden)
+    s.delta_hidden *= s.hidden
     g_w_hidden = s.delta_hidden @ features
     g_b_hidden = s.delta_hidden.sum(axis=1)
     return loss, (g_w_hidden, g_b_hidden, g_w_out, g_b_out)
 
 
-def _pass_once(features, targets, params, gradient=True):
+def _pass_once(features, targets, params):
     """:func:`_pass` on work arrays allocated for this call alone."""
     features, features_t = _layout(features)
     targets_t = None if targets is None else np.asarray(targets, dtype=np.float64).T.copy()
     scratch = _Scratch(len(params[1]), len(params[3]), len(features))
-    loss, grads = _pass(features, features_t, targets_t, params, scratch, gradient)
+    loss, grads = _pass(features, features_t, targets_t, params, scratch)
     return scratch, loss, grads
 
 
@@ -222,8 +219,7 @@ def mlp_forward(features, w_hidden, b_hidden, w_out, b_out):
 
 def mlp_cost(features, targets, w_hidden, b_hidden, w_out, b_out) -> float:
     """Sum of squared errors of the forward pass against the targets."""
-    params = (w_hidden, b_hidden, w_out, b_out)
-    return _pass_once(features, targets, params, gradient=False)[1]
+    return _pass_once(features, targets, (w_hidden, b_hidden, w_out, b_out))[1]
 
 
 def mlp_gradient(features, targets, w_hidden, b_hidden, w_out, b_out):

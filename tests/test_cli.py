@@ -9,8 +9,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from elmkit import cli
 from elmkit.cli import _EXIT_CODES_HELP, main
 from elmkit.data import (
+    ConfigFormatError,
+    CsvFormatError,
     LabeledDataset,
     littleport_like_config,
     load_csv,
@@ -19,8 +22,9 @@ from elmkit.data import (
 )
 from elmkit.elm import ElmConfig
 from elmkit.evaluate import config_text
-from elmkit.mlp import MlpConfig
-from elmkit.modelio import load_model
+from elmkit.linalg import LinalgError
+from elmkit.mlp import MlpConfig, MlpDivergenceError
+from elmkit.modelio import ModelFormatError, load_model
 
 
 def write_blobs_csv(path, rng, n_per_class=40, spread=0.6):
@@ -616,3 +620,37 @@ class TestEntryPoints:
         assert capsys.readouterr().err == (
             "elmkit generate: out of memory: Unable to allocate 43.7 TiB for an array\n")
         assert "  6  out of memory" in _EXIT_CODES_HELP
+
+
+class TestExitCodes:
+    """The contract of --help, with the codes written out here, not read from cli."""
+
+    @pytest.mark.parametrize("error, code", [
+        (CsvFormatError("bad"), 3),
+        (ConfigFormatError("bad"), 3),
+        (ModelFormatError("bad"), 3),
+        (LinalgError("bad"), 4),
+        (ValueError("bad"), 4),
+        (MlpDivergenceError(7, float("nan")), 5),
+        (MemoryError("bad"), 6),
+        (OSError("bad"), 1),
+        (FileNotFoundError("bad"), 1),
+    ], ids=lambda value: type(value).__name__ if isinstance(value, BaseException) else None)
+    def test_each_error_type(self, tmp_path, capsys, monkeypatch, error, code):
+        def failing(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_generate", failing)
+        assert main(["generate", "--out", str(tmp_path / "x.csv")]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("elmkit generate: ")
+
+    def test_missing_data_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = main(["train", "--data", str(missing), "--out", str(tmp_path / "m.model")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1
+        assert err[0].startswith("elmkit train: ") and str(missing) in err[0]

@@ -66,6 +66,18 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="distinct"):
             LabeledDataset(np.ones((2, 2)), np.array([0, 1]), ("a", "a"))
 
+    @pytest.mark.parametrize("names", [("a", "a ", "b"), (" a", "b", "c"), ("a\nb", "c"),
+                                       ("a", "b\r"), ("a", "\tb")])
+    def test_class_names_no_reader_gives_back_rejected(self, names):
+        """Readers strip names and read one per line: ("a", "a ", "b") would load as two classes."""
+        with pytest.raises(ValueError, match="outer whitespace or a line break"):
+            LabeledDataset(np.ones((3, 2)), np.array([0, 1, 1]), names)
+
+    def test_inner_space_and_tab_round_trip(self, tmp_path):
+        ds = LabeledDataset(np.eye(2), np.array([0, 1]), ("north field", "a\tb"))
+        save_csv(ds, tmp_path / "data.csv")
+        assert load_csv(tmp_path / "data.csv").class_names == ("north field", "a\tb")
+
     def test_non_finite_features_rejected(self):
         bad = np.ones((2, 2))
         bad[0, 1] = np.nan
@@ -440,6 +452,12 @@ class TestSyntheticConfig:
         cov = np.array([np.eye(3)] * 2)
         with pytest.raises(ValueError, match="covariances"):
             SyntheticConfig(("a", "b"), np.zeros((2, 2)), cov, (5, 5))
+
+    @pytest.mark.parametrize("names, match", [(("a", "a"), "distinct"),
+                                              (("a\nb", "c"), "line break")])
+    def test_class_names_no_config_file_holds_rejected(self, names, match):
+        with pytest.raises(ValueError, match=match):
+            SyntheticConfig(names, np.zeros((2, 2)), np.array([np.eye(2)] * 2), (5, 5))
 
 
 class TestGenerateSynthetic:

@@ -238,6 +238,39 @@ V1_MLP_TEXT = (
 ) + MLP_ARRAYS
 
 
+class TestClassNames:
+    """A model holds only class names that its file gives back unchanged."""
+
+    @staticmethod
+    def build(kind, names):
+        m = len(names)
+        scaling = ScalingParams(np.zeros(2), np.ones(2))
+        if kind == "elm":
+            return ElmModel(weights=np.zeros((2, 2)), biases=np.zeros(2),
+                            output_weights=np.zeros((2, m)), config=ElmConfig(hidden_nodes=2),
+                            class_names=names, scaling=scaling)
+        return MlpModel(w_hidden=np.zeros((2, 2)), b_hidden=np.zeros(2), w_out=np.zeros((m, 2)),
+                        b_out=np.zeros(m), config=MlpConfig(hidden_nodes=2),
+                        class_names=names, scaling=scaling)
+
+    @pytest.mark.parametrize("kind", ["elm", "mlp"])
+    @pytest.mark.parametrize("names, match", [
+        ((" a", "b", "c"), "outer whitespace"),  # would load as ("a", "b", "c")
+        (("a\nb", "c"), "line break"),           # would not load at all
+        (("only",), "two classes"),
+        (("a", "a"), "distinct"),
+    ])
+    def test_names_the_file_cannot_give_back_rejected(self, kind, names, match):
+        with pytest.raises(ValueError, match=match):
+            self.build(kind, names)
+
+    @pytest.mark.parametrize("kind", ["elm", "mlp"])
+    def test_accepted_names_round_trip(self, tmp_path, kind):
+        names = ("north field", "c,3", "a\tb")
+        save_model(self.build(kind, names), tmp_path / "m.model")
+        assert load_model(tmp_path / "m.model").class_names == names
+
+
 class TestGoldenFormat:
     """The exact v2 text of both model kinds, header and array layout."""
 
