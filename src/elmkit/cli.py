@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .data import (
@@ -41,8 +41,9 @@ from .data import (
     save_csv,
     stratified_split,
 )
-from .elm import ACTIVATIONS, ElmConfig, train_elm
+from .elm import ACTIVATIONS, ElmConfig
 from .evaluate import (
+    _KINDS,
     benchmark,
     config_text,
     confusion,
@@ -51,7 +52,7 @@ from .evaluate import (
     sweep_hidden_nodes,
     training_cost,
 )
-from .mlp import MlpConfig, MlpDivergenceError, train_mlp
+from .mlp import MlpConfig, MlpDivergenceError
 from .modelio import ModelFormatError, load_model, save_model
 
 # (code, meaning, error types) in help order.  main returns the code of the
@@ -106,23 +107,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _elm_config(args) -> ElmConfig:
-    return ElmConfig(
-        hidden_nodes=args.hidden if args.hidden is not None else ElmConfig.hidden_nodes,
-        activation=args.activation,
-        seed=args.seed,
-        rank_tol=args.rank_tol,
-    )
-
-
-def _mlp_config(args, hidden: int | None) -> MlpConfig:
-    return MlpConfig(
-        hidden_nodes=hidden if hidden is not None else MlpConfig.hidden_nodes,
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-        iterations=args.iterations,
-        seed=args.seed,
-    )
+def _config(config_type, args, hidden: int | None):
+    """A classifier config: each field from the flag whose dest is its name,
+    the width from *hidden* (the value of --hidden or --mlp-hidden)."""
+    values = {f.name: getattr(args, f.name) for f in fields(config_type)
+              if f.name != "hidden_nodes"}
+    return config_type(hidden_nodes=config_type.hidden_nodes if hidden is None else hidden,
+                       **values)
 
 
 def _training_report(model, dataset) -> str:
@@ -149,10 +140,8 @@ def _training_report(model, dataset) -> str:
 
 def cmd_train(args) -> int:
     dataset = load_csv(args.data)
-    if args.classifier == "elm":
-        model = train_elm(dataset, _elm_config(args))
-    else:
-        model = train_mlp(dataset, _mlp_config(args, args.hidden))
+    kind = _KINDS[args.classifier]
+    model = kind.train(dataset, _config(kind.config, args, args.hidden))
     save_model(model, args.out)
     report_path = Path(str(args.out) + ".report.txt")
     report_path.write_text(_training_report(model, dataset), encoding="utf-8")
@@ -194,7 +183,8 @@ def _write_result(out_dir: Path, stem: str, result) -> None:
 
 def cmd_benchmark(args) -> int:
     train, test = _split(args)
-    result = benchmark(train, test, _elm_config(args), _mlp_config(args, args.mlp_hidden))
+    result = benchmark(train, test, _config(ElmConfig, args, args.hidden),
+                       _config(MlpConfig, args, args.mlp_hidden))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -254,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_classifier_flags(p, with_classifier=True):
         if with_classifier:
-            p.add_argument("--classifier", choices=("elm", "mlp"), default="elm",
+            p.add_argument("--classifier", choices=tuple(_KINDS), default="elm",
                            help="classifier kind (default elm)")
         p.add_argument("--hidden", type=int,
                        help=f"hidden-layer width (default: {ElmConfig.hidden_nodes} elm, "

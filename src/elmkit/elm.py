@@ -6,7 +6,8 @@ never adjusted.  Training reduces to collecting the hidden-layer
 activations for all samples into one matrix and solving a linear system
 for the output weights by minimum-norm least squares.  There is no
 iteration and no learning rate; the only knobs are the hidden-layer
-width, the activation, and the seed.
+width, the activation, the seed, and the solve's relative rank cutoff
+``rank_tol``.
 
 Given train features X (K x p), frozen weights W (H x p) and biases c:
 

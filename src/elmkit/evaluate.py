@@ -32,6 +32,7 @@ class _Kind(NamedTuple):
     name: str
     model: type
     config: type
+    train: Callable     # (dataset, config) -> model
     predict: Callable   # (model, features) -> label indices
     scores: Callable    # (model, features) -> (samples, classes) scores
     # Model-file array layout: (field, row dimension, column dimension or
@@ -39,26 +40,28 @@ class _Kind(NamedTuple):
     arrays: tuple
 
 
-# The one table of classifier kinds.  Its functions look their targets up
-# at call time, so rebinding a module-level name (as tracing does) also
-# reaches the calls made through the table.
-_KINDS = (
+# The one table of classifier kinds, keyed by name.  Its functions look
+# their targets up at call time, so rebinding a module-level name (as
+# tracing does) also reaches the calls made through the table.
+_KINDS = {kind.name: kind for kind in (
     _Kind("elm", ElmModel, ElmConfig,
+          lambda dataset, config: train_elm(dataset, config),
           lambda model, features: predict(model, features),
           lambda model, features: predict_scores(model, features),
           (("weights", "hidden", "features"), ("biases", "hidden", None),
            ("output_weights", "hidden", "classes"))),
     _Kind("mlp", MlpModel, MlpConfig,
+          lambda dataset, config: train_mlp(dataset, config),
           lambda model, features: mlp_predict(model, features),
           lambda model, features: mlp_predict_scores(model, features),
           (("w_hidden", "hidden", "features"), ("b_hidden", "hidden", None),
            ("w_out", "classes", "hidden"), ("b_out", "classes", None))),
-)
+)}
 
 
 def _kind(obj) -> _Kind:
     """Table entry for a model or a config of either classifier kind."""
-    for kind in _KINDS:
+    for kind in _KINDS.values():
         if isinstance(obj, (kind.model, kind.config)):
             return kind
     raise TypeError(f"unknown classifier type {type(obj).__name__}")
@@ -401,6 +404,9 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
     grid = [int(h) for h in hidden_grid]
     if not grid or any(h < 1 for h in grid):
         raise ValueError("hidden_grid must be a nonempty list of positive widths")
+    repeated = [h for h in grid if grid.count(h) > 1]
+    if repeated:
+        raise ValueError(f"hidden_grid repeats width {repeated[0]}")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     seeds = [base_seed + k for k in range(n_seeds)]
@@ -408,7 +414,7 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
     # imported here: concurrent.futures loads logging, which every other command would pay for
     from concurrent.futures import ThreadPoolExecutor
 
-    jobs = sorted({(h, seed) for h in grid for seed in seeds}, key=lambda job: (-job[0], job[1]))
+    jobs = sorted([(h, seed) for h in grid for seed in seeds], key=lambda job: (-job[0], job[1]))
     with _one_blas_thread(), ThreadPoolExecutor(min(_cores(), len(jobs))) as pool:
         fits = pool.map(lambda job: _fit_accuracy(train, test, config, *job), jobs)
         accuracy = dict(zip(jobs, fits))

@@ -15,18 +15,10 @@ bit-identical and keeps the downstream least-squares solution unique in
 a testable way.
 
 :func:`min_norm_lstsq`, the solve behind training, never builds the
-pseudoinverse.  With numpy's bundled OpenBLAS, called through ctypes, a
-tall matrix is factorised by Householder QR and solved by
-back-substitution when ``||A||_F * ||R^-1||_F``, a bound on its condition
-number, is at most ``0.01 / rank_tol``: then the cutoff would remove no
-singular value even with a 100-fold margin.  Anything else goes to
-``np.linalg.lstsq``, LAPACK's SVD-based least-squares routine (gelsd): a
-tall matrix that fails the bound through its R factor, a wide one
-directly, and every input where there is no bundled OpenBLAS.
-:func:`svd` and :func:`pseudoinverse` are the reference all routes are
-checked against.  :func:`_one_blas_thread` confines the BLAS and LAPACK
-calls in its block to one OpenBLAS thread; training runs its hidden-layer
-product and solve inside it.
+pseudoinverse; its docstring describes its QR and SVD routes.
+:func:`_one_blas_thread` confines the BLAS and LAPACK calls in its block
+to one OpenBLAS thread; training runs its hidden-layer product and solve
+inside it.
 """
 
 from __future__ import annotations
@@ -172,9 +164,8 @@ _SIGNATURES = {
     # DTRTRS(UPLO, TRANS, DIAG, N, NRHS, A, LDA, B, LDB, INFO)
     "dtrtrs": ([_char, _char, _char, _int_p, _int_p, _double_p, _int_p, _double_p, _int_p,
                 _int_p, _len, _len, _len], None),
-    # DNRM2(N, X, INCX): the scaled 2-norm, safe from overflow and underflow
-    "dnrm2": ([_int_p, _double_p, _int_p], ctypes.c_double),
-    # DLANTR(NORM, UPLO, DIAG, M, N, A, LDA, WORK)
+    # DLANTR(NORM, UPLO, DIAG, M, N, A, LDA, WORK): its Frobenius norm is
+    # a scaled sum (dlassq), safe from overflow and underflow
     "dlantr": ([_char, _char, _char, _int_p, _int_p, _double_p, _int_p, _double_p,
                 _len, _len, _len], ctypes.c_double),
 }
@@ -299,21 +290,19 @@ def _qr_solve(blas: _OpenBlas, a: np.ndarray, y: np.ndarray, rank_tol: float,
               overwrite_a: bool) -> np.ndarray:
     """Least squares for a tall *a* by Householder QR and back-substitution.
 
-    A = QR is factorised in place (dgeqrf) and Q^T is applied to y
-    (dormqr).  R^-1 (dtrtri) gives cond_2(A) <= ||A||_F * ||R^-1||_F;
-    where that bound is at most ``_QR_MARGIN / rank_tol``, no singular
-    value is cut and R x = (Q^T y)[:n] is solved by back-substitution
-    (dtrtrs).  Otherwise :func:`_lstsq` solves that triangular system,
-    which has the singular values and the minimum-norm solution of the
-    full one.  *a* is factorised in place only when *overwrite_a* is set
-    and it is a writable Fortran-ordered array; anything else is copied.
+    dgeqrf factorises A = QR in place, dormqr applies Q^T to y, dlacpy
+    and dtrtri form R^-1, and dlantr takes ||R||_F (= ||A||_F) and
+    ||R^-1||_F.  Within the bound (see :func:`min_norm_lstsq`) dtrtrs
+    solves R x = (Q^T y)[:n]; otherwise :func:`_lstsq` solves that
+    triangular system.  *a* is factorised in place only when
+    *overwrite_a* is set and it is a writable Fortran-ordered array;
+    anything else is copied.
     """
     m, n = a.shape
     nrhs = y.shape[1]
     if not (overwrite_a and a.flags.f_contiguous and a.flags.writeable):
         a = np.array(a, order="F")
     b = np.array(y, order="F")
-    norm_a = blas.dnrm2(_int(m * n), _ptr(a), _int(1))
     tau, info = np.empty(n), ctypes.c_int64()
 
     def with_workspace(routine, call):
@@ -341,9 +330,10 @@ def _qr_solve(blas: _OpenBlas, a: np.ndarray, y: np.ndarray, rank_tol: float,
     blas.dtrtri(b"U", b"N", _int(n), _ptr(inv), _int(ld_inv), ctypes.byref(info), 1, 1)
     _check_arguments("dtrtri", info, (m, n))
     if info.value == 0:  # info > 0 marks an exact zero on R's diagonal
-        # the Frobenius norm does not reference dlantr's WORK argument
-        norm_inv = blas.dlantr(b"F", b"U", b"N", _int(n), _int(n), _ptr(inv), _int(ld_inv),
-                               _ptr(tau), 1, 1, 1)
+        # ||A||_F = ||R||_F as Q is orthogonal; the Frobenius norm does not
+        # reference dlantr's WORK argument
+        norm_a, norm_inv = (blas.dlantr(b"F", b"U", b"N", _int(n), _int(n), _ptr(x), _int(ld),
+                                        _ptr(tau), 1, 1, 1) for x, ld in ((a, m), (inv, ld_inv)))
         # NaN or infinity in either norm fails the test
         if rank_tol * norm_a * norm_inv <= _QR_MARGIN:
             blas.dtrtrs(b"U", b"N", b"N", _int(n), _int(nrhs), _ptr(a), _int(m), _ptr(b), _int(m),

@@ -98,7 +98,7 @@ def load_model(path):
     reader = _Reader(path, ModelFormatError)
     tag = reader.next_line().strip()
     name, _, version = tag.partition("-model ")
-    kind = next((k for k in _KINDS if k.name == name), None)
+    kind = _KINDS.get(name)
     if kind is None or version not in ("v1", "v2"):
         reader.fail(f"unknown model tag '{tag}'")
     try:

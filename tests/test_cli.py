@@ -464,6 +464,20 @@ class TestBenchmarkCommand:
         assert load_model(out / "elm.model").config.hidden_nodes == 33
         assert load_model(out / "mlp.model").config.hidden_nodes == 26
 
+    def test_every_config_field_comes_from_a_flag(self, tmp_path, rng):
+        """Flags away from every default reach every field of both configs."""
+        data = tmp_path / "scene.csv"
+        write_blobs_csv(data, rng, n_per_class=30)
+        out = tmp_path / "run"
+        assert main(["benchmark", "--data", str(data), "--train-fraction", "0.5",
+                     "--hidden", "7", "--mlp-hidden", "5", "--activation", "tanh",
+                     "--rank-tol", "1e-8", "--seed", "3", "--learning-rate", "0.5",
+                     "--momentum", "0.5", "--iterations", "9", "--out", str(out)]) == 0
+        for kind, config_type in (("elm", ElmConfig), ("mlp", MlpConfig)):
+            config = load_model(out / f"{kind}.model").config
+            for field in fields(config_type):
+                assert getattr(config, field.name) != field.default, (kind, field.name)
+
     def test_report_embeds_configs(self, tmp_path, rng):
         data = tmp_path / "scene.csv"
         write_blobs_csv(data, rng, n_per_class=30)

@@ -214,21 +214,16 @@ class TestSweep:
         winners = [h for h, acc in medians.items() if acc == result.best_accuracy]
         assert result.best_h == min(winners)
 
-    def test_tie_breaks_toward_smaller_width(self):
-        """A constructed tie in medians resolves to the smaller width."""
-        from elmkit.evaluate import SweepEntry, SweepResult
-        entries = (
-            SweepEntry(10, 0.9, 0.88, 0.92, (0.88, 0.9, 0.92)),
-            SweepEntry(5, 0.9, 0.9, 0.9, (0.9, 0.9, 0.9)),
-            SweepEntry(20, 0.8, 0.8, 0.8, (0.8, 0.8, 0.8)),
-        )
-        best = min(entries, key=lambda e: (-e.median_accuracy, e.hidden_nodes))
-        assert best.hidden_nodes == 5
-        result = SweepResult(entries=entries, best_h=best.hidden_nodes,
-                             best_accuracy=best.median_accuracy, config="c",
-                             train_fingerprint="t", test_fingerprint="u",
-                             n_seeds=3, base_seed=0)
-        assert result.best_h == 5
+    def test_tie_breaks_toward_smaller_width(self, rng, monkeypatch):
+        """Two widths tie on the median; the smaller, listed second, wins."""
+        ds = blobs(rng, n_per_class=20)
+        train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))
+        accuracy = {10: (0.8, 0.9, 1.0), 5: (0.9, 0.9, 0.9), 20: (0.8, 0.8, 0.8)}
+        monkeypatch.setattr(evaluate_module, "_fit_accuracy",
+                            lambda train, test, config, hidden, seed: accuracy[hidden][seed])
+        result = sweep_hidden_nodes(train, test, hidden_grid=(10, 5, 20), n_seeds=3)
+        assert [e.median_accuracy for e in result.entries] == [0.9, 0.9, 0.8]
+        assert (result.best_h, result.best_accuracy) == (5, 0.9)
 
     def test_deterministic_and_thread_pool_equivalent(self, rng):
         ds = blobs(rng, n_per_class=40)
@@ -349,6 +344,8 @@ class TestSweep:
         train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))
         with pytest.raises(ValueError, match="hidden_grid"):
             sweep_hidden_nodes(train, test, hidden_grid=())
+        with pytest.raises(ValueError, match="hidden_grid repeats width 25"):
+            sweep_hidden_nodes(train, test, hidden_grid=(50, 25, 10, 25))
         with pytest.raises(ValueError, match="n_seeds"):
             sweep_hidden_nodes(train, test, hidden_grid=(5,), n_seeds=0)
 
