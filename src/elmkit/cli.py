@@ -159,10 +159,6 @@ def _save_predictions(path, model, features, labels, feature_names=None):
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     features, feature_names = load_feature_csv(args.data)
-    if features.shape[1] != model.n_features:
-        raise ValueError(
-            f"model expects {model.n_features} features, input has {features.shape[1]}"
-        )
     labels = model_predict(model, features)
     _save_predictions(args.out, model, features, labels, feature_names)
     print(f"wrote {len(labels)} predictions to {args.out}")

@@ -62,6 +62,41 @@ def _class_names(names) -> tuple[str, ...]:
     return names
 
 
+class _Model:
+    """The checks and sizes shared by the trained models of both kinds.
+
+    ``_ARRAYS`` lists a model's arrays in file order as (field, row
+    dimension, column dimension or None): ``hidden`` is
+    ``config.hidden_nodes``, ``features`` the width of ``scaling`` and
+    ``classes`` the number of class names.  Each array is frozen and must
+    be finite and of its shape, so that the model's file reads it back.
+    """
+
+    @classmethod
+    def _shapes(cls, config, features: int, classes: int):
+        """(field, shape) of each array in ``_ARRAYS``."""
+        sizes = {"hidden": config.hidden_nodes, "features": features, "classes": classes}
+        return [(name, tuple(sizes[d] for d in dims if d)) for name, *dims in cls._ARRAYS]
+
+    def __post_init__(self):
+        object.__setattr__(self, "class_names", _class_names(self.class_names))
+        for name, shape in self._shapes(self.config, self.n_features, self.n_classes):
+            array = _frozen_array(getattr(self, name))
+            if array.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, array)
+
+    @property
+    def n_features(self) -> int:
+        return self.scaling.feature_min.size
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.class_names)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix with integer class labels and class names.
@@ -443,8 +478,8 @@ class ScalingParams:
         hi = _frozen_array(self.feature_max)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("feature_min and feature_max must be matching 1-D vectors")
-        if (hi < lo).any():
-            raise ValueError("feature_max must be >= feature_min")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
+            raise ValueError("feature bounds must be finite, with feature_max >= feature_min")
         object.__setattr__(self, "feature_min", lo)
         object.__setattr__(self, "feature_max", hi)
 
@@ -455,8 +490,11 @@ def fit_scaling(train: LabeledDataset) -> ScalingParams:
 
 
 def scale_features(features: np.ndarray, params: ScalingParams) -> np.ndarray:
-    """Apply the fitted affine map to a raw feature matrix."""
+    """Apply the fitted affine map to a raw (samples, features) matrix."""
     features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != params.feature_min.size:
+        raise ValueError(f"expected {params.feature_min.size} features per sample, "
+                         f"got input of shape {features.shape}")
     span = params.feature_max - params.feature_min
     safe = np.where(span > 0.0, span, 1.0)
     scaled = -1.0 + 2.0 * (features - params.feature_min) / safe

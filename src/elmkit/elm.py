@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (LabeledDataset, ScalingParams, _check_seed, _class_names, _frozen_array,
-                   fit_scaling, scale_features)
+from .data import LabeledDataset, ScalingParams, _check_seed, _Model, fit_scaling, scale_features
 from .linalg import _check_rank_tol, _one_blas_thread, min_norm_lstsq
 
 
@@ -77,11 +76,10 @@ class ElmConfig:
 
 
 @dataclass(frozen=True)
-class ElmModel:
+class ElmModel(_Model):
     """Trained classifier: frozen hidden layer plus solved output weights.
 
-    ``weights`` is (hidden_nodes, n_features), ``biases`` is
-    (hidden_nodes,), ``output_weights`` is (hidden_nodes, n_classes).
+    Its arrays are listed in ``_ARRAYS`` (see :class:`elmkit.data._Model`);
     ``scaling`` is the feature map fitted on the training split.
     ``train_time_s`` is informational and is not serialized.
     """
@@ -94,26 +92,8 @@ class ElmModel:
     scaling: ScalingParams
     train_time_s: float = field(default=0.0, compare=False)
 
-    def __post_init__(self):
-        for name in ("weights", "biases", "output_weights"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-        h, p = self.weights.shape
-        if self.biases.shape != (h,):
-            raise ValueError(f"biases shape {self.biases.shape} does not match {h} hidden nodes")
-        if self.output_weights.shape != (h, len(self.class_names)):
-            raise ValueError(
-                f"output_weights shape {self.output_weights.shape} does not match "
-                f"({h}, {len(self.class_names)})"
-            )
-        object.__setattr__(self, "class_names", _class_names(self.class_names))
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
+    _ARRAYS = (("weights", "hidden", "features"), ("biases", "hidden", None),
+               ("output_weights", "hidden", "classes"))
 
 
 def init_random_layer(n_features: int, config: ElmConfig) -> tuple[np.ndarray, np.ndarray]:

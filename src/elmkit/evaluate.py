@@ -35,9 +35,6 @@ class _Kind(NamedTuple):
     train: Callable     # (dataset, config) -> model
     predict: Callable   # (model, features) -> label indices
     scores: Callable    # (model, features) -> (samples, classes) scores
-    # Model-file array layout: (field, row dimension, column dimension or
-    # None for a one-line vector), dimensions named hidden/features/classes.
-    arrays: tuple
 
 
 # The one table of classifier kinds, keyed by name.  Its functions look
@@ -47,15 +44,11 @@ _KINDS = {kind.name: kind for kind in (
     _Kind("elm", ElmModel, ElmConfig,
           lambda dataset, config: train_elm(dataset, config),
           lambda model, features: predict(model, features),
-          lambda model, features: predict_scores(model, features),
-          (("weights", "hidden", "features"), ("biases", "hidden", None),
-           ("output_weights", "hidden", "classes"))),
+          lambda model, features: predict_scores(model, features)),
     _Kind("mlp", MlpModel, MlpConfig,
           lambda dataset, config: train_mlp(dataset, config),
           lambda model, features: mlp_predict(model, features),
-          lambda model, features: mlp_predict_scores(model, features),
-          (("w_hidden", "hidden", "features"), ("b_hidden", "hidden", None),
-           ("w_out", "classes", "hidden"), ("b_out", "classes", None))),
+          lambda model, features: mlp_predict_scores(model, features)),
 )}
 
 
@@ -70,12 +63,12 @@ def _kind(obj) -> _Kind:
 def _config_fields(config) -> list[tuple[str, str]]:
     """Each config field as (name, text), in declaration order.
 
-    Floats render with ``repr`` so they round-trip exactly.
+    Floats, numpy's too, render as a Python float's ``repr`` so they round-trip exactly.
     """
     out = []
     for f in fields(config):
         value = getattr(config, f.name)
-        out.append((f.name, repr(value) if isinstance(value, float) else str(value)))
+        out.append((f.name, repr(float(value)) if isinstance(value, float) else str(value)))
     return out
 
 
@@ -225,14 +218,22 @@ def model_predict(model, features: np.ndarray) -> np.ndarray:
     return _kind(model).predict(model, features)
 
 
+def _same_classes(first, second) -> None:
+    """Raise unless *first* and *second* list the same class names in the same order."""
+    if first.class_names != second.class_names:
+        raise ValueError(f"class lists differ: {first.class_names} vs {second.class_names}")
+
+
 def training_cost(model, train: LabeledDataset) -> float:
     """Sum of squared errors between either kind's scores on *train* and its one-hot targets."""
+    _same_classes(model, train)
     scores = _kind(model).scores(model, train.features)
     return float(np.sum((scores - encode_targets(train.labels, train.n_classes)) ** 2))
 
 
 def evaluate(model, train: LabeledDataset, test: LabeledDataset) -> EvalReport:
-    """Score a trained model on a held-out split and build its report."""
+    """Score a trained model on a held-out split in its class order and build its report."""
+    _same_classes(model, test)
     started = time.perf_counter()
     predicted = model_predict(model, test.features)
     predict_time = time.perf_counter() - started
@@ -385,7 +386,7 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
 
     Each width trains ``n_seeds`` models with seeds ``base_seed + k``
     and reports median, min, and max accuracy; ``best_h`` breaks median
-    ties toward the smaller width.
+    ties toward the smaller width; *test* must have *train*'s class order.
 
     The fits are independent and run on min(cores, fits) pool threads,
     largest widths first, each on one BLAS thread, while the caller's
@@ -409,6 +410,7 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
         raise ValueError(f"hidden_grid repeats width {repeated[0]}")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    _same_classes(train, test)
     seeds = [base_seed + k for k in range(n_seeds)]
 
     # imported here: concurrent.futures loads logging, which every other command would pay for

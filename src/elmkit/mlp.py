@@ -48,8 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (LabeledDataset, ScalingParams, _check_seed, _class_names, _frozen_array,
-                   fit_scaling, scale_features)
+from .data import LabeledDataset, ScalingParams, _check_seed, _Model, fit_scaling, scale_features
 from .elm import _sigmoid, decode_scores, encode_targets
 
 
@@ -94,41 +93,31 @@ class MlpConfig:
 
 
 @dataclass(frozen=True)
-class MlpModel:
+class MlpModel(_Model):
     """Trained two-layer network plus the feature scaling fitted with it.
 
+    Its arrays are listed in ``_ARRAYS`` (see :class:`elmkit.data._Model`).
     ``loss_history`` holds the cost before training and after every
     iteration (length iterations + 1); it is informational and is not
     serialized, as is ``train_time_s``.
     """
 
-    w_hidden: np.ndarray   # (hidden, features)
-    b_hidden: np.ndarray   # (hidden,)
-    w_out: np.ndarray      # (classes, hidden)
-    b_out: np.ndarray      # (classes,)
+    w_hidden: np.ndarray
+    b_hidden: np.ndarray
+    w_out: np.ndarray
+    b_out: np.ndarray
     config: MlpConfig
     class_names: tuple[str, ...]
     scaling: ScalingParams
     loss_history: tuple[float, ...] = field(default=(), compare=False)
     train_time_s: float = field(default=0.0, compare=False)
 
+    _ARRAYS = (("w_hidden", "hidden", "features"), ("b_hidden", "hidden", None),
+               ("w_out", "classes", "hidden"), ("b_out", "classes", None))
+
     def __post_init__(self):
-        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-        h, p = self.w_hidden.shape
-        m = len(self.class_names)
-        if self.b_hidden.shape != (h,) or self.w_out.shape != (m, h) or self.b_out.shape != (m,):
-            raise ValueError("layer shapes are inconsistent")
-        object.__setattr__(self, "class_names", _class_names(self.class_names))
+        super().__post_init__()
         object.__setattr__(self, "loss_history", tuple(float(v) for v in self.loss_history))
-
-    @property
-    def n_features(self) -> int:
-        return self.w_hidden.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
 
 
 def init_mlp_params(n_features: int, n_classes: int,

@@ -51,13 +51,12 @@ def save_model(model, path) -> None:
     lines += [f"class: {name}" for name in model.class_names]
     lines.append("scaling_min: " + _fmt_vector(model.scaling.feature_min))
     lines.append("scaling_max: " + _fmt_vector(model.scaling.feature_max))
-    for name, _, cols in kind.arrays:
+    for name, _, cols in kind.model._ARRAYS:
         array = getattr(model, name)
         if cols is None:
             lines.append(f"{name}: " + _fmt_vector(array))
         else:
-            lines.append(f"{name}:")
-            lines += [_fmt_vector(row) for row in array]
+            lines += [f"{name}:", *map(_fmt_vector, array)]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -83,13 +82,8 @@ def _read_model(reader: _Reader, kind, version: str):
         reader.fail("fewer than two 'class:' lines")
     scaling = ScalingParams(reader.read_vector("scaling_min", features),
                             reader.read_vector("scaling_max", features))
-    dims = {"hidden": config.hidden_nodes, "features": features, "classes": len(names)}
-    arrays = {}
-    for name, rows, cols in kind.arrays:
-        if cols is None:
-            arrays[name] = reader.read_vector(name, dims[rows])
-        else:
-            arrays[name] = reader.read_matrix(name, dims[rows], dims[cols])
+    arrays = {name: (reader.read_vector if len(shape) == 1 else reader.read_matrix)(name, *shape)
+              for name, shape in kind.model._shapes(config, features, len(names))}
     return kind.model(**arrays, config=config, class_names=tuple(names), scaling=scaling)
 
 

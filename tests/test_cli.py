@@ -277,16 +277,20 @@ class TestTrainPredict:
         assert load_model(elm_path).config.hidden_nodes == 300
         assert load_model(mlp_path).config.hidden_nodes == 26
 
-    def test_feature_width_mismatch_exits_4(self, tmp_path, rng):
+    def test_feature_width_mismatch_exits_4(self, tmp_path, rng, capsys):
         data = tmp_path / "train.csv"
         write_blobs_csv(data, rng)
         model_path = tmp_path / "elm.model"
         main(["train", "--data", str(data), "--hidden", "10", "--out", str(model_path)])
+        capsys.readouterr()
         wide = tmp_path / "wide.csv"
         wide.write_text("f1,f2,f3\n1.0,2.0,3.0\n")
         code = main(["predict", "--model", str(model_path), "--data", str(wide),
                      "--out", str(tmp_path / "p.csv")])
         assert code == 4
+        assert capsys.readouterr().err == (
+            "elmkit predict: expected 2 features per sample, got input of shape (1, 3)\n")
+        assert not (tmp_path / "p.csv").exists()
 
     def test_corrupt_model_exits_3(self, tmp_path, rng):
         data = tmp_path / "train.csv"

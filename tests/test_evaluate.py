@@ -1,6 +1,7 @@
 """Tests for evaluation, benchmarking, and the width sweep."""
 
 import importlib
+import re
 import sys
 import threading
 import time
@@ -11,7 +12,7 @@ import pytest
 
 from elmkit import linalg
 from elmkit.data import LabeledDataset, SplitSpec, stratified_split
-from elmkit.elm import ElmConfig, predict_scores, train_elm
+from elmkit.elm import ElmConfig, predict, predict_scores, train_elm
 from elmkit.linalg import SvdConvergenceError
 from elmkit.evaluate import (
     BenchmarkResult,
@@ -24,7 +25,7 @@ from elmkit.evaluate import (
     sweep_hidden_nodes,
     training_cost,
 )
-from elmkit.mlp import MlpConfig, mlp_predict_scores, train_mlp
+from elmkit.mlp import MlpConfig, mlp_predict, mlp_predict_scores, train_mlp
 
 
 def blobs(rng, n_per_class=50, spread=0.7):
@@ -192,6 +193,43 @@ class TestBenchmark:
         assert "time_speedup=" in record
         text = result.render_text()
         assert "speedup" in text
+
+
+class TestClassOrder:
+    """A label index names a class only through the class names, so every
+    score over a model and splits needs one list of names in one order."""
+
+    CALLS = {
+        "evaluate": lambda model, train, other: evaluate(model, train, other),
+        "training_cost": lambda model, train, other: training_cost(model, other),
+        "sweep_hidden_nodes": lambda model, train, other: sweep_hidden_nodes(
+            train, other, hidden_grid=(5,), n_seeds=1),
+        "benchmark": lambda model, train, other: benchmark(
+            train, other, ElmConfig(hidden_nodes=5), MlpConfig(hidden_nodes=2, iterations=2)),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("names", [("c", "b", "a"), ("b", "a", "c"), ("a", "b", "x")])
+    def test_other_class_list_rejected(self, rng, call, names):
+        train, test = stratified_split(blobs(rng), SplitSpec(train_fraction=0.6, seed=0))
+        model = train_elm(train, ElmConfig(hidden_nodes=10, seed=1))
+        other = LabeledDataset(test.features, test.labels, names)
+        message = re.escape(f"{('a', 'b', 'c')} vs {names}")
+        with pytest.raises(ValueError, match=message):
+            self.CALLS[call](model, train, other)
+
+
+class TestFeatureWidth:
+    @pytest.mark.parametrize("fit, label", [
+        (lambda ds: train_elm(ds, ElmConfig(hidden_nodes=5)), predict),
+        (lambda ds: train_mlp(ds, MlpConfig(hidden_nodes=3, iterations=2)), mlp_predict),
+    ], ids=["elm", "mlp"])
+    def test_predict_names_the_expected_width(self, rng, fit, label):
+        features = rng.standard_normal((40, 6))
+        model = fit(LabeledDataset(features, np.arange(40) % 2, ("a", "b")))
+        with pytest.raises(ValueError, match=r"^expected 6 features per sample, "
+                                             r"got input of shape \(40, 5\)$"):
+            label(model, features[:, :5])
 
 
 class TestSweep:

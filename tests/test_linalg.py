@@ -8,6 +8,7 @@ full-column-rank pseudoinverses.
 
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +377,17 @@ def blas():
     if found is None:
         pytest.skip("numpy does not use its bundled OpenBLAS")
     return found
+
+
+def test_bundled_openblas_is_found():
+    """A wheel that ships OpenBLAS must yield its routines, or every test
+    taking ``blas`` skips and every fit quietly goes to np.linalg.lstsq."""
+    package = Path(np.__file__).parent
+    bundled = sorted([*package.with_name(package.name + ".libs").glob("*openblas*"),
+                      *(package / ".dylibs").glob("*openblas*")])
+    if not bundled:
+        pytest.skip("this numpy ships no OpenBLAS library")
+    assert linalg._openblas() is not None, f"no symbol set of linalg matches {bundled}"
 
 
 class TestDirectGelsd:

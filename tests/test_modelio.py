@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from elmkit.data import LabeledDataset, ScalingParams
-from elmkit.elm import ElmConfig, ElmModel, predict, train_elm
+from elmkit.elm import ACTIVATIONS, ElmConfig, ElmModel, predict, train_elm
 from elmkit.mlp import MlpConfig, MlpModel, mlp_predict, train_mlp
 from elmkit.modelio import ModelFormatError, load_model, save_model
 
@@ -269,6 +269,136 @@ class TestClassNames:
         names = ("north field", "c,3", "a\tb")
         save_model(self.build(kind, names), tmp_path / "m.model")
         assert load_model(tmp_path / "m.model").class_names == names
+
+
+# Each kind's model type, config type and array layout, (field, dimension
+# names), written out here independently of the code under test.
+KINDS = {
+    "elm": (ElmModel, ElmConfig, (("weights", "hidden", "features"), ("biases", "hidden"),
+                                  ("output_weights", "hidden", "classes"))),
+    "mlp": (MlpModel, MlpConfig, (("w_hidden", "hidden", "features"), ("b_hidden", "hidden"),
+                                  ("w_out", "classes", "hidden"), ("b_out", "classes"))),
+}
+
+EDGE_FLOATS = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                        0.1, 1.0 / 3.0])
+
+
+def random_floats(rng, shape):
+    """Finite float64s across the exponent range, with some edge values mixed in."""
+    out = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    pick = rng.random(shape) < 0.2
+    out[pick] = rng.choice(EDGE_FLOATS, size=int(pick.sum()))
+    return out
+
+
+def random_config(rng, config_type, hidden):
+    """A valid config with *hidden* nodes; its floats are numpy or Python floats."""
+    number = np.float64 if rng.random() < 0.5 else float
+    seed = int(rng.integers(1000))
+    if config_type is ElmConfig:
+        return ElmConfig(hidden_nodes=hidden, activation=str(rng.choice(list(ACTIVATIONS))),
+                         seed=seed, rank_tol=number(rng.random() * 10.0 ** -rng.integers(15)))
+    return MlpConfig(hidden_nodes=hidden, learning_rate=number(rng.uniform(0.01, 2.0)),
+                     momentum=number(rng.random()), iterations=int(rng.integers(1, 5000)),
+                     seed=seed)
+
+
+def model_values(kind, rng, hidden=2, features=3, classes=4):
+    """Constructor arguments of a valid model of *kind* with the given sizes."""
+    _, config_type, layout = KINDS[kind]
+    sizes = {"hidden": hidden, "features": features, "classes": classes}
+    values = {name: random_floats(rng, tuple(sizes[d] for d in dims)) for name, *dims in layout}
+    lo = random_floats(rng, (features,))
+    values.update(config=random_config(rng, config_type, hidden),
+                  class_names=tuple(f"c,{i} x" for i in range(classes)),
+                  scaling=ScalingParams(lo, np.maximum(lo, random_floats(rng, (features,)))))
+    return values
+
+
+def with_entry(array, value):
+    array = np.array(array)
+    array.flat[-1] = value
+    return array
+
+
+def rejected_cases():
+    for kind, (_, config_type, layout) in KINDS.items():
+        first, out = layout[0][0], layout[2][0]
+        out_shape = r"\(2, 3\), got \(2, 4\)" if kind == "elm" else r"\(3, 2\), got \(4, 2\)"
+        yield pytest.param(kind, lambda c=config_type: {"config": c(hidden_nodes=3)},
+                           rf"^{first} must have shape \(3, 3\), got \(2, 3\)",
+                           id=f"{kind}-config-width-is-not-weight-rows")
+        yield pytest.param(kind, lambda: {"scaling": ScalingParams(np.zeros(2), np.ones(2))},
+                           rf"^{first} must have shape \(2, 2\), got \(2, 3\)",
+                           id=f"{kind}-scaling-width-is-not-features")
+        yield pytest.param(kind, lambda: {"class_names": ("a", "b", "c")},
+                           rf"^{out} must have shape {out_shape}",
+                           id=f"{kind}-output-width-is-not-class-count")
+        for name, *_ in layout:
+            for value in (np.nan, np.inf, -np.inf):
+                yield pytest.param(kind, lambda name=name, value=value: {name: value},
+                                   f"^{name} must be finite", id=f"{kind}-{value}-in-{name}")
+        for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 0.0)):
+            yield pytest.param(kind, lambda lo=lo, hi=hi: {"scaling": ScalingParams(
+                                   np.array([0.0, 0.0, lo]), np.array([1.0, 1.0, hi]))},
+                               "^feature bounds must be finite", id=f"{kind}-scaling-{lo}-{hi}")
+
+
+def assert_same_model(back, model, layout):
+    assert type(back) is type(model)
+    assert back.config == model.config
+    assert back.class_names == model.class_names
+    for bound in ("feature_min", "feature_max"):
+        assert getattr(back.scaling, bound).tobytes() == getattr(model.scaling, bound).tobytes()
+    for name, *_ in layout:
+        assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
+
+
+class TestModelChecks:
+    """A model constructor accepts exactly the models that its file gives back."""
+
+    @pytest.mark.parametrize("kind, changes, message", rejected_cases())
+    def test_model_its_file_cannot_give_back_rejected(self, kind, changes, message):
+        model_type = KINDS[kind][0]
+        with pytest.raises(ValueError, match=message):
+            values = model_values(kind, np.random.default_rng(0))
+            for name, change in changes().items():
+                values[name] = with_entry(values[name], change) if np.isscalar(change) else change
+            model_type(**values)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_accepted_model_round_trips(self, tmp_path, kind):
+        """Seeded models, most valid, some one size off or holding a non-finite
+        number: each is rejected or comes back from its file equal."""
+        model_type, config_type, layout = KINDS[kind]
+        rng = np.random.default_rng(5)
+        path = tmp_path / "m.model"
+        outcomes = {"accepted": 0, "rejected": 0}
+        for _ in range(150):
+            hidden, features, classes = (int(n) for n in rng.integers(1, 5, size=3) + (0, 0, 1))
+            values = model_values(kind, rng, hidden, features, classes)
+            fault = rng.integers(10)  # 0 to 4 break the model
+            try:
+                if fault == 0:
+                    values["config"] = random_config(rng, config_type, hidden + 1)
+                elif fault == 1:
+                    values["scaling"] = ScalingParams(np.zeros(features + 1), np.ones(features + 1))
+                elif fault == 2:
+                    values["class_names"] += ("extra",)
+                elif fault == 3:
+                    name = layout[rng.integers(len(layout))][0]
+                    values[name] = with_entry(values[name], rng.choice([np.nan, np.inf]))
+                elif fault == 4:
+                    values["scaling"] = ScalingParams(np.full(features, np.nan), np.ones(features))
+                model = model_type(**values)
+            except ValueError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["accepted"] += 1
+            save_model(model, path)
+            assert_same_model(load_model(path), model, layout)
+        assert outcomes["accepted"] > 50 and outcomes["rejected"] > 50, outcomes
 
 
 class TestGoldenFormat:
