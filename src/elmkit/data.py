@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import io
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -36,10 +38,14 @@ class ConfigFormatError(ValueError):
     """A generator config file does not follow the documented key-value layout."""
 
 
-def _check_seed(seed: int) -> None:
-    # numpy's generators would reject it too, with a message naming no field
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+def _check_int(name: str, value, minimum: int = 0) -> None:
+    # operator.index rejects 2.0, which a file would hold as "2.0" and not read back
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be {f'>= {minimum}' if minimum else 'non-negative'}, got {value}")
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -72,6 +78,8 @@ class _Model:
     be finite and of its shape, so that the model's file reads it back.
     """
 
+    _type_hints = staticmethod(functools.cache(get_type_hints))  # one lookup per model class
+
     @classmethod
     def _shapes(cls, config, features: int, classes: int):
         """(field, shape) of each array in ``_ARRAYS``."""
@@ -79,6 +87,8 @@ class _Model:
         return [(name, tuple(sizes[d] for d in dims if d)) for name, *dims in cls._ARRAYS]
 
     def __post_init__(self):
+        if not isinstance(self.config, config_type := self._type_hints(type(self))["config"]):
+            raise ValueError(f"config must be {config_type.__name__}, got {type(self.config).__name__}")
         object.__setattr__(self, "class_names", _class_names(self.class_names))
         for name, shape in self._shapes(self.config, self.n_features, self.n_classes):
             array = _frozen_array(getattr(self, name))
@@ -401,7 +411,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        _check_int("seed", self.seed)
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError(
                 f"train_fraction must be in (0, 1) so the test set is nonempty, "
@@ -533,7 +543,7 @@ class SyntheticConfig:
             raise ValueError(f"covariances must have shape ({m}, {p}, {p}), got {covs.shape}")
         if len(counts) != m or any(c < 1 for c in counts):
             raise ValueError("one positive sample count per class is required")
-        _check_seed(self.seed)
+        _check_int("seed", self.seed)
         for cls in range(m):
             cov = covs[cls]
             if not np.allclose(cov, cov.T, atol=1e-12):

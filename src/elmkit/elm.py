@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, ScalingParams, _check_seed, _Model, fit_scaling, scale_features
+from .data import LabeledDataset, ScalingParams, _check_int, _Model, fit_scaling, scale_features
 from .linalg import _check_rank_tol, _one_blas_thread, min_norm_lstsq
 
 
@@ -65,14 +65,11 @@ class ElmConfig:
     rank_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.hidden_nodes < 1:
-            raise ValueError(f"hidden_nodes must be >= 1, got {self.hidden_nodes}")
+        _check_int("hidden_nodes", self.hidden_nodes, 1)
         if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation '{self.activation}'; choose from {sorted(ACTIVATIONS)}"
-            )
+            raise ValueError(f"unknown activation '{self.activation}'; choose from {sorted(ACTIVATIONS)}")
         _check_rank_tol(self.rank_tol)
-        _check_seed(self.seed)
+        _check_int("seed", self.seed)
 
 
 @dataclass(frozen=True)

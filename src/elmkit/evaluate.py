@@ -128,8 +128,7 @@ class ConfusionMatrix:
             return np.where(row_sums > 0, np.diag(self.counts) / row_sums, np.nan)
 
     def render_text(self) -> str:
-        width = max(len(n) for n in self.class_names)
-        width = max(width, 6)
+        width = max(6, *(len(n) for n in self.class_names))
         header = " " * (width + 2) + " ".join(f"{n[:width]:>{width}}" for n in self.class_names)
         lines = [header]
         for i, name in enumerate(self.class_names):
@@ -264,11 +263,8 @@ class BenchmarkResult:
     speedup: float
 
     def render_text(self) -> str:
-        lines = ["benchmark: direct-solve classifier vs momentum-descent baseline", ""]
-        lines.append(self.elm_report.render_text())
-        lines.append("")
-        lines.append(self.mlp_report.render_text())
-        lines.append("")
+        lines = ["benchmark: direct-solve classifier vs momentum-descent baseline", "",
+                 self.elm_report.render_text(), "", self.mlp_report.render_text(), ""]
         gap = (self.elm_report.accuracy - self.mlp_report.accuracy) * 100
         lines.append(f"accuracy gap (elm - mlp): {gap:+.4f} points")
         lines.append(f"train time speedup (mlp/elm): {self.speedup:.2f}x")

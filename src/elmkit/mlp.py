@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, ScalingParams, _check_seed, _Model, fit_scaling, scale_features
+from .data import LabeledDataset, ScalingParams, _check_int, _Model, fit_scaling, scale_features
 from .elm import _sigmoid, decode_scores, encode_targets
 
 
@@ -81,15 +81,13 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_nodes < 1:
-            raise ValueError(f"hidden_nodes must be >= 1, got {self.hidden_nodes}")
+        _check_int("hidden_nodes", self.hidden_nodes, 1)
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        _check_seed(self.seed)
+        _check_int("iterations", self.iterations, 1)
+        _check_int("seed", self.seed)
 
 
 @dataclass(frozen=True)

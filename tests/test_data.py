@@ -316,6 +316,10 @@ class TestSplitSpecValidation:
             with pytest.raises(ValueError, match="train_fraction"):
                 SplitSpec(train_fraction=bad)
 
+    def test_float_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be an integer, got 3.0$"):
+            SplitSpec(train_fraction=0.5, seed=3.0)
+
 class TestStratifiedSplit:
     def test_disjoint_and_exhaustive(self, rng):
         ds = make_unbalanced(rng, [20, 30, 25])

@@ -6,6 +6,7 @@ Gauss-Jordan elimination for inverses, and the normal equations for
 full-column-rank pseudoinverses.
 """
 
+import ctypes
 import sys
 import threading
 from pathlib import Path
@@ -387,7 +388,18 @@ def test_bundled_openblas_is_found():
                       *(package / ".dylibs").glob("*openblas*")])
     if not bundled:
         pytest.skip("this numpy ships no OpenBLAS library")
-    assert linalg._openblas() is not None, f"no symbol set of linalg matches {bundled}"
+    if linalg._openblas() is None:
+        lacking = []
+        for path in bundled:
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError as exc:
+                lacking.append(f"{path.name} does not load: {exc}")
+                continue
+            for names in linalg._OPENBLAS_SYMBOLS:
+                missing = [name for name in names if not hasattr(lib, name)]
+                lacking.append(f"{path.name} lacks {', '.join(missing)} of the set from {names[0]}")
+        pytest.fail("no symbol set of linalg matches: " + "; ".join(lacking))
 
 
 class TestDirectGelsd:
@@ -471,9 +483,28 @@ def gelsd_calls(blas, monkeypatch):
 
 class TestQrRoute:
     def test_training_sized_systems_take_the_qr_route(self, gelsd_calls):
-        for hidden, targets in _training_systems(widths=(25, 100, 300, 450)):
+        """dgeqrt works in blocks of nb = min(32, n) columns: widths 1 and 31
+        are one block of n, 33 is a block and a column, 450 the sweep's
+        widest fit, and width 3 has more targets (7) than columns, so
+        dgemqrt's workspace is sized by the targets."""
+        for hidden, targets in _training_systems(widths=(1, 3, 25, 31, 32, 33, 100, 300, 450)):
             assert_matches_pseudoinverse(hidden, targets)
         assert gelsd_calls == []
+
+    def test_fewer_than_twice_as_many_rows_as_columns(self, blas, gelsd_calls, monkeypatch):
+        """At m < 2n, R^-1 goes to its own n x n array, not below R."""
+        [(hidden, targets)] = _training_systems(widths=(300,))
+        a, y = hidden[::5], targets[::5]
+        assert a.shape == (540, 300)
+        inv_ld = []
+
+        def dlacpy(*args):
+            inv_ld.append(args[6]._obj.value)
+            blas.dlacpy(*args)
+
+        monkeypatch.setattr(linalg, "_openblas", lambda: blas._replace(dlacpy=dlacpy))
+        assert_matches_pseudoinverse(a, y)
+        assert inv_ld == [300, 300] and gelsd_calls == []
 
     def test_graded_singular_values_fall_back_and_cut_nothing(self, rng, gelsd_calls):
         """cond 1e9 exceeds the bound's 0.01 / rank_tol = 1e8 but not 1 / rank_tol."""
@@ -524,7 +555,9 @@ class TestQrRoute:
         assert gelsd_calls == [(3, 3)]
 
     def test_concurrent_solves_give_the_serial_bits(self):
-        systems = list(_training_systems(widths=(100, 300)))
+        """Each solve on one BLAS thread, as in training: the bits can depend
+        on the thread count."""
+        systems = list(_training_systems(widths=(33, 100, 300, 450)))
         with linalg._one_blas_thread():
             serial = [min_norm_lstsq(a, y).tobytes() for a, y in systems]
         results, start = {}, threading.Barrier(2)

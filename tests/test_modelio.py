@@ -1,5 +1,7 @@
 """Tests for text model serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -329,6 +331,10 @@ def rejected_cases():
         yield pytest.param(kind, lambda c=config_type: {"config": c(hidden_nodes=3)},
                            rf"^{first} must have shape \(3, 3\), got \(2, 3\)",
                            id=f"{kind}-config-width-is-not-weight-rows")
+        other = MlpConfig if config_type is ElmConfig else ElmConfig
+        yield pytest.param(kind, lambda other=other: {"config": other(hidden_nodes=2)},
+                           rf"^config must be {config_type.__name__}, got {other.__name__}$",
+                           id=f"{kind}-config-of-the-other-kind")
         yield pytest.param(kind, lambda: {"scaling": ScalingParams(np.zeros(2), np.ones(2))},
                            rf"^{first} must have shape \(2, 2\), got \(2, 3\)",
                            id=f"{kind}-scaling-width-is-not-features")
@@ -399,6 +405,33 @@ class TestModelChecks:
             save_model(model, path)
             assert_same_model(load_model(path), model, layout)
         assert outcomes["accepted"] > 50 and outcomes["rejected"] > 50, outcomes
+
+
+# The int fields of each kind's config, as (kind, field)
+INT_FIELDS = [("elm", "hidden_nodes"), ("elm", "seed"),
+              ("mlp", "hidden_nodes"), ("mlp", "iterations"), ("mlp", "seed")]
+
+
+class TestConfigIntFields:
+    """An int field holds what ``operator.index`` takes: a float such as 2.0
+    would be saved as "2.0", which the file's ``int`` parser rejects."""
+
+    @pytest.mark.parametrize("value", [2.0, np.float64(2.0), 2.5, "2"], ids=repr)
+    @pytest.mark.parametrize("kind, name", INT_FIELDS)
+    def test_non_integer_rejected_naming_the_field(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            KINDS[kind][1](**{name: value})
+
+    @pytest.mark.parametrize("int_type", [np.int32, np.int64, np.uint8])
+    @pytest.mark.parametrize("kind, name", INT_FIELDS)
+    def test_numpy_int_accepted_and_read_back(self, tmp_path, kind, name, int_type):
+        model_type, _, layout = KINDS[kind]
+        values = model_values(kind, np.random.default_rng(1))
+        # hidden_nodes must stay 2, the arrays' width
+        values["config"] = replace(values["config"], **{name: int_type(2)})
+        model = model_type(**values)
+        save_model(model, tmp_path / "m.model")
+        assert_same_model(load_model(tmp_path / "m.model"), model, layout)
 
 
 class TestGoldenFormat:
