@@ -38,14 +38,22 @@ class ConfigFormatError(ValueError):
     """A generator config file does not follow the documented key-value layout."""
 
 
-def _check_int(name: str, value, minimum: int = 0) -> None:
+def _check_not_bool(name: str, value, kind: str = "a number") -> None:
+    # Python counts a bool as a number, but a file would hold it as "True" and not read it back
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_int(name: str, value, minimum: int = 0) -> int:
     # operator.index rejects 2.0, which a file would hold as "2.0" and not read back
+    _check_not_bool(name, value, "an integer")
     try:
-        operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if value < minimum:
         raise ValueError(f"{name} must be {f'>= {minimum}' if minimum else 'non-negative'}, got {value}")
+    return value
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:

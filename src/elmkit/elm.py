@@ -25,20 +25,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, ScalingParams, _check_int, _Model, fit_scaling, scale_features
+from .data import (LabeledDataset, ScalingParams, _check_int, _check_not_bool, _Model, fit_scaling,
+                   scale_features)
 from .linalg import _check_rank_tol, _one_blas_thread, min_norm_lstsq
 
 
 def _sigmoid(x, out=None):
-    # The logistic function as 0.5 * (1 + tanh(x / 2)): tanh saturates at
-    # +-1, so neither end can overflow, and the in-place ufuncs allocate
-    # nothing beyond the output array.  *out* (which may be *x* itself)
-    # receives the result; without it a new array does and *x* is untouched.
-    out = np.multiply(x, 0.5, out=out, dtype=np.float64)
-    np.tanh(out, out=out)
+    # The logistic function as 1 / (1 + exp(-x)) in four in-place ufuncs into
+    # *out* (which may be *x*; without it a new array, and *x* is untouched).
+    # exp overflows below x = -709, giving an exact 0, and underflows above 745,
+    # giving 1: both flags are muted here, for every caller.
+    out = np.negative(x, out=out, dtype=np.float64)
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(out, out=out)
     out += 1.0
-    out *= 0.5
-    return out
+    return np.divide(1.0, out, out=out)
 
 
 def _hardlimit(x, out=None):
@@ -68,6 +69,7 @@ class ElmConfig:
         _check_int("hidden_nodes", self.hidden_nodes, 1)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation '{self.activation}'; choose from {sorted(ACTIVATIONS)}")
+        _check_not_bool("rank_tol", self.rank_tol)
         _check_rank_tol(self.rank_tol)
         _check_int("seed", self.seed)
 
@@ -112,10 +114,10 @@ def build_hidden_matrix(features: np.ndarray, weights: np.ndarray, biases: np.nd
                         activation: str) -> np.ndarray:
     """Activations of every hidden node on every sample: (samples, hidden).
 
-    The matrix is built as one (hidden, samples) C-ordered array, biases
-    added per row and the activation applied in place, and returned
-    transposed: (samples, hidden) in Fortran order, the layout LAPACK
-    factorises in place, so a solve needs no copy of it.
+    The matrix is built as one (hidden, samples) C-ordered GEMM, ``[weights
+    | biases] @ [features | 1]^T``, with the activation applied in place, and
+    returned transposed: (samples, hidden) in Fortran order, the layout
+    LAPACK factorises in place, so a solve needs no copy of it.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -124,9 +126,15 @@ def build_hidden_matrix(features: np.ndarray, weights: np.ndarray, biases: np.nd
         raise ValueError(
             f"feature width {features.shape[1]} does not match weights width {weights.shape[1]}"
         )
-    hidden = weights @ features.T
-    hidden += np.reshape(biases, (-1, 1))
+    hidden = np.column_stack([weights, biases]) @ _with_ones_row(features)
     return ACTIVATIONS[activation](hidden, out=hidden).T
+
+
+def _with_ones_row(features: np.ndarray) -> np.ndarray:
+    """(features + 1, samples) C-ordered: the inputs transposed over a row of ones."""
+    out = np.ones((features.shape[1] + 1, features.shape[0]))
+    out[:-1] = features.T
+    return out
 
 
 def encode_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:

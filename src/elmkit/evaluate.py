@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import LabeledDataset, _frozen_array
+from .data import LabeledDataset, _check_int, _frozen_array
 from .elm import ElmConfig, ElmModel, encode_targets, predict, predict_scores, train_elm
 from .linalg import _one_blas_thread
 from .mlp import MlpConfig, MlpModel, mlp_predict, mlp_predict_scores, train_mlp
@@ -398,8 +398,8 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
     """
     if config is None:
         config = ElmConfig()
-    grid = [int(h) for h in hidden_grid]
-    if not grid or any(h < 1 for h in grid):
+    grid = [_check_int("hidden_grid width", h, 1) for h in hidden_grid]
+    if not grid:
         raise ValueError("hidden_grid must be a nonempty list of positive widths")
     repeated = [h for h in grid if grid.count(h) > 1]
     if repeated:

@@ -22,17 +22,20 @@ asymptotic accuracy on scenes of a few thousand samples, while 1.0
 undertrains badly there.  The gradient definition is untouched.
 
 All numerics run through one private pass (``_pass``) that keeps every
-activation, error and delta array as (units, samples): the hidden layer
-is ``w_hidden @ X^T`` with the bias added as a column, the bias
-gradients are contiguous row sums, and the weight gradients are
-``delta_out @ hidden^T`` and ``delta_hidden @ X``.  The pass writes into
-five work arrays (``_Scratch``: two of hidden x samples, three of
-classes x samples) with ``out=`` and in-place ufuncs.  ``train_mlp``
-allocates them, and transposes the scaled features and the one-hot
-targets, once per fit, so no iteration allocates a samples-sized array.
+activation, error and delta array as (units, samples).  Each layer is one
+array ``[W | b]`` whose input carries a ones row (the features in
+``_layout``, the hidden activations in ``_Scratch``), so its forward step
+is one GEMM and its activation in place, and its gradient ``[g_W | g_b]``
+is one GEMM too: ``delta_out @ hidden^T`` and ``delta_hidden @ X``, ones
+included.  No pass adds a bias or sums a row, and training steps two
+arrays.  The pass writes into five work arrays (``_Scratch``: two of
+hidden x samples, three of classes x samples) with ``out=`` and in-place
+ufuncs.  ``train_mlp`` allocates them, and lays out the scaled features
+and the one-hot targets, once per fit, so no iteration allocates a
+samples-sized array.
 :func:`mlp_forward`, :func:`mlp_cost`, :func:`mlp_gradient` and
 :func:`mlp_predict_scores` run the same pass on arrays allocated per call
-and return (samples, units) arrays.
+and return (samples, units) arrays, in the four-array parameter form.
 
 Each training iteration runs one pass: the pass that computes the
 gradient at the current parameters also yields the cost there, which is
@@ -48,8 +51,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, ScalingParams, _check_int, _Model, fit_scaling, scale_features
-from .elm import _sigmoid, decode_scores, encode_targets
+from .data import (LabeledDataset, ScalingParams, _check_int, _check_not_bool, _Model, fit_scaling,
+                   scale_features)
+from .elm import _sigmoid, _with_ones_row, decode_scores, encode_targets
 
 
 # Gain applied to the mean-per-sample gradient step; see module docstring.
@@ -82,6 +86,8 @@ class MlpConfig:
 
     def __post_init__(self):
         _check_int("hidden_nodes", self.hidden_nodes, 1)
+        _check_not_bool("learning_rate", self.learning_rate)
+        _check_not_bool("momentum", self.momentum)
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
@@ -134,39 +140,41 @@ def init_mlp_params(n_features: int, n_classes: int,
 
 
 class _Scratch:
-    """The pass's work arrays, all (units, samples) and C-ordered."""
+    """The pass's work arrays, all (units, samples) and C-ordered.  ``hidden``
+    has a last row of ones, which the pass never writes: the output bias's input."""
 
     def __init__(self, n_hidden: int, n_classes: int, n_samples: int):
-        self.hidden, self.delta_hidden = (np.empty((n_hidden, n_samples)) for _ in range(2))
+        self.hidden = np.ones((n_hidden + 1, n_samples))
+        self.delta_hidden = np.empty((n_hidden, n_samples))
         self.output, self.error, self.delta_out = (
             np.empty((n_classes, n_samples)) for _ in range(3))
 
 
 def _layout(features):
-    """Features as C-ordered (samples, features) and (features, samples) copies.
+    """Features and a ones column as C-ordered (samples, features + 1) and (features + 1, samples).
 
     Every caller of :func:`_pass` goes through here, so the GEMMs see the
     same memory layout, and give the same bits, whatever the input order.
     """
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    return features, features.T.copy()
+    features_t = _with_ones_row(np.asarray(features, dtype=np.float64))
+    return features_t.T.copy(), features_t
 
 
 def _pass(features, features_t, targets_t, params, scratch):
     """One forward pass, and with targets a backward one, in the (units, samples) layout.
 
-    Fills ``scratch.hidden`` and ``scratch.output``.  With ``targets_t``
+    *params* are the two layers as ``[weights | biases]``.  Fills
+    ``scratch.hidden`` and ``scratch.output``.  With ``targets_t``
     (classes, samples) it returns the summed squared error and the exact
-    gradient in parameter order, and leaves ``1 - activation`` in those
-    two arrays; otherwise it returns (None, None).
+    gradient in the same two-array form, and leaves ``1 - activation`` in
+    those two arrays (the ones row apart); otherwise it returns (None, None).
     """
-    w_hidden, b_hidden, w_out, b_out = params
+    hidden_layer, out_layer = params
     s = scratch
-    np.matmul(w_hidden, features_t, out=s.hidden)
-    s.hidden += b_hidden[:, None]
-    _sigmoid(s.hidden, out=s.hidden)
-    np.matmul(w_out, s.hidden, out=s.output)
-    s.output += b_out[:, None]
+    hidden = s.hidden[:-1]
+    np.matmul(hidden_layer, features_t, out=hidden)
+    _sigmoid(hidden, out=hidden)
+    np.matmul(out_layer, s.hidden, out=s.output)
     _sigmoid(s.output, out=s.output)
     if targets_t is None:
         return None, None
@@ -177,15 +185,12 @@ def _pass(features, features_t, targets_t, params, scratch):
     s.delta_out *= s.output
     np.subtract(1.0, s.output, out=s.output)
     s.delta_out *= s.output
-    g_w_out = s.delta_out @ s.hidden.T
-    g_b_out = s.delta_out.sum(axis=1)
-    np.matmul(w_out.T, s.delta_out, out=s.delta_hidden)
-    s.delta_hidden *= s.hidden
-    np.subtract(1.0, s.hidden, out=s.hidden)
-    s.delta_hidden *= s.hidden
-    g_w_hidden = s.delta_hidden @ features
-    g_b_hidden = s.delta_hidden.sum(axis=1)
-    return loss, (g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+    g_out = s.delta_out @ s.hidden.T
+    np.matmul(out_layer[:, :-1].T, s.delta_out, out=s.delta_hidden)
+    s.delta_hidden *= hidden
+    np.subtract(1.0, hidden, out=hidden)
+    s.delta_hidden *= hidden
+    return loss, (s.delta_hidden @ features, g_out)
 
 
 def _pass_once(features, targets, params):
@@ -193,7 +198,8 @@ def _pass_once(features, targets, params):
     features, features_t = _layout(features)
     targets_t = None if targets is None else np.asarray(targets, dtype=np.float64).T.copy()
     scratch = _Scratch(len(params[1]), len(params[3]), len(features))
-    loss, grads = _pass(features, features_t, targets_t, params, scratch)
+    layers = np.column_stack(params[:2]), np.column_stack(params[2:])
+    loss, grads = _pass(features, features_t, targets_t, layers, scratch)
     return scratch, loss, grads
 
 
@@ -201,7 +207,7 @@ def mlp_forward(features, w_hidden, b_hidden, w_out, b_out):
     """Forward pass; returns (hidden activations, output activations),
     each (samples, units)."""
     scratch, _, _ = _pass_once(features, None, (w_hidden, b_hidden, w_out, b_out))
-    return scratch.hidden.T, scratch.output.T
+    return scratch.hidden[:-1].T, scratch.output.T
 
 
 def mlp_cost(features, targets, w_hidden, b_hidden, w_out, b_out) -> float:
@@ -215,7 +221,8 @@ def mlp_gradient(features, targets, w_hidden, b_hidden, w_out, b_out):
     Returns gradients in parameter order (w_hidden, b_hidden, w_out,
     b_out); each matches its parameter's shape.
     """
-    return _pass_once(features, targets, (w_hidden, b_hidden, w_out, b_out))[2]
+    g_hidden, g_out = _pass_once(features, targets, (w_hidden, b_hidden, w_out, b_out))[2]
+    return g_hidden[:, :-1], g_hidden[:, -1], g_out[:, :-1], g_out[:, -1]
 
 
 def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpModel:
@@ -236,6 +243,7 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
     features, features_t = _layout(scale_features(train.features, scaling))
     targets_t = encode_targets(train.labels, train.n_classes).T.copy()
     params = init_mlp_params(train.n_features, train.n_classes, config)
+    params = np.column_stack(params[:2]), np.column_stack(params[2:])  # [W | b] per layer
     velocities = [np.zeros_like(p) for p in params]
     scratch = _Scratch(config.hidden_nodes, train.n_classes, train.n_samples)
     step = config.learning_rate * _MEAN_STEP_GAIN / train.n_samples
@@ -254,7 +262,7 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
                 raise MlpDivergenceError(iteration, loss)
             history.append(loss)
     elapsed = time.perf_counter() - start
-    w_hidden, b_hidden, w_out, b_out = params
+    (w_hidden, b_hidden), (w_out, b_out) = ((p[:, :-1], p[:, -1]) for p in params)
     return MlpModel(
         w_hidden=w_hidden,
         b_hidden=b_hidden,

@@ -320,6 +320,10 @@ class TestSplitSpecValidation:
         with pytest.raises(ValueError, match="^seed must be an integer, got 3.0$"):
             SplitSpec(train_fraction=0.5, seed=3.0)
 
+    def test_bool_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be an integer, got True$"):
+            SplitSpec(train_fraction=0.5, seed=True)
+
 class TestStratifiedSplit:
     def test_disjoint_and_exhaustive(self, rng):
         ds = make_unbalanced(rng, [20, 30, 25])

@@ -49,7 +49,7 @@ class TestActivations:
         np.testing.assert_allclose(out, [0.0, 1.0])
 
     def test_sigmoid_matches_masked_formula(self):
-        """The tanh form stays within 2.3e-16 of the two-sided exp formula."""
+        """The one-sided exp form stays within 2.3e-16 of the two-sided formula."""
         x = np.linspace(-60.0, 60.0, 240_001)
         masked = np.empty_like(x)
         pos = x >= 0
@@ -141,6 +141,29 @@ class TestBuildHiddenMatrix:
                 for i in range(4):
                     expected = f(np.array([float(weights[i] @ features[j]) + biases[i]]))[0]
                     np.testing.assert_allclose(got[j, i], expected, rtol=1e-12)
+
+    TEXTBOOK = {
+        "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
+        "tanh": np.tanh,
+        "hardlimit": lambda z: (z >= 0).astype(float),
+    }
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_matches_textbook_affine_map(self, rng, name, order):
+        """The bias rides in the GEMM as a column of [W | b]; the result matches
+        f(X @ W.T + b) within an absolute 1e-13, and stays Fortran-ordered.
+        hardlimit is compared where |z| > 1e-12, away from its step."""
+        features = np.asarray(rng.uniform(-1, 1, size=(700, 6)), order=order)
+        weights = rng.uniform(-1, 1, size=(300, 6))
+        biases = rng.uniform(-1, 1, size=300)
+        z = features @ weights.T + biases
+        got = build_hidden_matrix(features, weights, biases, name)
+        assert got.shape == (700, 300)
+        assert got.flags.f_contiguous
+        away = np.abs(z) > 1e-12
+        assert away.mean() > 0.999
+        np.testing.assert_allclose(got[away], self.TEXTBOOK[name](z)[away], rtol=0, atol=1e-13)
 
     def test_width_mismatch(self, rng):
         with pytest.raises(ValueError, match="width"):

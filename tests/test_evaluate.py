@@ -387,6 +387,28 @@ class TestSweep:
         with pytest.raises(ValueError, match="n_seeds"):
             sweep_hidden_nodes(train, test, hidden_grid=(5,), n_seeds=0)
 
+    @pytest.mark.parametrize("grid, message", [
+        ([2.7, 3.2], "must be an integer, got 2.7"),
+        ((5, 10.0), "must be an integer, got 10.0"),
+        ((5, True), "must be an integer, got True"),
+        ((5, "10"), "must be an integer, got '10'"),
+        ((5, 0), "must be >= 1, got 0"),
+        ((5, -3), "must be >= 1, got -3"),
+    ], ids=repr)
+    def test_rejects_non_integer_or_non_positive_width(self, rng, grid, message):
+        """A width is checked, never truncated: 2.7 does not run as width 2."""
+        ds = blobs(rng)
+        train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))
+        with pytest.raises(ValueError, match=f"^hidden_grid width {message}$"):
+            sweep_hidden_nodes(train, test, hidden_grid=grid)
+
+    def test_numpy_int_widths_accepted(self, rng):
+        ds = blobs(rng)
+        train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))
+        result = sweep_hidden_nodes(train, test, hidden_grid=np.array([5, 10]), n_seeds=1)
+        assert [type(e.hidden_nodes) for e in result.entries] == [int, int]
+        assert [e.hidden_nodes for e in result.entries] == [5, 10]
+
     def test_render_text_lists_every_width(self, rng):
         ds = blobs(rng, n_per_class=40)
         train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))

@@ -167,6 +167,55 @@ def numerical_gradient(features, targets, params, index, step=1e-6):
     return grad
 
 
+def textbook_cost_and_gradient(features, targets, w_hidden, b_hidden, w_out, b_out):
+    """The summed squared error and its gradient, with each bias added on its
+    own and the logistic written out: a reference for the fused pass."""
+    hidden = sigmoid(features @ w_hidden.T + b_hidden)
+    output = sigmoid(hidden @ w_out.T + b_out)
+    delta_out = 2.0 * (output - targets) * output * (1.0 - output)
+    delta_hidden = (delta_out @ w_out) * hidden * (1.0 - hidden)
+    cost = float(np.sum((output - targets) ** 2))
+    return cost, (delta_hidden.T @ features, delta_hidden.sum(axis=0),
+                  delta_out.T @ hidden, delta_out.sum(axis=0))
+
+
+class TestAgainstTextbook:
+    """The pass folds each bias into its layer's GEMM; the result must match
+    the separate W, b form within a relative 1e-12 (each entry scaled by its
+    array's largest magnitude), whatever the memory order of the features."""
+
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cost_and_gradient(self, order, seed):
+        rng = np.random.default_rng(seed)
+        params = init_mlp_params(6, 7, MlpConfig(hidden_nodes=26, seed=seed))
+        # wider weights than the initial draw, so some units saturate
+        params = tuple(p * 4.0 for p in params)
+        x = np.asarray(rng.uniform(-1, 1, size=(500, 6)), order=order)
+        y = encode_targets(rng.integers(0, 7, size=500), 7)
+        assert x.flags.f_contiguous == (order == "F")
+        want_cost, want_grads = textbook_cost_and_gradient(x, y, *params)
+        cost = mlp_cost(x, y, *params)
+        assert abs(cost - want_cost) <= self.RTOL * want_cost
+        grads = mlp_gradient(x, y, *params)
+        for name, got, want, param in zip(("w_hidden", "b_hidden", "w_out", "b_out"),
+                                          grads, want_grads, params):
+            assert got.shape == param.shape
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= self.RTOL, f"{name}: relative error {err}"
+
+    def test_forward(self, rng):
+        params = init_mlp_params(6, 7, MlpConfig(hidden_nodes=26, seed=3))
+        x = rng.uniform(-1, 1, size=(200, 6))
+        hidden, output = mlp_forward(x, *params)
+        want_hidden = sigmoid(x @ params[0].T + params[1])
+        np.testing.assert_allclose(hidden, want_hidden, rtol=self.RTOL, atol=0)
+        np.testing.assert_allclose(output, sigmoid(want_hidden @ params[2].T + params[3]),
+                                   rtol=self.RTOL, atol=0)
+
+
 class TestGradient:
     def test_matches_central_differences(self, rng):
         """Analytic gradient of the summed cost agrees with finite differences."""
@@ -223,6 +272,18 @@ class TestTrainMlp:
         assert a.loss_history == b.loss_history
         assert a.w_hidden.tobytes() == b.w_hidden.tobytes()
         assert a.w_out.tobytes() == b.w_out.tobytes()
+
+    def test_two_fits_in_one_process_give_the_same_bits(self, rng):
+        """Nothing a fit leaves behind, such as a ones row of its work arrays,
+        reaches the next: a fit repeated after another of other sizes matches."""
+        ds = blobs(rng)
+        config = MlpConfig(hidden_nodes=6, learning_rate=0.5, iterations=80, seed=9)
+        first = train_mlp(ds, config)
+        train_mlp(ds, MlpConfig(hidden_nodes=11, iterations=30, seed=2))
+        again = train_mlp(ds, config)
+        assert first.loss_history == again.loss_history
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            assert getattr(first, name).tobytes() == getattr(again, name).tobytes(), name
 
     def test_learns_separable_blobs(self, rng):
         train = blobs(rng, n_per_class=60, spread=0.5)

@@ -413,10 +413,12 @@ INT_FIELDS = [("elm", "hidden_nodes"), ("elm", "seed"),
 
 
 class TestConfigIntFields:
-    """An int field holds what ``operator.index`` takes: a float such as 2.0
-    would be saved as "2.0", which the file's ``int`` parser rejects."""
+    """An int field holds what ``operator.index`` takes, bools apart: a float
+    such as 2.0 would be saved as "2.0", and True as "True", which the
+    file's ``int`` parser rejects."""
 
-    @pytest.mark.parametrize("value", [2.0, np.float64(2.0), 2.5, "2"], ids=repr)
+    @pytest.mark.parametrize("value", [2.0, np.float64(2.0), 2.5, "2", True, False, np.True_],
+                             ids=repr)
     @pytest.mark.parametrize("kind, name", INT_FIELDS)
     def test_non_integer_rejected_naming_the_field(self, kind, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
@@ -432,6 +434,22 @@ class TestConfigIntFields:
         model = model_type(**values)
         save_model(model, tmp_path / "m.model")
         assert_same_model(load_model(tmp_path / "m.model"), model, layout)
+
+
+# The float fields of each kind's config, as (kind, field)
+FLOAT_FIELDS = [("elm", "rank_tol"), ("mlp", "learning_rate"), ("mlp", "momentum")]
+
+
+class TestConfigFloatFields:
+    """A bool passes every range check of a float field (True > 0, False
+    == 0.0), but would be saved as "True" or "False", which the file's
+    ``float`` parser rejects."""
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+    @pytest.mark.parametrize("kind, name", FLOAT_FIELDS)
+    def test_bool_rejected_naming_the_field(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+            KINDS[kind][1](**{name: value})
 
 
 class TestGoldenFormat:
