@@ -1,9 +1,9 @@
-"""Tour of the linear-algebra layer: SVD, generalized inverse, and
-minimum-norm solutions of underdetermined systems."""
+"""Tour of the linear-algebra layer: the generalized inverse, built from
+numpy's SVD, and minimum-norm solutions of underdetermined systems."""
 
 import numpy as np
 
-from elmkit import min_norm_lstsq, pseudoinverse, svd
+from elmkit import min_norm_lstsq, pseudoinverse
 
 
 def main():
@@ -13,9 +13,9 @@ def main():
     print("matrix A (3x5):")
     print(np.round(a, 3))
 
-    factors = svd(a)
-    print("\nsingular values:", np.round(factors.singular_values, 4))
-    reconstructed = factors.u @ np.diag(factors.singular_values) @ factors.v.T
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    print("\nsingular values:", np.round(s, 4))
+    reconstructed = u @ np.diag(s) @ vt
     print("reconstruction error:", f"{np.linalg.norm(reconstructed - a):.2e}")
 
     p = pseudoinverse(a)

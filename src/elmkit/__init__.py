@@ -1,11 +1,12 @@
 """Classifier toolkit built around a direct least-squares solve.
 
-The core pieces: a minimum-norm least-squares layer on top of the
-singular value decomposition (:mod:`elmkit.linalg`), a classifier with
-a frozen random hidden layer trained by that solve (:mod:`elmkit.elm`),
-an iterative momentum-descent baseline (:mod:`elmkit.mlp`), a dataset
-pipeline with a synthetic multispectral generator (:mod:`elmkit.data`),
-and an evaluation and benchmarking harness (:mod:`elmkit.evaluate`).
+The core pieces: a minimum-norm least-squares solve, checked against
+an SVD pseudoinverse reference (:mod:`elmkit.linalg`), a classifier
+with a frozen random hidden layer trained by that solve
+(:mod:`elmkit.elm`), an iterative momentum-descent baseline
+(:mod:`elmkit.mlp`), a dataset pipeline with a synthetic multispectral
+generator (:mod:`elmkit.data`), and an evaluation and benchmarking
+harness (:mod:`elmkit.evaluate`).
 """
 
 from .data import (
@@ -56,10 +57,8 @@ from .evaluate import (
 from .linalg import (
     LinalgError,
     SvdConvergenceError,
-    SvdFactors,
     min_norm_lstsq,
     pseudoinverse,
-    svd,
 )
 from .mlp import (
     MlpConfig,

@@ -23,6 +23,7 @@ import csv
 import functools
 import io
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Sequence, get_type_hints
@@ -38,15 +39,16 @@ class ConfigFormatError(ValueError):
     """A generator config file does not follow the documented key-value layout."""
 
 
-def _check_not_bool(name: str, value, kind: str = "a number") -> None:
-    # Python counts a bool as a number, but a file would hold it as "True" and not read it back
-    if isinstance(value, (bool, np.bool_)):
+def _check_real(name: str, value, kind: str = "a number"):
+    # Not a bool, which a file would hold as "True", nor a string, which float() would take
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
 
 
 def _check_int(name: str, value, minimum: int = 0) -> int:
     # operator.index rejects 2.0, which a file would hold as "2.0" and not read back
-    _check_not_bool(name, value, "an integer")
+    _check_real(name, value, "an integer")
     try:
         value = operator.index(value)
     except TypeError:
@@ -54,6 +56,13 @@ def _check_int(name: str, value, minimum: int = 0) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be {f'>= {minimum}' if minimum else 'non-negative'}, got {value}")
     return value
+
+
+def _set_fields(config, **values) -> None:
+    # A frozen config stores its checked fields here, as Python ints and floats: a numpy
+    # float32 would train with other bits than its text in a model file
+    for name, value in values.items():
+        object.__setattr__(config, name, value)
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (LabeledDataset, ScalingParams, _check_int, _check_not_bool, _Model, fit_scaling,
-                   scale_features)
+from .data import (LabeledDataset, ScalingParams, _check_int, _check_real, _Model, _set_fields,
+                   fit_scaling, scale_features)
 from .linalg import _check_rank_tol, _one_blas_thread, min_norm_lstsq
 
 
@@ -66,12 +66,11 @@ class ElmConfig:
     rank_tol: float = 1e-10
 
     def __post_init__(self):
-        _check_int("hidden_nodes", self.hidden_nodes, 1)
+        _set_fields(self, hidden_nodes=_check_int("hidden_nodes", self.hidden_nodes, 1),
+                    seed=_check_int("seed", self.seed), rank_tol=float(_check_real("rank_tol", self.rank_tol)))
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation '{self.activation}'; choose from {sorted(ACTIVATIONS)}")
-        _check_not_bool("rank_tol", self.rank_tol)
         _check_rank_tol(self.rank_tol)
-        _check_int("seed", self.seed)
 
 
 @dataclass(frozen=True)

@@ -63,13 +63,9 @@ def _kind(obj) -> _Kind:
 def _config_fields(config) -> list[tuple[str, str]]:
     """Each config field as (name, text), in declaration order.
 
-    Floats, numpy's too, render as a Python float's ``repr`` so they round-trip exactly.
+    A config holds Python ints and floats, whose ``str`` reads back exactly.
     """
-    out = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        out.append((f.name, repr(float(value)) if isinstance(value, float) else str(value)))
-    return out
+    return [(f.name, str(getattr(config, f.name))) for f in fields(config)]
 
 
 def dataset_fingerprint(dataset: LabeledDataset) -> str:
@@ -404,8 +400,7 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
     repeated = [h for h in grid if grid.count(h) > 1]
     if repeated:
         raise ValueError(f"hidden_grid repeats width {repeated[0]}")
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
+    n_seeds, base_seed = _check_int("n_seeds", n_seeds, 1), _check_int("base_seed", base_seed)
     _same_classes(train, test)
     seeds = [base_seed + k for k in range(n_seeds)]
 

@@ -1,4 +1,4 @@
-"""Dense real-matrix helpers: validation, SVD, pseudoinverse, min-norm least squares.
+"""Dense real-matrix helpers: validation, pseudoinverse, min-norm least squares.
 
 Matrices are plain 2-D float64 ndarrays with at least one row and one
 column and only finite entries; :func:`as_matrix` enforces that contract
@@ -7,12 +7,6 @@ their arguments, so they are safe to call concurrently.  The one
 exception is :func:`min_norm_lstsq` with ``overwrite_a=True``: it may
 factorise its matrix argument in place, so that matrix must not be read
 by anyone else during or after the call.
-
-The SVD is computed by LAPACK through numpy and then normalised to a
-fixed sign convention (first nonzero entry of each left-singular vector
-is non-negative), which makes repeated factorisations of the same input
-bit-identical and keeps the downstream least-squares solution unique in
-a testable way.
 
 :func:`min_norm_lstsq`, the solve behind training, never builds the
 pseudoinverse; its docstring describes its QR and SVD routes.
@@ -46,20 +40,6 @@ class SvdConvergenceError(LinalgError):
     """
 
 
-class SvdFactors(NamedTuple):
-    """Thin SVD of a rows x cols matrix.
-
-    ``u`` is rows x r with orthonormal columns, ``singular_values`` is a
-    non-increasing length-r vector of non-negative reals, and ``v`` is
-    cols x r with orthonormal columns, where r = min(rows, cols).  The
-    product ``u @ diag(singular_values) @ v.T`` reconstructs the input.
-    """
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate *a* as a dense real matrix and return it as a float64 ndarray.
 
@@ -78,36 +58,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(out).all():
         raise LinalgError(f"{name}: entries must be finite (found NaN or infinity)")
     return out
-
-
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
-    # Flip column pairs so the first nonzero entry of each u column is >= 0.
-    # u has orthonormal columns, so every column has a nonzero entry.
-    first_nonzero = (u != 0.0).argmax(axis=0)
-    leading = u[first_nonzero, np.arange(u.shape[1])]
-    flip = leading < 0.0
-    u[:, flip] *= -1.0
-    v[:, flip] *= -1.0
-
-
-def svd(a) -> SvdFactors:
-    """Thin singular value decomposition with a fixed sign convention.
-
-    Returns :class:`SvdFactors` ``(u, singular_values, v)`` such that
-    ``a == u @ diag(singular_values) @ v.T``.  Signs are normalised so
-    that the first nonzero entry of each column of ``u`` is non-negative,
-    making the factorisation deterministic for a fixed input.
-
-    Raises :class:`SvdConvergenceError` if the backend does not converge.
-    """
-    a = as_matrix(a)
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"SVD did not converge for {a.shape[0]}x{a.shape[1]} input: {exc}") from None
-    v = np.ascontiguousarray(vt.T)
-    _fix_signs(u, v)
-    return SvdFactors(u, s, v)
 
 
 def _check_rank_tol(rank_tol: float) -> None:
@@ -132,14 +82,22 @@ def pseudoinverse(a, rank_tol: float = 1e-10) -> np.ndarray:
         Relative rank tolerance, as a fraction of the largest singular
         value.  The default 1e-10 is the standard numerical-rank
         convention; raise it for badly conditioned inputs.
+
+    Raises :class:`SvdConvergenceError`, naming the shape, if numpy's SVD
+    (LAPACK gesdd) does not converge.
     """
     _check_rank_tol(rank_tol)
-    u, s, v = svd(a)
-    cutoff = rank_tol * s[0]
+    a = as_matrix(a)
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"SVD did not converge for {a.shape[0]}x{a.shape[1]} input: {exc}") from None
     inv_s = np.zeros_like(s)
-    keep = s > cutoff
+    keep = s > rank_tol * s[0]
     inv_s[keep] = 1.0 / s[keep]
-    out = v @ (inv_s[:, None] * u.T)
+    # C-ordered V: the transposed view of vt takes another BLAS path and
+    # moves the last bits of some results
+    out = np.ascontiguousarray(vt.T) @ (inv_s[:, None] * u.T)
     if not np.isfinite(out).all():
         raise LinalgError("pseudoinverse produced non-finite entries")
     return out
@@ -360,8 +318,8 @@ def min_norm_lstsq(a, y, rank_tol: float = 1e-10, overwrite_a: bool = False) -> 
     cutoff.  A wide *a*, and any *a* without the bundled OpenBLAS, goes to
     ``np.linalg.lstsq`` directly.  The routes agree within rounding, not bit
     for bit; identical inputs give bit-identical results on the same number of
-    BLAS threads.  Neither forms the pseudoinverse; :func:`svd` and
-    :func:`pseudoinverse` stay as the reference they are tested against.
+    BLAS threads.  Neither forms the pseudoinverse; :func:`pseudoinverse`
+    stays as the reference they are tested against.
 
     With *overwrite_a* set, the solve may destroy *a* (scipy's name for
     this): on the QR route a writable Fortran-ordered float64 *a* is then

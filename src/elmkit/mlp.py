@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (LabeledDataset, ScalingParams, _check_int, _check_not_bool, _Model, fit_scaling,
-                   scale_features)
+from .data import (LabeledDataset, ScalingParams, _check_int, _check_real, _Model, _set_fields,
+                   fit_scaling, scale_features)
 from .elm import _sigmoid, _with_ones_row, decode_scores, encode_targets
 
 
@@ -85,15 +85,15 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int("hidden_nodes", self.hidden_nodes, 1)
-        _check_not_bool("learning_rate", self.learning_rate)
-        _check_not_bool("momentum", self.momentum)
+        _set_fields(self, hidden_nodes=_check_int("hidden_nodes", self.hidden_nodes, 1),
+                    learning_rate=float(_check_real("learning_rate", self.learning_rate)),
+                    momentum=float(_check_real("momentum", self.momentum)),
+                    iterations=_check_int("iterations", self.iterations, 1),
+                    seed=_check_int("seed", self.seed))
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        _check_int("iterations", self.iterations, 1)
-        _check_int("seed", self.seed)
 
 
 @dataclass(frozen=True)

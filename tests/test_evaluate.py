@@ -402,6 +402,21 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^hidden_grid width {message}$"):
             sweep_hidden_nodes(train, test, hidden_grid=grid)
 
+    @pytest.mark.parametrize("seeds, message", [
+        ({"n_seeds": True}, "^n_seeds must be an integer, got True$"),
+        ({"n_seeds": 2.5}, "^n_seeds must be an integer, got 2.5$"),
+        ({"n_seeds": 0}, "^n_seeds must be >= 1, got 0$"),
+        ({"base_seed": 2.5}, "^base_seed must be an integer, got 2.5$"),
+        ({"base_seed": True}, "^base_seed must be an integer, got True$"),
+        ({"base_seed": -1}, "^base_seed must be non-negative, got -1$"),
+    ], ids=repr)
+    def test_rejects_bad_seed_arguments_naming_them(self, rng, seeds, message):
+        """Checked before any fit: True does not run as one seed."""
+        ds = blobs(rng)
+        train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))
+        with pytest.raises(ValueError, match=message):
+            sweep_hidden_nodes(train, test, hidden_grid=(5,), **seeds)
+
     def test_numpy_int_widths_accepted(self, rng):
         ds = blobs(rng)
         train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))

@@ -432,6 +432,7 @@ class TestConfigIntFields:
         # hidden_nodes must stay 2, the arrays' width
         values["config"] = replace(values["config"], **{name: int_type(2)})
         model = model_type(**values)
+        assert type(getattr(model.config, name)) is int
         save_model(model, tmp_path / "m.model")
         assert_same_model(load_model(tmp_path / "m.model"), model, layout)
 
@@ -440,16 +441,50 @@ class TestConfigIntFields:
 FLOAT_FIELDS = [("elm", "rank_tol"), ("mlp", "learning_rate"), ("mlp", "momentum")]
 
 
+# A config of each kind with a float field set, and a training call on it
+TRAINERS = {"elm": lambda ds, **field: train_elm(ds, ElmConfig(hidden_nodes=9, seed=2, **field)),
+            "mlp": lambda ds, **field: train_mlp(ds, MlpConfig(hidden_nodes=5, iterations=50,
+                                                               seed=2, **field))}
+
+
 class TestConfigFloatFields:
     """A bool passes every range check of a float field (True > 0, False
     == 0.0), but would be saved as "True" or "False", which the file's
-    ``float`` parser rejects."""
+    ``float`` parser rejects.  A numpy float32 is stored as the Python
+    float it equals, so that the file's text gives back the value trained
+    with."""
 
-    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+    # "0.1" and None are not numbers at all; float() would take the string
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_, "0.1", None], ids=repr)
     @pytest.mark.parametrize("kind, name", FLOAT_FIELDS)
     def test_bool_rejected_naming_the_field(self, kind, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
             KINDS[kind][1](**{name: value})
+
+    @pytest.mark.parametrize("float_type", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind, name", FLOAT_FIELDS)
+    def test_numpy_float_stored_as_the_float_it_equals(self, tmp_path, kind, name, float_type):
+        model_type, _, layout = KINDS[kind]
+        values = model_values(kind, np.random.default_rng(1))
+        values["config"] = replace(values["config"], **{name: float_type(0.1)})
+        model = model_type(**values)
+        assert type(getattr(model.config, name)) is float
+        assert getattr(model.config, name) == float(float_type(0.1))
+        save_model(model, tmp_path / "m.model")
+        assert_same_model(load_model(tmp_path / "m.model"), model, layout)
+
+    @pytest.mark.parametrize("kind, name, value", [("elm", "rank_tol", 1e-10),
+                                                   ("mlp", "learning_rate", 0.1),
+                                                   ("mlp", "momentum", 0.1)])
+    def test_retraining_from_the_file_gives_the_same_bits(self, tmp_path, rng, kind, name, value):
+        ds = blobs(rng)
+        model = TRAINERS[kind](ds, **{name: np.float32(value)})
+        save_model(model, tmp_path / "m.model")
+        back = load_model(tmp_path / "m.model")
+        again = TRAINERS[kind](ds, **{name: getattr(back.config, name)})
+        assert again.config == back.config == model.config
+        for array, *_ in KINDS[kind][2]:
+            assert getattr(again, array).tobytes() == getattr(model, array).tobytes()
 
 
 class TestGoldenFormat:
