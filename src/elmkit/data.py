@@ -241,6 +241,10 @@ class _Reader:
         except ValueError as exc:
             self.fail(f"bad value for '{key}': {exc}")
 
+    def expect_size(self, key: str) -> int:
+        """The next line's value, which must follow ``key:`` and be an integer of at least 1."""
+        return self.expect_key(key, lambda text: _check_int(key, int(text), 1))
+
     def read_class(self, names: list) -> None:
         """Append the next ``class:`` line's name to *names*, which must not hold it yet."""
         name = self.expect_key("class")
@@ -709,11 +713,11 @@ def load_synthetic_config(path) -> SyntheticConfig:
     if reader.next_line().strip() != _CONFIG_TAG:
         reader.fail(f"missing '{_CONFIG_TAG}' tag line")
     seed = reader.expect_key("seed", int)
-    features = reader.expect_key("features", int)
+    features = reader.expect_size("features")
     names, counts, means, covs = [], [], [], []
     while not reader.at_end():
         reader.read_class(names)
-        counts.append(reader.expect_key("count", int))
+        counts.append(reader.expect_size("count"))
         if sum(counts) * features > _MAX_GENERATED_CELLS:
             reader.fail(f"counts so far ({sum(counts)} samples x {features} features) "
                         f"exceed the generator limit of {_MAX_GENERATED_CELLS} cells")

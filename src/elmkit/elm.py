@@ -192,10 +192,11 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
 
 
 def predict_scores(model: ElmModel, features: np.ndarray) -> np.ndarray:
-    """Raw class scores (samples, classes) for unscaled input features."""
+    """Raw class scores (samples, classes) for unscaled input features, on one BLAS thread."""
     scaled = scale_features(features, model.scaling)
-    hidden = build_hidden_matrix(scaled, model.weights, model.biases, model.config.activation)
-    return hidden @ model.output_weights
+    with _one_blas_thread():
+        hidden = build_hidden_matrix(scaled, model.weights, model.biases, model.config.activation)
+        return hidden @ model.output_weights
 
 
 def predict(model: ElmModel, features: np.ndarray) -> np.ndarray:

@@ -284,7 +284,10 @@ def benchmark(train: LabeledDataset, test: LabeledDataset,
     """Train and evaluate both classifiers on the same split.
 
     Each classifier trains and predicts start to finish before the other
-    begins, so neither timing includes the other's memory traffic.
+    begins, so neither timing includes the other's memory traffic.  Both
+    train and score on one BLAS thread (see
+    :func:`elmkit.linalg._one_blas_thread`), so the speedup compares like
+    with like.
     """
     elm_config = elm_config or ElmConfig()
     mlp_config = mlp_config or MlpConfig()

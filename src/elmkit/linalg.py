@@ -11,8 +11,7 @@ by anyone else during or after the call.
 :func:`min_norm_lstsq`, the solve behind training, never builds the
 pseudoinverse; its docstring describes its QR and SVD routes.
 :func:`_one_blas_thread` confines the BLAS and LAPACK calls in its block
-to one OpenBLAS thread; training runs its hidden-layer product and solve
-inside it.
+to one OpenBLAS thread; both classifiers fit and score inside it.
 """
 
 from __future__ import annotations
@@ -55,7 +54,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     rows, cols = out.shape
     if rows < 1 or cols < 1:
         raise LinalgError(f"{name}: dimensions must be at least 1x1, got {rows}x{cols}")
-    if not np.isfinite(out).all():
+    # min and max carry a NaN through and reach any infinity, without the
+    # boolean copy np.isfinite would make of a hidden matrix
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise LinalgError(f"{name}: entries must be finite (found NaN or infinity)")
     return out
 
@@ -186,10 +187,15 @@ _blas_threads_before = 1
 def _one_blas_thread():
     """Run the enclosed BLAS/LAPACK calls on one OpenBLAS thread.
 
-    On training-sized inputs (2,700 rows by 25-450 columns) the QR solve
-    took 2-48% less time on one thread than on two on a 2-vCPU machine,
-    and a threaded call stalls at every synchronisation point
-    while the machine runs something else on one of its threads' cores.
+    Both classifiers fit and score inside it.  On training-sized inputs
+    (2,700 rows by 25-450 columns) the QR solve took 2-48% less time on
+    one thread than on two on a 2-vCPU machine, and ``train_mlp`` as long.
+    A threaded call stalls at every synchronisation point while the
+    machine runs something else on one of its threads' cores, and the
+    first one in a process touches a second OpenBLAS work buffer: ELM
+    scores for 2,037 rows at width 300 added 5.0 MB of RSS on two threads,
+    0.3 MB on one.  On one thread the MLP also gets the same weights on
+    every machine; on two they round differently from 8,100 rows up.
 
     The thread count is process-wide, so concurrent users are counted:
     the first to enter saves the count and the last to leave restores it.

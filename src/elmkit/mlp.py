@@ -42,6 +42,10 @@ gradient at the current parameters also yields the cost there, which is
 the loss recorded after the previous step.  The pass after the final
 step is taken for its loss alone; its gradient goes unused.
 Both sigmoid layers use the one logistic kernel of :mod:`elmkit.elm`.
+
+Every pass runs on one OpenBLAS thread (:func:`elmkit.linalg._one_blas_thread`),
+which ``train_mlp`` holds for the whole fit, so the weights do not depend
+on the machine's core count.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import numpy as np
 from .data import (LabeledDataset, ScalingParams, _check_int, _check_real, _Model, _set_fields,
                    fit_scaling, scale_features)
 from .elm import _sigmoid, _with_ones_row, decode_scores, encode_targets
+from .linalg import _one_blas_thread
 
 
 # Gain applied to the mean-per-sample gradient step; see module docstring.
@@ -199,7 +204,8 @@ def _pass_once(features, targets, params):
     targets_t = None if targets is None else np.asarray(targets, dtype=np.float64).T.copy()
     scratch = _Scratch(len(params[1]), len(params[3]), len(features))
     layers = np.column_stack(params[:2]), np.column_stack(params[2:])
-    loss, grads = _pass(features, features_t, targets_t, layers, scratch)
+    with _one_blas_thread():
+        loss, grads = _pass(features, features_t, targets_t, layers, scratch)
     return scratch, loss, grads
 
 
@@ -248,10 +254,10 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
     scratch = _Scratch(config.hidden_nodes, train.n_classes, train.n_samples)
     step = config.learning_rate * _MEAN_STEP_GAIN / train.n_samples
 
-    loss, grads = _pass(features, features_t, targets_t, params, scratch)
-    history = [loss]
     # Divergence is reported by the loss check below, not by numpy warnings.
-    with np.errstate(invalid="ignore", over="ignore"):
+    with _one_blas_thread(), np.errstate(invalid="ignore", over="ignore"):
+        loss, grads = _pass(features, features_t, targets_t, params, scratch)
+        history = [loss]
         for iteration in range(1, config.iterations + 1):
             for param, velocity, grad in zip(params, velocities, grads):
                 velocity *= config.momentum

@@ -74,7 +74,7 @@ def _read_config(reader: _Reader, kind, version: str):
 
 def _read_model(reader: _Reader, kind, version: str):
     config = _read_config(reader, kind, version)
-    features = reader.expect_key("features", int)
+    features = reader.expect_size("features")
     names = []
     while reader.at_key("class"):
         reader.read_class(names)

@@ -164,6 +164,36 @@ class TestMalformedInputExits3:
         assert peak < 1 << 20
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("key, line_no, value", [
+        ("features", 3, "-2"), ("features", 3, "0"), ("count", 5, "0"), ("count", 10, "-1")])
+    def test_config_size_below_1_names_its_line(self, tmp_path, capsys, key, line_no, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(_config_lines(lambda lines: lines.__setitem__(line_no - 1, f"{key}: {value}")))
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (f"elmkit generate: {cfg}: line {line_no}: "
+                                           f"bad value for '{key}': {key} must be >= 1, got {value}\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("classifier", ["elm", "mlp"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_model_features_below_1_names_its_line(self, tmp_path, rng, capsys, classifier, value):
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        model = tmp_path / f"{classifier}.model"
+        assert main(["train", "--data", str(data), "--classifier", classifier, "--hidden", "4",
+                     "--iterations", "5", "--out", str(model)]) == 0
+        lines = model.read_text().splitlines()
+        line_no = lines.index("features: 2") + 1
+        lines[line_no - 1] = f"features: {value}"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (f"elmkit predict: {model}: line {line_no}: "
+                                           f"bad value for 'features': features must be >= 1, got {value}\n")
+
     @pytest.mark.parametrize("kind", ["config", "model", "csv"])
     def test_non_utf8_byte(self, tmp_path, rng, capsys, kind):
         data = tmp_path / "train.csv"

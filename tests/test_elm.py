@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from elmkit import elm
 from elmkit.data import LabeledDataset
 from elmkit.elm import (
     ACTIVATIONS,
@@ -279,6 +280,25 @@ class TestTrainElm:
         model = train_elm(shifted, ElmConfig(hidden_nodes=30, seed=0))
         accuracy = (predict(model, shifted.features) == shifted.labels).mean()
         assert accuracy > 0.9
+
+
+class TestOneBlasThread:
+    """The hidden layer is built on one OpenBLAS thread whatever the caller's
+    count, and the caller's count is back afterwards."""
+
+    def test_training_and_scoring(self, rng, monkeypatch, blas_threads):
+        seen, inner = [], elm.build_hidden_matrix
+
+        def recording(*args):
+            seen.append(blas_threads())
+            return inner(*args)
+
+        monkeypatch.setattr(elm, "build_hidden_matrix", recording)
+        ds = blobs(rng)
+        model = train_elm(ds, ElmConfig(hidden_nodes=20))
+        assert seen == [1] and blas_threads() == 2
+        predict_scores(model, ds.features)
+        assert seen == [1, 1] and blas_threads() == 2
 
 
 class TestTrainingCost:

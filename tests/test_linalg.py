@@ -9,6 +9,7 @@ full-column-rank pseudoinverses.
 import ctypes
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,19 @@ class TestAsMatrix:
             as_matrix([[1.0, np.nan]])
         with pytest.raises(LinalgError):
             as_matrix([[np.inf], [0.0]])
+        with pytest.raises(LinalgError):
+            as_matrix([[0.0, 2.0], [-np.inf, 1.0]])
+
+    def test_checks_finiteness_without_a_copy(self):
+        """A fit's hidden matrix passes through here: no matrix-sized temporary."""
+        a = np.ones((1000, 100))
+        tracemalloc.start()
+        try:
+            as_matrix(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.size // 10
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +333,6 @@ def _training_systems(widths=(25, 300, 450)):
         yield build_hidden_matrix(features, weights, biases, "sigmoid"), targets
 
 
-@pytest.fixture
-def blas():
-    found = linalg._openblas()
-    if found is None:
-        pytest.skip("numpy does not use its bundled OpenBLAS")
-    return found
-
-
 def test_bundled_openblas_is_found():
     """A wheel that ships OpenBLAS must yield its routines, or every test
     taking ``blas`` skips and every fit quietly goes to np.linalg.lstsq."""
@@ -529,15 +535,6 @@ class TestQrRoute:
 # ---------------------------------------------------------------------------
 # _one_blas_thread
 # ---------------------------------------------------------------------------
-
-@pytest.fixture
-def blas_threads(blas):
-    set_threads, get_threads = blas.set_threads, blas.get_threads
-    before = get_threads()
-    set_threads(2)
-    yield get_threads
-    set_threads(before)
-
 
 class TestOneBlasThread:
     def test_one_thread_inside_and_count_restored(self, blas_threads):

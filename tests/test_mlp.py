@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from elmkit.data import LabeledDataset, fit_scaling, scale_features
+from elmkit import mlp
+from elmkit.data import (LabeledDataset, fit_scaling, generate_synthetic, littleport_like_config,
+                         scale_features)
 from elmkit.elm import encode_targets
 from elmkit.mlp import (
     _MEAN_STEP_GAIN,
@@ -14,6 +16,7 @@ from elmkit.mlp import (
     mlp_forward,
     mlp_gradient,
     mlp_predict,
+    mlp_predict_scores,
     train_mlp,
 )
 
@@ -336,3 +339,65 @@ class TestTrainMlp:
         model = train_mlp(blobs(rng), MlpConfig(hidden_nodes=4, iterations=5, seed=1))
         with pytest.raises(ValueError):
             model.w_out[0, 0] = 1.0
+
+
+class TestOneBlasThread:
+    """Every pass runs on one OpenBLAS thread whatever the caller's count, and the
+    caller's count is back afterwards."""
+
+    @pytest.fixture
+    def counts_in_pass(self, monkeypatch, blas_threads):
+        """The thread count seen at each entry into the pass."""
+        seen, inner = [], mlp._pass
+
+        def recording(*args):
+            seen.append(blas_threads())
+            return inner(*args)
+
+        monkeypatch.setattr(mlp, "_pass", recording)
+        return seen
+
+    def test_training_passes(self, rng, counts_in_pass, blas_threads):
+        train_mlp(blobs(rng), MlpConfig(hidden_nodes=4, iterations=5, seed=1))
+        assert counts_in_pass == [1] * 6
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("name", ["mlp_predict_scores", "mlp_forward", "mlp_cost",
+                                      "mlp_gradient"])
+    def test_public_passes(self, rng, counts_in_pass, blas_threads, name):
+        ds = blobs(rng)
+        model = train_mlp(ds, MlpConfig(hidden_nodes=4, iterations=5, seed=1))
+        params = model.w_hidden, model.b_hidden, model.w_out, model.b_out
+        targets = encode_targets(ds.labels, ds.n_classes)
+        counts_in_pass.clear()
+        {"mlp_predict_scores": lambda: mlp_predict_scores(model, ds.features),
+         "mlp_forward": lambda: mlp_forward(ds.features, *params),
+         "mlp_cost": lambda: mlp_cost(ds.features, targets, *params),
+         "mlp_gradient": lambda: mlp_gradient(ds.features, targets, *params)}[name]()
+        assert counts_in_pass == [1]
+        assert blas_threads() == 2
+
+    def test_count_restored_after_divergence(self, counts_in_pass, blas_threads):
+        with pytest.raises(MlpDivergenceError):
+            train_mlp(blobs(np.random.default_rng(0)), runaway_config(300))
+        assert counts_in_pass == [1] * 23
+        assert blas_threads() == 2
+
+    def test_weights_do_not_depend_on_the_callers_count(self, blas):
+        """On 9,474 rows the MLP's GEMMs round differently on two threads."""
+        scene = generate_synthetic(littleport_like_config())
+        doubled = LabeledDataset(np.vstack([scene.features] * 2), np.tile(scene.labels, 2),
+                                 scene.class_names)
+        config = MlpConfig(iterations=20)
+        before = blas.get_threads()
+        models = []
+        try:
+            for count in (1, 2):
+                blas.set_threads(count)
+                models.append(train_mlp(doubled, config))
+        finally:
+            blas.set_threads(before)
+        one, two = models
+        assert one.loss_history == two.loss_history
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            assert getattr(one, name).tobytes() == getattr(two, name).tobytes(), name
