@@ -36,8 +36,6 @@ from .elm import (
     decode_scores,
     encode_targets,
     init_random_layer,
-    predict,
-    predict_scores,
     train_elm,
 )
 from .evaluate import (
@@ -50,7 +48,8 @@ from .evaluate import (
     confusion,
     dataset_fingerprint,
     evaluate,
-    model_predict,
+    predict,
+    predict_scores,
     sweep_hidden_nodes,
     training_cost,
 )
@@ -68,8 +67,6 @@ from .mlp import (
     mlp_cost,
     mlp_forward,
     mlp_gradient,
-    mlp_predict,
-    mlp_predict_scores,
     train_mlp,
 )
 from .modelio import ModelFormatError, load_model, save_model

@@ -48,7 +48,7 @@ from .evaluate import (
     config_text,
     confusion,
     dataset_fingerprint,
-    model_predict,
+    predict,
     sweep_hidden_nodes,
     training_cost,
 )
@@ -122,7 +122,7 @@ def _training_report(model, dataset) -> str:
     The only wall-clock content is the line containing "time", matching
     the filter convention of the benchmark reports.
     """
-    predicted = model_predict(model, dataset.features)
+    predicted = predict(model, dataset.features)
     matrix = confusion(dataset.labels, predicted, dataset.class_names)
     lines = [
         "training report",
@@ -159,7 +159,7 @@ def _save_predictions(path, model, features, labels, feature_names=None):
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     features, feature_names = load_feature_csv(args.data)
-    labels = model_predict(model, features)
+    labels = predict(model, features)
     _save_predictions(args.out, model, features, labels, feature_names)
     print(f"wrote {len(labels)} predictions to {args.out}")
     return 0

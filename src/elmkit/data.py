@@ -128,9 +128,9 @@ class _Model:
 class LabeledDataset:
     """Feature matrix with integer class labels and class names.
 
-    ``features`` is K x p (finite reals), ``labels`` is length K with
-    values in ``[0, len(class_names))``, and at least two distinct class
-    names, none with outer whitespace or a line break, must be declared.
+    ``features`` is K x p (finite reals), ``labels`` K integers (not bools)
+    in ``[0, len(class_names))``, and at least two distinct class names,
+    none with outer whitespace or a line break, must be declared.
     """
 
     features: np.ndarray
@@ -139,7 +139,11 @@ class LabeledDataset:
 
     def __post_init__(self):
         features = _frozen_array(self.features)
-        labels = _frozen_array(self.labels, np.int64)
+        raw = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # a NaN casts to garbage, which the comparison catches
+            labels = _frozen_array(raw, np.int64)
+        if raw.dtype == bool or not np.array_equal(labels, raw):
+            raise ValueError(f"labels must be integers that int64 holds, got {raw.dtype} labels")
         if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
             raise ValueError(f"features must be a nonempty 2-D matrix, got shape {features.shape}")
         if not np.isfinite(features).all():
@@ -433,7 +437,7 @@ class SplitSpec:
 
     def __post_init__(self):
         _check_int("seed", self.seed)
-        if not (0.0 < self.train_fraction < 1.0):
+        if not (0.0 < _check_real("train_fraction", self.train_fraction) < 1.0):
             raise ValueError(
                 f"train_fraction must be in (0, 1) so the test set is nonempty, "
                 f"got {self.train_fraction}"
@@ -509,8 +513,12 @@ class ScalingParams:
         hi = _frozen_array(self.feature_max)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("feature_min and feature_max must be matching 1-D vectors")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
-            raise ValueError("feature bounds must be finite, with feature_max >= feature_min")
+        # hi - lo is finite exactly when both bounds are and their range does not overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = np.isfinite(hi - lo) & (lo <= hi)
+        if not ok.all():
+            raise ValueError("feature bounds must be finite, with feature_max >= feature_min and a "
+                             f"finite range feature_max - feature_min (feature column {np.argmin(ok)})")
         object.__setattr__(self, "feature_min", lo)
         object.__setattr__(self, "feature_max", hi)
 
@@ -521,15 +529,21 @@ def fit_scaling(train: LabeledDataset) -> ScalingParams:
 
 
 def scale_features(features: np.ndarray, params: ScalingParams) -> np.ndarray:
-    """Apply the fitted affine map to a raw (samples, features) matrix."""
+    """Apply the fitted affine map to raw (samples, features); every result must be finite."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != params.feature_min.size:
         raise ValueError(f"expected {params.feature_min.size} features per sample, "
                          f"got input of shape {features.shape}")
     span = params.feature_max - params.feature_min
     safe = np.where(span > 0.0, span, 1.0)
-    scaled = -1.0 + 2.0 * (features - params.feature_min) / safe
-    return np.where(span > 0.0, scaled, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.where(span > 0.0, -1.0 + 2.0 * (features - params.feature_min) / safe, 0.0)
+    # as in linalg.as_matrix, min and max find a NaN or infinity without a boolean copy
+    finite = np.isfinite(scaled.min(axis=0, initial=0.0)) & np.isfinite(scaled.max(axis=0, initial=0.0))
+    if not finite.all():
+        raise ValueError(f"feature column {np.argmin(finite)}: scaled value is not finite "
+                         "(a NaN or infinity, or a value far outside the training range)")
+    return scaled
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +569,7 @@ class SyntheticConfig:
         names = _class_names(self.class_names)
         means = _frozen_array(self.means)
         covs = _frozen_array(self.covariances)
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(_check_int("counts", c) for c in self.counts)
         m = len(names)
         if means.ndim != 2 or means.shape[0] != m:
             raise ValueError(f"means must be (classes, features), got {means.shape}")

@@ -191,15 +191,10 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
     )
 
 
-def predict_scores(model: ElmModel, features: np.ndarray) -> np.ndarray:
+def _scores(model: ElmModel, features: np.ndarray) -> np.ndarray:
     """Raw class scores (samples, classes) for unscaled input features, on one BLAS thread."""
     scaled = scale_features(features, model.scaling)
     with _one_blas_thread():
         hidden = build_hidden_matrix(scaled, model.weights, model.biases, model.config.activation)
         return hidden @ model.output_weights
-
-
-def predict(model: ElmModel, features: np.ndarray) -> np.ndarray:
-    """Predicted label indices for unscaled input features."""
-    return decode_scores(predict_scores(model, features))
 

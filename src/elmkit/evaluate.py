@@ -19,9 +19,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import LabeledDataset, _check_int, _frozen_array
-from .elm import ElmConfig, ElmModel, encode_targets, predict, predict_scores, train_elm
+from .elm import ElmConfig, ElmModel, _scores as _elm_scores, decode_scores, encode_targets, train_elm
 from .linalg import _one_blas_thread
-from .mlp import MlpConfig, MlpModel, mlp_predict, mlp_predict_scores, train_mlp
+from .mlp import MlpConfig, MlpModel, _scores as _mlp_scores, train_mlp
 
 DEFAULT_HIDDEN_GRID = tuple(range(25, 451, 25))
 
@@ -33,22 +33,15 @@ class _Kind(NamedTuple):
     model: type
     config: type
     train: Callable     # (dataset, config) -> model
-    predict: Callable   # (model, features) -> label indices
     scores: Callable    # (model, features) -> (samples, classes) scores
 
 
-# The one table of classifier kinds, keyed by name.  Its functions look
-# their targets up at call time, so rebinding a module-level name (as
-# tracing does) also reaches the calls made through the table.
+# The one table of classifier kinds, keyed by name.  Its train functions look
+# their targets up at call time, so rebinding a module-level name (as tracing
+# does) also reaches the calls made through the table; its scorers are private.
 _KINDS = {kind.name: kind for kind in (
-    _Kind("elm", ElmModel, ElmConfig,
-          lambda dataset, config: train_elm(dataset, config),
-          lambda model, features: predict(model, features),
-          lambda model, features: predict_scores(model, features)),
-    _Kind("mlp", MlpModel, MlpConfig,
-          lambda dataset, config: train_mlp(dataset, config),
-          lambda model, features: mlp_predict(model, features),
-          lambda model, features: mlp_predict_scores(model, features)),
+    _Kind("elm", ElmModel, ElmConfig, lambda data, config: train_elm(data, config), _elm_scores),
+    _Kind("mlp", MlpModel, MlpConfig, lambda data, config: train_mlp(data, config), _mlp_scores),
 )}
 
 
@@ -208,9 +201,14 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def model_predict(model, features: np.ndarray) -> np.ndarray:
-    """Label predictions for either classifier kind."""
-    return _kind(model).predict(model, features)
+def predict_scores(model, features: np.ndarray) -> np.ndarray:
+    """Either kind's class scores (samples, classes) for unscaled features, on one BLAS thread."""
+    return _kind(model).scores(model, features)
+
+
+def predict(model, features: np.ndarray) -> np.ndarray:
+    """Either kind's label index per row of unscaled features: top score, lowest index on ties."""
+    return decode_scores(predict_scores(model, features))
 
 
 def _same_classes(first, second) -> None:
@@ -222,7 +220,7 @@ def _same_classes(first, second) -> None:
 def training_cost(model, train: LabeledDataset) -> float:
     """Sum of squared errors between either kind's scores on *train* and its one-hot targets."""
     _same_classes(model, train)
-    scores = _kind(model).scores(model, train.features)
+    scores = predict_scores(model, train.features)
     return float(np.sum((scores - encode_targets(train.labels, train.n_classes)) ** 2))
 
 
@@ -230,7 +228,7 @@ def evaluate(model, train: LabeledDataset, test: LabeledDataset) -> EvalReport:
     """Score a trained model on a held-out split in its class order and build its report."""
     _same_classes(model, test)
     started = time.perf_counter()
-    predicted = model_predict(model, test.features)
+    predicted = predict(model, test.features)
     predict_time = time.perf_counter() - started
     matrix = confusion(test.labels, predicted, test.class_names)
     return EvalReport(

@@ -33,9 +33,9 @@ hidden x samples, three of classes x samples) with ``out=`` and in-place
 ufuncs.  ``train_mlp`` allocates them, and lays out the scaled features
 and the one-hot targets, once per fit, so no iteration allocates a
 samples-sized array.
-:func:`mlp_forward`, :func:`mlp_cost`, :func:`mlp_gradient` and
-:func:`mlp_predict_scores` run the same pass on arrays allocated per call
-and return (samples, units) arrays, in the four-array parameter form.
+:func:`mlp_forward`, :func:`mlp_cost` and :func:`mlp_gradient` run the
+same pass on arrays allocated per call and return (samples, units)
+arrays, in the four-array parameter form.
 
 Each training iteration runs one pass: the pass that computes the
 gradient at the current parameters also yields the cost there, which is
@@ -57,7 +57,7 @@ import numpy as np
 
 from .data import (LabeledDataset, ScalingParams, _check_int, _check_real, _Model, _set_fields,
                    fit_scaling, scale_features)
-from .elm import _sigmoid, _with_ones_row, decode_scores, encode_targets
+from .elm import _sigmoid, _with_ones_row, encode_targets
 from .linalg import _one_blas_thread
 
 
@@ -282,13 +282,8 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
     )
 
 
-def mlp_predict_scores(model: MlpModel, features: np.ndarray) -> np.ndarray:
+def _scores(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Output-layer activations (samples, classes) for unscaled inputs."""
     scaled = scale_features(features, model.scaling)
     _, output = mlp_forward(scaled, model.w_hidden, model.b_hidden, model.w_out, model.b_out)
     return output
-
-
-def mlp_predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Predicted label indices for unscaled inputs."""
-    return decode_scores(mlp_predict_scores(model, features))

@@ -29,7 +29,6 @@ from elmkit.mlp import (
     init_mlp_params,
     mlp_cost,
     mlp_gradient,
-    mlp_predict,
     train_mlp,
 )
 

@@ -322,6 +322,39 @@ class TestTrainPredict:
             "elmkit predict: expected 2 features per sample, got input of shape (1, 3)\n")
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["elm", "mlp"])
+    def test_feature_that_scales_past_float64_exits_4(self, tmp_path, rng, capsys, kind):
+        """Scaled to infinity, the row would score NaN everywhere and get class 0."""
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        model_path = tmp_path / f"{kind}.model"
+        main(["train", "--data", str(data), "--classifier", kind, "--hidden", "4",
+              "--iterations", "5", "--out", str(model_path)])
+        capsys.readouterr()
+        huge = tmp_path / "huge.csv"
+        huge.write_text("f1,f2\n1.0,2.0\n1e308,1e308\n")
+        code = main(["predict", "--model", str(model_path), "--data", str(huge),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0] == ("elmkit predict: feature column 0: scaled value is not finite "
+                          "(a NaN or infinity, or a value far outside the training range)")
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["elm", "mlp"])
+    def test_feature_range_past_float64_exits_4(self, tmp_path, capsys, kind):
+        data = tmp_path / "train.csv"
+        save_csv(LabeledDataset([[0.0, 1e308], [1.0, -1e308], [2.0, 0.0], [3.0, 1.0]],
+                                [0, 1, 0, 1], ("a", "b")), data)
+        code = main(["train", "--data", str(data), "--classifier", kind, "--hidden", "4",
+                     "--iterations", "5", "--out", str(tmp_path / "m.model")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "elmkit train: feature bounds must be finite, with feature_max >= feature_min and a "
+            "finite range feature_max - feature_min (feature column 1)\n")
+        assert not (tmp_path / "m.model").exists()
+
     def test_corrupt_model_exits_3(self, tmp_path, rng):
         data = tmp_path / "train.csv"
         write_blobs_csv(data, rng)
@@ -466,14 +499,14 @@ class TestBenchmarkCommand:
         cli = importlib.import_module("elmkit.cli")
         evaluate = importlib.import_module("elmkit.evaluate")
         calls = []
-        original = evaluate.model_predict
+        original = evaluate.predict
 
         def counting(model, features):
             calls.append(type(model).__name__)
             return original(model, features)
 
-        monkeypatch.setattr(evaluate, "model_predict", counting)
-        monkeypatch.setattr(cli, "model_predict", counting)
+        monkeypatch.setattr(evaluate, "predict", counting)
+        monkeypatch.setattr(cli, "predict", counting)
         data = tmp_path / "scene.csv"
         write_blobs_csv(data, rng, n_per_class=30)
         out = tmp_path / "run"

@@ -1,5 +1,7 @@
 """Tests for dataset ingestion, splitting, scaling, and synthesis."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,15 @@ class TestLabeledDataset:
         bad[0, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             LabeledDataset(bad, np.array([0, 1]), ("a", "b"))
+
+    @pytest.mark.parametrize("labels, dtype", [
+        ([0.5, 1.7, 0.2], "float64"), ([0.0, np.nan, 1.0], "float64"), ([True, False, True], "bool"),
+    ])
+    def test_labels_a_cast_would_change_rejected(self, labels, dtype):
+        """A cast to int64 would truncate 0.5 and 1.7, and would take True for class 1."""
+        message = f"^labels must be integers that int64 holds, got {dtype} labels$"
+        with pytest.raises(ValueError, match=message):
+            LabeledDataset(np.ones((3, 2)), labels, ("a", "b"))
 
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="one per sample"):
@@ -324,6 +335,11 @@ class TestSplitSpecValidation:
         with pytest.raises(ValueError, match="^seed must be an integer, got True$"):
             SplitSpec(train_fraction=0.5, seed=True)
 
+    @pytest.mark.parametrize("fraction", ["0.5", True, None])
+    def test_non_number_fraction_rejected(self, fraction):
+        with pytest.raises(ValueError, match=f"^train_fraction must be a number, got {fraction!r}$"):
+            SplitSpec(train_fraction=fraction)
+
 class TestStratifiedSplit:
     def test_disjoint_and_exhaustive(self, rng):
         ds = make_unbalanced(rng, [20, 30, 25])
@@ -439,6 +455,19 @@ class TestScaling:
         with pytest.raises(ValueError, match=">="):
             ScalingParams(np.array([1.0]), np.array([0.0]))
 
+    def test_range_past_float64_rejected(self):
+        with pytest.raises(ValueError, match=r"^feature bounds must be finite, .* and a finite range "
+                                             r"feature_max - feature_min \(feature column 1\)$"):
+            ScalingParams(np.array([0.0, -1e308]), np.array([1.0, 1e308]))
+
+    @pytest.mark.parametrize("value", [1e308, -1e308, np.inf, np.nan])
+    def test_non_finite_scaled_value_rejected(self, value):
+        params = ScalingParams(np.array([0.0, 0.0, 0.0]), np.array([1.0, 5.0, 1.0]))
+        features = np.ones((4, 3))
+        features[2, 1] = value
+        with pytest.raises(ValueError, match=r"^feature column 1: scaled value is not finite "):
+            scale_features(features, params)
+
 
 class TestSyntheticConfig:
     def test_asymmetric_covariance_rejected(self):
@@ -455,6 +484,11 @@ class TestSyntheticConfig:
         cov = np.array([np.eye(2)] * 2)
         with pytest.raises(ValueError, match="positive sample count"):
             SyntheticConfig(("a", "b"), np.zeros((2, 2)), cov, (5, 0))
+
+    @pytest.mark.parametrize("count", [677.9, 5.0, True, "5"])
+    def test_count_that_is_not_an_integer_rejected(self, count):
+        with pytest.raises(ValueError, match=f"^counts must be an integer, got {count!r}$"):
+            replace(littleport_like_config(), counts=(count,) * 7)
 
     def test_shape_mismatch_rejected(self):
         cov = np.array([np.eye(3)] * 2)

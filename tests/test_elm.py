@@ -14,11 +14,9 @@ from elmkit.elm import (
     decode_scores,
     encode_targets,
     init_random_layer,
-    predict,
-    predict_scores,
     train_elm,
 )
-from elmkit.evaluate import training_cost
+from elmkit.evaluate import predict, predict_scores, training_cost
 
 
 def blobs(rng, n_per_class=40, spread=1.0):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from elmkit import linalg
-from elmkit.data import LabeledDataset, SplitSpec, stratified_split
-from elmkit.elm import ElmConfig, predict, predict_scores, train_elm
+from elmkit.data import LabeledDataset, SplitSpec, scale_features, stratified_split
+from elmkit.elm import ElmConfig, ElmModel, build_hidden_matrix, decode_scores, train_elm
 from elmkit.linalg import SvdConvergenceError
 from elmkit.evaluate import (
     BenchmarkResult,
@@ -22,10 +22,12 @@ from elmkit.evaluate import (
     confusion,
     dataset_fingerprint,
     evaluate,
+    predict,
+    predict_scores,
     sweep_hidden_nodes,
     training_cost,
 )
-from elmkit.mlp import MlpConfig, mlp_predict, mlp_predict_scores, train_mlp
+from elmkit.mlp import MlpConfig, mlp_forward, train_mlp
 
 
 def blobs(rng, n_per_class=50, spread=0.7):
@@ -165,9 +167,36 @@ class TestTrainingCost:
         targets = np.eye(3)[ds.labels]
         elm = train_elm(ds, ElmConfig(hidden_nodes=8, seed=5))
         mlp = train_mlp(ds, MlpConfig(hidden_nodes=4, iterations=20))
-        for model, scores in ((elm, predict_scores), (mlp, mlp_predict_scores)):
-            want = np.sum((scores(model, ds.features) - targets) ** 2)
+        for model in (elm, mlp):
+            want = np.sum((predict_scores(model, ds.features) - targets) ** 2)
             assert training_cost(model, ds) == want
+
+
+class TestPredictBothKinds:
+    """``predict_scores`` is each kind's own forward pass, bit for bit, and
+    ``predict`` decodes it."""
+
+    @staticmethod
+    def forward(model, features):
+        scaled = scale_features(features, model.scaling)
+        if isinstance(model, ElmModel):
+            hidden = build_hidden_matrix(scaled, model.weights, model.biases,
+                                         model.config.activation)
+            return hidden @ model.output_weights
+        return mlp_forward(scaled, model.w_hidden, model.b_hidden, model.w_out, model.b_out)[1]
+
+    @pytest.mark.parametrize("fit", [
+        lambda ds: train_elm(ds, ElmConfig(hidden_nodes=12, seed=3)),
+        lambda ds: train_mlp(ds, MlpConfig(hidden_nodes=4, iterations=30, seed=1)),
+    ], ids=["elm", "mlp"])
+    def test_scores_are_the_kinds_forward_pass(self, rng, fit):
+        model = fit(blobs(rng))
+        queries = rng.normal(3.0, 4.0, size=(25, 2))
+        scores = predict_scores(model, queries)
+        want = self.forward(model, queries)
+        assert scores.dtype == want.dtype and scores.shape == (25, 3)
+        assert scores.tobytes() == np.ascontiguousarray(want).tobytes()
+        np.testing.assert_array_equal(predict(model, queries), decode_scores(scores))
 
 
 class TestBenchmark:
@@ -222,7 +251,7 @@ class TestClassOrder:
 class TestFeatureWidth:
     @pytest.mark.parametrize("fit, label", [
         (lambda ds: train_elm(ds, ElmConfig(hidden_nodes=5)), predict),
-        (lambda ds: train_mlp(ds, MlpConfig(hidden_nodes=3, iterations=2)), mlp_predict),
+        (lambda ds: train_mlp(ds, MlpConfig(hidden_nodes=3, iterations=2)), predict),
     ], ids=["elm", "mlp"])
     def test_predict_names_the_expected_width(self, rng, fit, label):
         features = rng.standard_normal((40, 6))

@@ -7,6 +7,7 @@ from elmkit import mlp
 from elmkit.data import (LabeledDataset, fit_scaling, generate_synthetic, littleport_like_config,
                          scale_features)
 from elmkit.elm import encode_targets
+from elmkit.evaluate import predict, predict_scores
 from elmkit.mlp import (
     _MEAN_STEP_GAIN,
     MlpConfig,
@@ -15,8 +16,6 @@ from elmkit.mlp import (
     mlp_cost,
     mlp_forward,
     mlp_gradient,
-    mlp_predict,
-    mlp_predict_scores,
     train_mlp,
 )
 
@@ -293,7 +292,7 @@ class TestTrainMlp:
         test = blobs(rng, n_per_class=40, spread=0.5)
         model = train_mlp(train, MlpConfig(hidden_nodes=12, learning_rate=0.5,
                                            momentum=0.2, iterations=600, seed=0))
-        accuracy = (mlp_predict(model, test.features) == test.labels).mean()
+        accuracy = (predict(model, test.features) == test.labels).mean()
         assert accuracy > 0.9
 
     def test_divergence_aborts_with_iteration(self):
@@ -332,7 +331,7 @@ class TestTrainMlp:
         shifted = LabeledDataset(ds.features * 40.0 + 900.0, ds.labels, ds.class_names)
         model = train_mlp(shifted, MlpConfig(hidden_nodes=12, learning_rate=0.5,
                                              momentum=0.2, iterations=600, seed=0))
-        accuracy = (mlp_predict(model, shifted.features) == shifted.labels).mean()
+        accuracy = (predict(model, shifted.features) == shifted.labels).mean()
         assert accuracy > 0.9
 
     def test_model_arrays_read_only(self, rng):
@@ -362,7 +361,7 @@ class TestOneBlasThread:
         assert counts_in_pass == [1] * 6
         assert blas_threads() == 2
 
-    @pytest.mark.parametrize("name", ["mlp_predict_scores", "mlp_forward", "mlp_cost",
+    @pytest.mark.parametrize("name", ["predict_scores", "mlp_forward", "mlp_cost",
                                       "mlp_gradient"])
     def test_public_passes(self, rng, counts_in_pass, blas_threads, name):
         ds = blobs(rng)
@@ -370,7 +369,7 @@ class TestOneBlasThread:
         params = model.w_hidden, model.b_hidden, model.w_out, model.b_out
         targets = encode_targets(ds.labels, ds.n_classes)
         counts_in_pass.clear()
-        {"mlp_predict_scores": lambda: mlp_predict_scores(model, ds.features),
+        {"predict_scores": lambda: predict_scores(model, ds.features),
          "mlp_forward": lambda: mlp_forward(ds.features, *params),
          "mlp_cost": lambda: mlp_cost(ds.features, targets, *params),
          "mlp_gradient": lambda: mlp_gradient(ds.features, targets, *params)}[name]()

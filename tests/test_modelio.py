@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from elmkit.data import LabeledDataset, ScalingParams
-from elmkit.elm import ACTIVATIONS, ElmConfig, ElmModel, predict, train_elm
-from elmkit.mlp import MlpConfig, MlpModel, mlp_predict, train_mlp
+from elmkit.elm import ACTIVATIONS, ElmConfig, ElmModel, train_elm
+from elmkit.evaluate import predict
+from elmkit.mlp import MlpConfig, MlpModel, train_mlp
 from elmkit.modelio import ModelFormatError, load_model, save_model
 
 
@@ -83,7 +84,7 @@ class TestMlpRoundTrip:
         save_model(model, path)
         back = load_model(path)
         queries = rng.uniform(-2, 8, size=(40, 2))
-        np.testing.assert_array_equal(mlp_predict(back, queries), mlp_predict(model, queries))
+        np.testing.assert_array_equal(predict(back, queries), predict(model, queries))
 
 
 class TestFormatErrors:
