@@ -10,8 +10,7 @@ harness (:mod:`elmkit.evaluate`).
 """
 
 from .data import (
-    ConfigFormatError,
-    CsvFormatError,
+    FormatError,
     LabeledDataset,
     ScalingParams,
     SplitSpec,
@@ -53,12 +52,7 @@ from .evaluate import (
     sweep_hidden_nodes,
     training_cost,
 )
-from .linalg import (
-    LinalgError,
-    SvdConvergenceError,
-    min_norm_lstsq,
-    pseudoinverse,
-)
+from .linalg import min_norm_lstsq, pseudoinverse
 from .mlp import (
     MlpConfig,
     MlpDivergenceError,
@@ -69,6 +63,6 @@ from .mlp import (
     mlp_gradient,
     train_mlp,
 )
-from .modelio import ModelFormatError, load_model, save_model
+from .modelio import load_model, save_model
 
 __version__ = "0.1.0"

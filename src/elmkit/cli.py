@@ -27,9 +27,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .data import (
-    ConfigFormatError,
-    CsvFormatError,
     DEFAULT_TRAIN_FRACTION,
+    FormatError,
     LabeledDataset,
     SplitSpec,
     _fmt_vector,
@@ -53,16 +52,15 @@ from .evaluate import (
     training_cost,
 )
 from .mlp import MlpConfig, MlpDivergenceError
-from .modelio import ModelFormatError, load_model, save_model
+from .modelio import load_model, save_model
 
-# (code, meaning, error types) in help order.  main returns the code of the
-# first row whose types match, so the format errors come before ValueError:
-# they, and LinalgError, are ValueErrors too.
+# (code, meaning, error types) in help order, one class per code.  main
+# returns the code of the first row whose types match, so FormatError, a
+# ValueError too, comes before ValueError.
 _EXIT_CODES = (
     (0, "success", ()),
     (2, "usage error (bad flags or arguments)", ()),
-    (3, "malformed input file (dataset, generator config, or model)",
-     (CsvFormatError, ConfigFormatError, ModelFormatError)),
+    (3, "malformed input file (dataset, generator config, or model)", (FormatError,)),
     (4, "invalid data or configuration values", (ValueError,)),
     (5, "training diverged", (MlpDivergenceError,)),
     (6, "out of memory", (MemoryError,)),

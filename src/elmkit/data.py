@@ -12,6 +12,10 @@ The on-disk formats are deliberately plain text:
   rows, read back in exactly that order by the one ``key: value`` line
   reader, which also reads :mod:`elmkit.modelio`'s model files.
 
+A malformed file of any of these formats raises :class:`FormatError`, a
+``ValueError`` whose message names the file and, where there is one, the
+physical line; an invalid value passed in code raises a plain ``ValueError``.
+
 Everything here is a pure function over immutable values; datasets are
 frozen and their arrays are marked read-only.
 """
@@ -31,12 +35,8 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 
-class CsvFormatError(ValueError):
-    """A delimited input file is missing columns, empty, or has unparseable cells."""
-
-
-class ConfigFormatError(ValueError):
-    """A generator config file does not follow the documented key-value layout."""
+class FormatError(ValueError):
+    """A malformed input file: a dataset CSV, a generator config or a model file."""
 
 
 def _check_real(name: str, value, kind: str = "a number"):
@@ -182,8 +182,8 @@ class LabeledDataset:
 # Line-oriented text files
 # ---------------------------------------------------------------------------
 
-def _read_lines(path, error, newline=None) -> list[str]:
-    """The lines of a UTF-8 file, split as by :func:`open`; bad bytes raise *error*."""
+def _read_lines(path, newline=None) -> list[str]:
+    """The lines of a UTF-8 file, split as by :func:`open`; bad bytes raise :class:`FormatError`."""
     with open(path, "rb") as handle:
         # one leading byte-order mark goes before decoding, so error offsets still give lines
         raw = handle.read().removeprefix(codecs.BOM_UTF8)
@@ -191,7 +191,7 @@ def _read_lines(path, error, newline=None) -> list[str]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}: line {line_no}: not valid UTF-8") from None
+        raise FormatError(f"{path}: line {line_no}: not valid UTF-8") from None
     return io.StringIO(text, newline=newline).readlines()
 
 
@@ -202,23 +202,22 @@ def _fmt_vector(vec) -> str:
 class _Reader:
     """In-order ``key: value`` line reader whose errors name the physical line."""
 
-    def __init__(self, path, error, skip_blank: bool = False):
+    def __init__(self, path, skip_blank: bool = False):
         self.path = path
-        self.error = error
         lines = [(n, line.rstrip("\n"))
-                 for n, line in enumerate(_read_lines(path, error), start=1)]
+                 for n, line in enumerate(_read_lines(path), start=1)]
         if skip_blank:
             lines = [item for item in lines if item[1].strip()]
         while lines and not lines[-1][1].strip():
             lines.pop()
         if not lines:
-            raise error(f"{path}: file is empty")
+            raise FormatError(f"{path}: file is empty")
         self.lines = lines
         self.pos = 0
         self.line_no = 0  # physical line of the line read last
 
     def fail(self, message: str):
-        raise self.error(f"{self.path}: line {self.line_no}: {message}")
+        raise FormatError(f"{self.path}: line {self.line_no}: {message}")
 
     def at_end(self) -> bool:
         return self.pos >= len(self.lines)
@@ -286,6 +285,26 @@ class _Reader:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+def _csv_records(path):
+    """Each record after the leading ``#`` lines, with the physical line it starts on.
+
+    The csv module's own errors (a cell longer than ``csv.field_size_limit()``,
+    or a NUL byte before Python 3.11) raise :class:`FormatError` naming that line.
+    """
+    lines = _read_lines(path, newline="")
+    skip = 0
+    while skip < len(lines) and lines[skip].lstrip().startswith("#"):
+        skip += 1
+    reader = csv.reader(lines[skip:])
+    start = skip + 1
+    try:
+        for record in reader:
+            yield start, record
+            start = skip + reader.line_num + 1
+    except csv.Error as exc:
+        raise FormatError(f"{path}: row {start}: {exc}") from None
+
+
 def _parse_csv(path, label_required: bool):
     """The one strict row parser behind :func:`load_csv` and :func:`load_feature_csv`.
 
@@ -293,34 +312,28 @@ def _parse_csv(path, label_required: bool):
     stripped label cells (empty without a ``label`` column) and the
     physical line each data row starts on, as every error names it.
     """
-    lines = _read_lines(path, CsvFormatError, newline="")
-    skip = 0
-    while skip < len(lines) and lines[skip].lstrip().startswith("#"):
-        skip += 1
-    reader = csv.reader(lines[skip:])
+    records = _csv_records(path)
     try:
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(records)[1]]
     except StopIteration:
-        raise CsvFormatError(f"{path}: file is empty") from None
+        raise FormatError(f"{path}: file is empty") from None
     if len(set(header)) != len(header):
-        raise CsvFormatError(f"{path}: duplicate column names in header")
+        raise FormatError(f"{path}: duplicate column names in header")
     label_pos = header.index("label") if "label" in header else None
     if label_required and label_pos is None:
-        raise CsvFormatError(f"{path}: missing label column 'label'")
+        raise FormatError(f"{path}: missing label column 'label'")
     columns = [(pos, name) for pos, name in enumerate(header) if name != "label"]
     if not columns:
-        raise CsvFormatError(f"{path}: no feature columns")
+        raise FormatError(f"{path}: no feature columns")
 
     rows: list[list[float]] = []
     labels: list[str] = []
     line_numbers: list[int] = []
-    start = skip + reader.line_num + 1  # the line the next record starts on
-    for record in reader:
-        line_no, start = start, skip + reader.line_num + 1
+    for line_no, record in records:
         if not record:
             continue
         if len(record) != len(header):
-            raise CsvFormatError(
+            raise FormatError(
                 f"{path}: row {line_no} has {len(record)} cells, expected {len(header)}"
             )
         values = []
@@ -329,11 +342,11 @@ def _parse_csv(path, label_required: bool):
             try:
                 value = float(cell)
             except ValueError:
-                raise CsvFormatError(
+                raise FormatError(
                     f"{path}: row {line_no}, column '{name}': could not parse '{cell}' as a number"
                 ) from None
             if not math.isfinite(value):
-                raise CsvFormatError(
+                raise FormatError(
                     f"{path}: row {line_no}, column '{name}': non-finite value '{cell}'"
                 )
             values.append(value)
@@ -343,7 +356,7 @@ def _parse_csv(path, label_required: bool):
         line_numbers.append(line_no)
 
     if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
+        raise FormatError(f"{path}: no data rows")
     return [name for _, name in columns], np.array(rows), labels, line_numbers
 
 
@@ -358,10 +371,11 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> LabeledDataset:
     to pin the mapping instead (required for an exact round trip of a
     dataset whose classes are not in first-appearance order).
 
-    Raises :class:`CsvFormatError` on an empty or non-UTF-8 file, a
+    Raises :class:`FormatError` on an empty or non-UTF-8 file, a
     missing column, a row with the wrong cell count, an unparseable or
-    non-finite cell, an unknown class, or a class name holding a line
-    break, each reported with its physical line.
+    non-finite cell, a cell longer than ``csv.field_size_limit()``, an
+    unknown class, or a class name holding a line break, each reported
+    with its physical line.
     """
     _, features, label_names, line_numbers = _parse_csv(path, label_required=True)
 
@@ -373,9 +387,9 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> LabeledDataset:
     for line_no, name in zip(line_numbers, label_names):
         # a model file is read line by line, so such a class name could not be read back
         if "\n" in name or "\r" in name:
-            raise CsvFormatError(f"{path}: row {line_no}: class name contains a line break")
+            raise FormatError(f"{path}: row {line_no}: class name contains a line break")
         if name not in mapping:
-            raise CsvFormatError(f"{path}: row {line_no}: unknown class '{name}'")
+            raise FormatError(f"{path}: row {line_no}: unknown class '{name}'")
 
     labels = np.array([mapping[name] for name in label_names], dtype=np.int64)
     return LabeledDataset(features, labels, ordered)
@@ -720,10 +734,11 @@ def load_synthetic_config(path) -> SyntheticConfig:
     """Read a generator config in the key order :func:`save_synthetic_config` writes.
 
     Blank lines are skipped.  A line out of place or a bad value raises
-    :class:`ConfigFormatError` naming its physical line, as does the
+    :class:`FormatError` naming its physical line, as does the
     ``count:`` line that takes the total past ``_MAX_GENERATED_CELLS``.
+    Values that :class:`SyntheticConfig` rejects raise it naming the file.
     """
-    reader = _Reader(path, ConfigFormatError, skip_blank=True)
+    reader = _Reader(path, skip_blank=True)
     if reader.next_line().strip() != _CONFIG_TAG:
         reader.fail(f"missing '{_CONFIG_TAG}' tag line")
     seed = reader.expect_key("seed", int)
@@ -741,4 +756,4 @@ def load_synthetic_config(path) -> SyntheticConfig:
         return SyntheticConfig(tuple(names), np.asarray(means), np.asarray(covs),
                                tuple(counts), seed)
     except ValueError as exc:
-        raise ConfigFormatError(f"{path}: {exc}") from None
+        raise FormatError(f"{path}: {exc}") from None

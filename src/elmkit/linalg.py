@@ -2,7 +2,9 @@
 
 Matrices are plain 2-D float64 ndarrays with at least one row and one
 column and only finite entries; :func:`as_matrix` enforces that contract
-at every public entry point.  All functions are pure and never mutate
+at every public entry point.  A matrix that breaks it, a bad
+``rank_tol``, and an SVD that does not converge raise ``ValueError``.
+All functions are pure and never mutate
 their arguments, so they are safe to call concurrently.  The one
 exception is :func:`min_norm_lstsq` with ``overwrite_a=True``: it may
 factorise its matrix argument in place, so that matrix must not be read
@@ -26,45 +28,32 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 
-class LinalgError(ValueError):
-    """Invalid matrix input: bad shape, non-finite entries, or a dimension mismatch."""
-
-
-class SvdConvergenceError(LinalgError):
-    """The SVD backend failed to converge, which signals a pathological input.
-
-    Convergence control (iteration caps) is delegated to the LAPACK
-    backend; this error simply surfaces its failure with the offending
-    shape attached.
-    """
-
-
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate *a* as a dense real matrix and return it as a float64 ndarray.
 
-    Raises :class:`LinalgError` if *a* is not 2-D, has a zero dimension,
+    Raises ``ValueError`` if *a* is not 2-D, has a zero dimension,
     or contains NaN/infinity.
     """
     try:
         out = np.asarray(a, dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise LinalgError(f"{name}: could not interpret input as a real matrix: {exc}") from None
+        raise ValueError(f"{name}: could not interpret input as a real matrix: {exc}") from None
     if out.ndim != 2:
-        raise LinalgError(f"{name}: expected a 2-D matrix, got {out.ndim} dimension(s)")
+        raise ValueError(f"{name}: expected a 2-D matrix, got {out.ndim} dimension(s)")
     rows, cols = out.shape
     if rows < 1 or cols < 1:
-        raise LinalgError(f"{name}: dimensions must be at least 1x1, got {rows}x{cols}")
+        raise ValueError(f"{name}: dimensions must be at least 1x1, got {rows}x{cols}")
     # min and max carry a NaN through and reach any infinity, without the
     # boolean copy np.isfinite would make of a hidden matrix
     if not (np.isfinite(out.min()) and np.isfinite(out.max())):
-        raise LinalgError(f"{name}: entries must be finite (found NaN or infinity)")
+        raise ValueError(f"{name}: entries must be finite (found NaN or infinity)")
     return out
 
 
 def _check_rank_tol(rank_tol: float) -> None:
     # NaN fails too; from 1 up, gelsd cuts nothing and the reference everything
     if not (0.0 <= rank_tol < 1.0):
-        raise LinalgError(f"rank_tol must be non-negative and below 1, got {rank_tol}")
+        raise ValueError(f"rank_tol must be non-negative and below 1, got {rank_tol}")
 
 
 def pseudoinverse(a, rank_tol: float = 1e-10) -> np.ndarray:
@@ -84,15 +73,15 @@ def pseudoinverse(a, rank_tol: float = 1e-10) -> np.ndarray:
         value.  The default 1e-10 is the standard numerical-rank
         convention; raise it for badly conditioned inputs.
 
-    Raises :class:`SvdConvergenceError`, naming the shape, if numpy's SVD
-    (LAPACK gesdd) does not converge.
+    Raises ``ValueError``, naming the shape, if numpy's SVD (LAPACK
+    gesdd) does not converge.
     """
     _check_rank_tol(rank_tol)
     a = as_matrix(a)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"SVD did not converge for {a.shape[0]}x{a.shape[1]} input: {exc}") from None
+        raise ValueError(f"SVD did not converge for {a.shape[0]}x{a.shape[1]} input: {exc}") from None
     inv_s = np.zeros_like(s)
     keep = s > rank_tol * s[0]
     inv_s[keep] = 1.0 / s[keep]
@@ -100,7 +89,7 @@ def pseudoinverse(a, rank_tol: float = 1e-10) -> np.ndarray:
     # moves the last bits of some results
     out = np.ascontiguousarray(vt.T) @ (inv_s[:, None] * u.T)
     if not np.isfinite(out).all():
-        raise LinalgError("pseudoinverse produced non-finite entries")
+        raise ValueError("pseudoinverse produced non-finite entries")
     return out
 
 
@@ -231,7 +220,7 @@ def _ptr(x: np.ndarray):
 
 def _check_arguments(routine: str, info: ctypes.c_int64, shape) -> None:
     if info.value < 0:
-        raise LinalgError(f"{routine} rejected argument {-info.value} for {shape[0]}x{shape[1]} input")
+        raise ValueError(f"{routine} rejected argument {-info.value} for {shape[0]}x{shape[1]} input")
 
 
 def _lstsq(a: np.ndarray, y: np.ndarray, rank_tol: float, shape) -> np.ndarray:
@@ -239,7 +228,7 @@ def _lstsq(a: np.ndarray, y: np.ndarray, rank_tol: float, shape) -> np.ndarray:
     try:
         return np.linalg.lstsq(a, y, rcond=rank_tol)[0]
     except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(
+        raise ValueError(
             f"least-squares SVD did not converge for {shape[0]}x{shape[1]} input: {exc}"
         ) from None
 
@@ -336,7 +325,7 @@ def min_norm_lstsq(a, y, rank_tol: float = 1e-10, overwrite_a: bool = False) -> 
     a = as_matrix(a, "a")
     y = as_matrix(y, "y")
     if a.shape[0] != y.shape[0]:
-        raise LinalgError(
+        raise ValueError(
             f"dimension mismatch in min_norm_lstsq: a has {a.shape[0]} rows, y has {y.shape[0]}"
         )
     # gelsd would silently read a negative cutoff as machine precision
@@ -347,5 +336,5 @@ def min_norm_lstsq(a, y, rank_tol: float = 1e-10, overwrite_a: bool = False) -> 
     else:
         out = _lstsq(a, y, rank_tol, a.shape)
     if not np.isfinite(out).all():
-        raise LinalgError("min_norm_lstsq produced non-finite entries")
+        raise ValueError("min_norm_lstsq produced non-finite entries")
     return out

@@ -5,7 +5,8 @@ the kind and version, ``key: value`` header lines, one ``class:`` line
 per class name, and matrix blocks introduced by a ``<name>:`` marker
 followed by one space-separated row per line.  Floats are written with
 ``repr`` so loading reproduces every bit; :mod:`elmkit.data`'s line
-reader reads a file back in that order and names the line of any error.
+reader reads a file back in that order, and any error in it is a
+:class:`elmkit.data.FormatError` naming the line.
 Files are written as v2.  A v1 file differs only in three header lines
 that v2 dropped; it still loads when each holds the one value the v1
 writer ever gave it, since no v2 config can describe any other.
@@ -18,11 +19,8 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-from .data import ScalingParams, _fmt_vector, _Reader
+from .data import FormatError, ScalingParams, _fmt_vector, _Reader
 from .evaluate import _KINDS, _config_fields, _kind
-
-# Config field parsers, by declared field type.
-_PARSERS = {"int": int, "float": float, "str": str}
 
 # The v1 header keys of each kind, in file order, and the fixed value of
 # each key that v2 dropped.
@@ -32,10 +30,6 @@ _V1_KEYS = {
             "init_range", "divergence_factor"),
 }
 _V1_FIXED = {"weight_range": "-1.0 1.0", "init_range": "-0.5 0.5", "divergence_factor": "100.0"}
-
-
-class ModelFormatError(ValueError):
-    """A model file has an unknown tag, missing fields, or malformed blocks."""
 
 
 def save_model(model, path) -> None:
@@ -62,11 +56,12 @@ def save_model(model, path) -> None:
 
 
 def _read_config(reader: _Reader, kind, version: str):
-    types = {f.name: f.type for f in fields(kind.config)}
+    # every config field's default has the field's type: int, float or str
+    types = {f.name: type(f.default) for f in fields(kind.config)}
     values = {}
     for key in (_V1_KEYS[kind.name] if version == "v1" else types):
         if key in types:
-            values[key] = reader.expect_key(key, _PARSERS[types[key]])
+            values[key] = reader.expect_key(key, types[key])
         elif (text := reader.expect_key(key)) != _V1_FIXED[key]:
             reader.fail(f"'{key}: {text}' has no v2 equivalent; only '{_V1_FIXED[key]}' loads")
     return kind.config(**values)
@@ -89,7 +84,7 @@ def _read_model(reader: _Reader, kind, version: str):
 
 def load_model(path):
     """Read a v2 or v1 model file back; the tag line selects the classifier kind."""
-    reader = _Reader(path, ModelFormatError)
+    reader = _Reader(path)
     tag = reader.next_line().strip()
     name, _, version = tag.partition("-model ")
     kind = _KINDS.get(name)
@@ -97,7 +92,7 @@ def load_model(path):
         reader.fail(f"unknown model tag '{tag}'")
     try:
         return _read_model(reader, kind, version)
-    except ModelFormatError:
+    except FormatError:
         raise
     except (ValueError, TypeError) as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+        raise FormatError(f"{path}: {exc}") from None

@@ -12,8 +12,7 @@ import pytest
 from elmkit import cli
 from elmkit.cli import _EXIT_CODES_HELP, main
 from elmkit.data import (
-    ConfigFormatError,
-    CsvFormatError,
+    FormatError,
     LabeledDataset,
     littleport_like_config,
     load_csv,
@@ -22,9 +21,8 @@ from elmkit.data import (
 )
 from elmkit.elm import ElmConfig
 from elmkit.evaluate import config_text
-from elmkit.linalg import LinalgError
 from elmkit.mlp import MlpConfig, MlpDivergenceError
-from elmkit.modelio import ModelFormatError, load_model
+from elmkit.modelio import load_model
 
 
 def write_blobs_csv(path, rng, n_per_class=40, spread=0.6):
@@ -214,6 +212,33 @@ class TestMalformedInputExits3:
         err = capsys.readouterr().err.splitlines()
         assert code == 3
         assert err == [f"elmkit {argv[0]}: {bad}: line 5: not valid UTF-8"]
+
+    @pytest.mark.parametrize("command", ["train", "predict", "benchmark", "sweep"])
+    @pytest.mark.parametrize("line_no, prefix", [(3, "1" * 140_000), (1, "f" * 140_000), (3, "\x00")],
+                             ids=["long cell", "long header", "nul byte"])
+    def test_csv_module_error(self, tmp_path, rng, capsys, command, line_no, prefix):
+        """A cell past csv.field_size_limit() is malformed, and so is a NUL byte in a
+        feature cell: the csv module rejects it before Python 3.11, float() after."""
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        model = tmp_path / "elm.model"
+        assert main(["train", "--data", str(data), "--hidden", "4", "--out", str(model)]) == 0
+        lines = data.read_text().splitlines(keepends=True)
+        lines[line_no - 1] = prefix + lines[line_no - 1]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        argv = {"train": ["train", "--data", str(bad), "--hidden", "4"],
+                "predict": ["predict", "--model", str(model), "--data", str(bad)],
+                "benchmark": ["benchmark", "--data", str(bad), "--iterations", "5"],
+                "sweep": ["sweep", "--data", str(bad), "--seeds", "1"]}[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1
+        assert err[0].startswith(f"elmkit {command}: {bad}: row {line_no}")
+        assert not out.exists()
 
     def test_class_name_with_line_break(self, tmp_path, capsys):
         """A model file could not hold such a name, so training writes none."""
@@ -707,10 +732,7 @@ class TestExitCodes:
     """The contract of --help, with the codes written out here, not read from cli."""
 
     @pytest.mark.parametrize("error, code", [
-        (CsvFormatError("bad"), 3),
-        (ConfigFormatError("bad"), 3),
-        (ModelFormatError("bad"), 3),
-        (LinalgError("bad"), 4),
+        (FormatError("bad"), 3),
         (ValueError("bad"), 4),
         (MlpDivergenceError(7, float("nan")), 5),
         (MemoryError("bad"), 6),

@@ -1,13 +1,14 @@
 """Tests for dataset ingestion, splitting, scaling, and synthesis."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import elmkit
 from elmkit.data import (
-    ConfigFormatError,
-    CsvFormatError,
+    FormatError,
     LabeledDataset,
     ScalingParams,
     SplitSpec,
@@ -26,6 +27,7 @@ from elmkit.data import (
     scale_features,
     stratified_split,
 )
+from elmkit.modelio import load_model
 
 
 def small_dataset():
@@ -162,7 +164,7 @@ class TestCsvRoundTrip:
     def test_error_rows_count_comment_lines(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("# one comment\nf1,label\n1.0,a\nbad,b\n")
-        with pytest.raises(CsvFormatError, match="row 4"):
+        with pytest.raises(FormatError, match="row 4"):
             load_csv(path)
 
     def test_error_rows_count_lines_inside_quoted_cells(self, tmp_path):
@@ -170,10 +172,10 @@ class TestCsvRoundTrip:
         feature cell quoted across lines 3-4 leaves the unknown class on line 5."""
         path = tmp_path / "data.csv"
         path.write_text('f1,label\n1.0,a\n2.0,"two\nlines"\n3.0,b\noops,b\n')
-        with pytest.raises(CsvFormatError, match="row 6, column 'f1'"):
+        with pytest.raises(FormatError, match="row 6, column 'f1'"):
             load_csv(path)
         path.write_text('# note\nf1,label\n"2.0\n",a\n1.0,z\n')
-        with pytest.raises(CsvFormatError, match="row 5: unknown class 'z'"):
+        with pytest.raises(FormatError, match="row 5: unknown class 'z'"):
             load_csv(path, class_names=("a", "b"))
 
     @pytest.mark.parametrize("comment", ["# comment\n", ""], ids=["comment", "no-comment"])
@@ -192,7 +194,7 @@ class TestCsvRoundTrip:
     def test_byte_order_mark_keeps_error_lines(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"\xef\xbb\xbff1,label\n1.0,a\n\xff,b\n")
-        with pytest.raises(CsvFormatError, match="line 3: not valid UTF-8"):
+        with pytest.raises(FormatError, match="line 3: not valid UTF-8"):
             load_csv(path)
 
 
@@ -200,62 +202,62 @@ class TestCsvErrors:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(CsvFormatError, match="empty"):
+        with pytest.raises(FormatError, match="empty"):
             load_csv(path)
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("f1,label\n")
-        with pytest.raises(CsvFormatError, match="no data rows"):
+        with pytest.raises(FormatError, match="no data rows"):
             load_csv(path)
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "nolabel.csv"
         path.write_text("f1,f2\n1,2\n")
-        with pytest.raises(CsvFormatError, match="label"):
+        with pytest.raises(FormatError, match="label"):
             load_csv(path)
 
     def test_bad_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f1,f2,label\n1.0,2.0,a\n3.0,oops,b\n")
-        with pytest.raises(CsvFormatError, match="row 3.*'f2'"):
+        with pytest.raises(FormatError, match="row 3.*'f2'"):
             load_csv(path)
 
     def test_non_finite_cell_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("f1,label\ninf,a\n1.0,b\n")
-        with pytest.raises(CsvFormatError, match="row 2"):
+        with pytest.raises(FormatError, match="row 2"):
             load_csv(path)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("f1,f2,label\n1.0,2.0,a\n3.0,b\n")
-        with pytest.raises(CsvFormatError, match="row 3"):
+        with pytest.raises(FormatError, match="row 3"):
             load_csv(path)
 
     def test_duplicate_header_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("f1,f1,label\n1,2,a\n")
-        with pytest.raises(CsvFormatError, match="duplicate"):
+        with pytest.raises(FormatError, match="duplicate"):
             load_csv(path)
 
     def test_unknown_class_with_pinned_names(self, tmp_path):
         path = tmp_path / "unknown.csv"
         path.write_text("f1,label\n1.0,a\n2.0,z\n")
-        with pytest.raises(CsvFormatError, match="row 3.*'z'"):
+        with pytest.raises(FormatError, match="row 3.*'z'"):
             load_csv(path, class_names=("a", "b"))
 
     @pytest.mark.parametrize("line_break", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
     def test_class_name_with_line_break_rejected(self, tmp_path, line_break):
         path = tmp_path / "data.csv"
         path.write_bytes(f'f1,label\n1.0,a\n2.0,"a{line_break}b"\n3.0,b\n'.encode())
-        with pytest.raises(CsvFormatError, match="row 3: class name contains a line break"):
+        with pytest.raises(FormatError, match="row 3: class name contains a line break"):
             load_csv(path)
 
     def test_unknown_class_line_counts_comment_lines(self, tmp_path):
         path = tmp_path / "unknown.csv"
         path.write_text("# one\n# two\nf1,label\n1.0,a\n2.0,z\n")
-        with pytest.raises(CsvFormatError, match="row 5: unknown class 'z'"):
+        with pytest.raises(FormatError, match="row 5: unknown class 'z'"):
             load_csv(path, class_names=("a", "b"))
 
 
@@ -276,13 +278,13 @@ class TestLoadFeatureCsv:
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "pred.csv"
         path.write_text("# comment\nf1,f2,label\n1.0,2.0,a\n3.0,4.0,b,extra\n")
-        with pytest.raises(CsvFormatError, match="row 4 has 4 cells, expected 3"):
+        with pytest.raises(FormatError, match="row 4 has 4 cells, expected 3"):
             load_feature_csv(path)
 
     def test_bad_cell_names_line_and_column(self, tmp_path):
         path = tmp_path / "pred.csv"
         path.write_text("f1,f2\n1.0,2.0\n3.0,nan\n")
-        with pytest.raises(CsvFormatError, match="row 3, column 'f2'"):
+        with pytest.raises(FormatError, match="row 3, column 'f2'"):
             load_feature_csv(path)
 
 
@@ -567,13 +569,13 @@ class TestConfigFileRoundTrip:
     def test_missing_tag(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("seed: 1\n")
-        with pytest.raises(ConfigFormatError, match="tag"):
+        with pytest.raises(FormatError, match="tag"):
             load_synthetic_config(path)
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("synthetic-config v1\nseed: 1\nfeatures: 2\nwhat: 3\n")
-        with pytest.raises(ConfigFormatError, match="line 4: expected 'class:'"):
+        with pytest.raises(FormatError, match="line 4: expected 'class:'"):
             load_synthetic_config(path)
 
     def test_truncated_class_block(self, tmp_path):
@@ -582,7 +584,7 @@ class TestConfigFileRoundTrip:
         save_synthetic_config(cfg, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(ConfigFormatError):
+        with pytest.raises(FormatError):
             load_synthetic_config(path)
 
     def test_bad_number(self, tmp_path):
@@ -591,7 +593,7 @@ class TestConfigFileRoundTrip:
             "synthetic-config v1\nseed: 1\nfeatures: 2\n"
             "class: a\ncount: 3\nmean: 1.0 oops\n"
         )
-        with pytest.raises(ConfigFormatError, match="unparseable"):
+        with pytest.raises(FormatError, match="unparseable"):
             load_synthetic_config(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -602,7 +604,7 @@ class TestConfigFileRoundTrip:
         assert lines[6].startswith("cov: ")
         lines[6] = f"cov: 49.0 {value} 1.0 1.0 1.0 1.0"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigFormatError, match=r"bad\.cfg: line 7: non-finite number"):
+        with pytest.raises(FormatError, match=r"bad\.cfg: line 7: non-finite number"):
             load_synthetic_config(path)
 
     def test_error_names_the_physical_line(self, tmp_path):
@@ -614,7 +616,7 @@ class TestConfigFileRoundTrip:
         assert lines[7].startswith("mean: ")
         lines[7] = "mean: 1.0 oops"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigFormatError, match=r"line 8: unparseable"):
+        with pytest.raises(FormatError, match=r"line 8: unparseable"):
             load_synthetic_config(path)
 
     def test_cell_limit_is_inclusive_and_names_the_count_line(self, tmp_path):
@@ -627,5 +629,20 @@ class TestConfigFileRoundTrip:
         path.write_text(text.format(at_limit))
         assert load_synthetic_config(path).counts == (3, at_limit)
         path.write_text(text.format(at_limit + 1))
-        with pytest.raises(ConfigFormatError, match=r"big\.cfg: line 10: .*10000000 cells"):
+        with pytest.raises(FormatError, match=r"big\.cfg: line 10: .*10000000 cells"):
             load_synthetic_config(path)
+
+
+@pytest.mark.parametrize("load, text, line", [
+    (load_csv, "f1,f2,label\n1.0,2.0,a\n1.0,oops,b\n", "row 3"),
+    (load_feature_csv, "f1,f2,label\n1.0,2.0,a\n1.0,oops,b\n", "row 3"),
+    (load_synthetic_config, "synthetic-config v1\nseed: 1\nfeatures: two\n", "line 3"),
+    (load_model, "elm-model v2\nhidden_nodes: 4\nactivation: sigmoid\nseed: x\n", "line 4"),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_every_reader_raises_format_error(tmp_path, load, text, line):
+    """One class for any malformed file, a ValueError naming the file and the line."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(elmkit.FormatError, match=re.escape(f"{path}: {line}")) as excinfo:
+        load(path)
+    assert isinstance(excinfo.value, ValueError)

@@ -13,7 +13,6 @@ import pytest
 from elmkit import linalg
 from elmkit.data import LabeledDataset, SplitSpec, scale_features, stratified_split
 from elmkit.elm import ElmConfig, ElmModel, build_hidden_matrix, decode_scores, train_elm
-from elmkit.linalg import SvdConvergenceError
 from elmkit.evaluate import (
     BenchmarkResult,
     ConfusionMatrix,
@@ -388,12 +387,12 @@ class TestSweep:
         def failing_at_width(train, config):
             started.append(threading.current_thread())
             if config.hidden_nodes == failing:
-                raise SvdConvergenceError("least-squares SVD did not converge")
+                raise ValueError("least-squares SVD did not converge")
             return train_elm(train, config)
 
         monkeypatch.setattr(evaluate_module, "train_elm", failing_at_width)
         monkeypatch.setattr(evaluate_module, "_cores", lambda: workers)
-        with pytest.raises(SvdConvergenceError, match="did not converge"):
+        with pytest.raises(ValueError, match="did not converge"):
             sweep_hidden_nodes(train, test, hidden_grid=(5, 15, 25, 35), n_seeds=3)
         # the caller's thread fits nothing, and no fit outlives the call
         assert threading.current_thread() not in started

@@ -26,7 +26,6 @@ from elmkit.data import (
 from elmkit import linalg
 from elmkit.elm import ElmConfig, build_hidden_matrix, encode_targets, init_random_layer
 from elmkit.linalg import (
-    LinalgError,
     as_matrix,
     min_norm_lstsq,
     pseudoinverse,
@@ -73,19 +72,19 @@ class TestAsMatrix:
         assert out.shape == (2, 2)
 
     def test_rejects_vector(self):
-        with pytest.raises(LinalgError):
+        with pytest.raises(ValueError, match="expected a 2-D matrix"):
             as_matrix([1.0, 2.0])
 
     def test_rejects_empty(self):
-        with pytest.raises(LinalgError):
+        with pytest.raises(ValueError, match="dimensions must be at least 1x1"):
             as_matrix(np.zeros((0, 3)))
 
     def test_rejects_nan_and_inf(self):
-        with pytest.raises(LinalgError):
+        with pytest.raises(ValueError, match="entries must be finite"):
             as_matrix([[1.0, np.nan]])
-        with pytest.raises(LinalgError):
+        with pytest.raises(ValueError, match="entries must be finite"):
             as_matrix([[np.inf], [0.0]])
-        with pytest.raises(LinalgError):
+        with pytest.raises(ValueError, match="entries must be finite"):
             as_matrix([[0.0, 2.0], [-np.inf, 1.0]])
 
     def test_checks_finiteness_without_a_copy(self):
@@ -118,7 +117,7 @@ class TestPseudoinverse:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", failing)
-        with pytest.raises(linalg.SvdConvergenceError, match="did not converge for 3x5 input"):
+        with pytest.raises(ValueError, match="did not converge for 3x5 input"):
             pseudoinverse(np.ones((3, 5)))
 
     def test_column_of_ones(self):
@@ -162,7 +161,7 @@ class TestPseudoinverse:
             assert max(self.penrose_errors(a, p)) < 1e-8
 
     def test_negative_rank_tol_rejected(self):
-        with pytest.raises(LinalgError):
+        with pytest.raises(ValueError, match="rank_tol must be non-negative and below 1"):
             pseudoinverse(np.eye(2), rank_tol=-1.0)
 
 
@@ -225,7 +224,7 @@ class TestMinNormLstsq:
         assert x1.tobytes() == x2.tobytes()
 
     def test_dimension_mismatch(self):
-        with pytest.raises(LinalgError, match="dimension mismatch"):
+        with pytest.raises(ValueError, match="dimension mismatch"):
             min_norm_lstsq(np.ones((3, 2)), np.ones((4, 1)))
 
 
@@ -306,12 +305,12 @@ class TestMinNormLstsqMatchesPseudoinverse:
         a = np.random.default_rng(0).standard_normal((6, 3))
         for solve in (lambda: pseudoinverse(a, rank_tol=rank_tol),
                       lambda: min_norm_lstsq(a, np.ones((6, 1)), rank_tol=rank_tol)):
-            with pytest.raises(LinalgError, match="rank_tol must be non-negative and below 1"):
+            with pytest.raises(ValueError, match="rank_tol must be non-negative and below 1"):
                 solve()
 
     @pytest.mark.parametrize("rank_tol", [-1e-12, -1.0, float("nan")])
     def test_negative_rank_tol_rejected_by_the_solve(self, rank_tol):
-        with pytest.raises(LinalgError, match="rank_tol") as excinfo:
+        with pytest.raises(ValueError, match="rank_tol") as excinfo:
             min_norm_lstsq(np.eye(3), np.ones((3, 1)), rank_tol=rank_tol)
         # rejected by the solve's own check, before gelsd sees the cutoff
         assert [entry.name for entry in excinfo.traceback][-2:] == [
@@ -412,7 +411,7 @@ class TestDirectGelsd:
 
         monkeypatch.setattr(np.linalg, "lstsq", failing)
         for rows, cols in [(3, 5), (5, 3)]:
-            with pytest.raises(linalg.SvdConvergenceError,
+            with pytest.raises(ValueError,
                                match=f"did not converge for .*{rows}x{cols} input"):
                 min_norm_lstsq(np.ones((rows, cols)), np.ones((rows, 1)))
 
@@ -546,7 +545,7 @@ class TestOneBlasThread:
         assert blas_threads() == 2
 
     def test_count_restored_after_an_error(self, blas_threads):
-        with pytest.raises(LinalgError):
+        with pytest.raises(ValueError, match="dimension mismatch"):
             with linalg._one_blas_thread():
                 min_norm_lstsq(np.eye(2), np.ones((3, 1)))
         assert blas_threads() == 2

@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from elmkit.data import LabeledDataset, ScalingParams
+from elmkit.data import FormatError, LabeledDataset, ScalingParams
 from elmkit.elm import ACTIVATIONS, ElmConfig, ElmModel, train_elm
 from elmkit.evaluate import predict
 from elmkit.mlp import MlpConfig, MlpModel, train_mlp
-from elmkit.modelio import ModelFormatError, load_model, save_model
+from elmkit.modelio import load_model, save_model
 
 
 def blobs(rng):
@@ -91,13 +91,13 @@ class TestFormatErrors:
     def test_unknown_tag(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("mystery-model v9\n")
-        with pytest.raises(ModelFormatError, match="unknown model tag"):
+        with pytest.raises(FormatError, match="unknown model tag"):
             load_model(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.model"
         path.write_text("")
-        with pytest.raises(ModelFormatError, match="empty"):
+        with pytest.raises(FormatError, match="empty"):
             load_model(path)
 
     def test_truncated_file(self, tmp_path, rng):
@@ -106,7 +106,7 @@ class TestFormatErrors:
         save_model(model, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(FormatError):
             load_model(path)
 
     def test_wrong_row_width(self, tmp_path, rng):
@@ -117,7 +117,7 @@ class TestFormatErrors:
         idx = text.index("weights:") + 1
         text[idx] = text[idx] + " 0.5"
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ModelFormatError, match="expected 2 values"):
+        with pytest.raises(FormatError, match="expected 2 values"):
             load_model(path)
 
     def test_corrupt_number(self, tmp_path, rng):
@@ -125,7 +125,7 @@ class TestFormatErrors:
         path = tmp_path / "m.model"
         save_model(model, path)
         path.write_text(path.read_text().replace("biases: ", "biases: oops ", 1))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(FormatError):
             load_model(path)
 
     def test_nan_rank_tol_rejected(self, tmp_path, rng):
@@ -133,7 +133,7 @@ class TestFormatErrors:
         path = tmp_path / "m.model"
         save_model(model, path)
         path.write_text(path.read_text().replace("rank_tol: 1e-10\n", "rank_tol: nan\n"))
-        with pytest.raises(ModelFormatError, match="rank_tol"):
+        with pytest.raises(FormatError, match="rank_tol"):
             load_model(path)
 
     def test_errors_name_the_physical_line(self, tmp_path, rng):
@@ -143,7 +143,7 @@ class TestFormatErrors:
         lines = path.read_text().splitlines()
         lines[1] = "hidden_nodes: six"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelFormatError, match=r"m\.model: line 2: bad value for 'hidden_nodes'"):
+        with pytest.raises(FormatError, match=r"m\.model: line 2: bad value for 'hidden_nodes'"):
             load_model(path)
 
     def test_blank_line_inside_is_rejected_trailing_allowed(self, tmp_path, rng):
@@ -154,7 +154,7 @@ class TestFormatErrors:
         path.write_text("\n".join(lines) + "\n\n  \n")
         np.testing.assert_array_equal(load_model(path).output_weights, model.output_weights)
         path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
-        with pytest.raises(ModelFormatError, match="line 4: expected"):
+        with pytest.raises(FormatError, match="line 4: expected"):
             load_model(path)
 
     def test_unsupported_type_rejected_on_save(self, tmp_path):
@@ -550,7 +550,7 @@ class TestV1Files:
     def test_elm_file_with_another_range_names_line_5(self, tmp_path):
         path = tmp_path / "m.model"
         path.write_text(V1_ELM_TEXT)
-        with pytest.raises(ModelFormatError,
+        with pytest.raises(FormatError,
                            match=r"m\.model: line 5: 'weight_range: -0\.75 1\.25' has no v2"):
             load_model(path)
 
@@ -561,12 +561,12 @@ class TestV1Files:
         lines[line - 1] = text
         path = tmp_path / "m.model"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelFormatError, match=rf"line {line}: '{text}' has no v2"):
+        with pytest.raises(FormatError, match=rf"line {line}: '{text}' has no v2"):
             load_model(path)
 
     def test_v2_header_under_a_v1_tag_is_rejected(self, tmp_path):
         path = tmp_path / "m.model"
         save_model(golden_mlp(), path)
         path.write_text(path.read_text().replace("mlp-model v2", "mlp-model v1"))
-        with pytest.raises(ModelFormatError, match="line 7: expected 'init_range:'"):
+        with pytest.raises(FormatError, match="line 7: expected 'init_range:'"):
             load_model(path)

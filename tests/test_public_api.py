@@ -1,14 +1,16 @@
 """The package's public names, pinned so that any change to them is deliberate."""
 
+import importlib
+import pkgutil
 import types
 
 import elmkit
+from elmkit import cli
 
 PUBLIC_NAMES = [
-    "ACTIVATIONS", "BenchmarkResult", "ConfigFormatError", "ConfusionMatrix", "CsvFormatError",
-    "ElmConfig", "ElmModel", "EvalReport", "LabeledDataset", "LinalgError", "MlpConfig",
-    "MlpDivergenceError", "MlpModel", "ModelFormatError", "ScalingParams", "SplitSpec",
-    "SvdConvergenceError", "SweepEntry", "SweepResult", "SyntheticConfig", "benchmark",
+    "ACTIVATIONS", "BenchmarkResult", "ConfusionMatrix", "ElmConfig", "ElmModel", "EvalReport",
+    "FormatError", "LabeledDataset", "MlpConfig", "MlpDivergenceError", "MlpModel",
+    "ScalingParams", "SplitSpec", "SweepEntry", "SweepResult", "SyntheticConfig", "benchmark",
     "build_hidden_matrix", "confusion", "dataset_fingerprint", "decode_scores",
     "default_split_spec", "encode_targets", "evaluate", "fit_scaling", "generate_synthetic",
     "init_mlp_params", "init_random_layer", "littleport_like_config", "load_csv",
@@ -25,4 +27,17 @@ def test_public_names_are_exactly_the_pinned_list():
     names = sorted(name for name in dir(elmkit) if not name.startswith("_")
                    and not isinstance(getattr(elmkit, name), types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(names) == 53
+    assert len(names) == 49
+
+
+def test_one_exception_class_per_exit_code():
+    """A class exists only for its own exit code: every other failure is a plain ValueError."""
+    defined = []
+    for info in pkgutil.iter_modules(elmkit.__path__):
+        if info.name != "__main__":  # importing it would run the CLI
+            module = importlib.import_module(f"elmkit.{info.name}")
+            defined += [name for name, value in vars(module).items()
+                        if isinstance(value, type) and issubclass(value, BaseException)
+                        and value.__module__ == module.__name__]
+    assert sorted(defined) == ["FormatError", "MlpDivergenceError"]
+    assert all(len(classes) <= 1 for _, _, classes in cli._EXIT_CODES)
