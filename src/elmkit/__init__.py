@@ -28,7 +28,6 @@ from .data import (
     stratified_split,
 )
 from .elm import (
-    ACTIVATIONS,
     ElmConfig,
     ElmModel,
     build_hidden_matrix,

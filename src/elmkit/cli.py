@@ -40,7 +40,7 @@ from .data import (
     save_csv,
     stratified_split,
 )
-from .elm import ACTIVATIONS, ElmConfig
+from .elm import ElmConfig
 from .evaluate import (
     _KINDS,
     benchmark,
@@ -196,9 +196,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_sweep(args) -> int:
     train, test = _split(args)
-    template = ElmConfig(activation=args.activation, rank_tol=args.rank_tol)
-    result = sweep_hidden_nodes(train, test, config=template,
-                                n_seeds=args.seeds, base_seed=args.seed)
+    result = sweep_hidden_nodes(train, test, n_seeds=args.seeds, base_seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_result(out_dir, "sweep", result)
@@ -230,12 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--train-fraction", type=float, default=DEFAULT_TRAIN_FRACTION,
                        help="stratified train share (default matches the bundled scene)")
 
-    def add_elm_flags(p):
-        p.add_argument("--activation", default=ElmConfig.activation, choices=tuple(ACTIVATIONS),
-                       help="elm hidden activation (default %(default)s)")
-        p.add_argument("--rank-tol", type=float, default=ElmConfig.rank_tol,
-                       help="relative singular-value cutoff for the elm solve")
-
     def add_classifier_flags(p, with_classifier=True):
         if with_classifier:
             p.add_argument("--classifier", choices=tuple(_KINDS), default="elm",
@@ -243,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hidden", type=int,
                        help=f"hidden-layer width (default: {ElmConfig.hidden_nodes} elm, "
                             f"{MlpConfig.hidden_nodes} mlp)")
-        add_elm_flags(p)
         p.add_argument("--seed", type=int, default=0, help="classifier seed (default 0)")
         p.add_argument("--learning-rate", type=float, default=MlpConfig.learning_rate,
                        help="mlp learning rate (default %(default)s)")
@@ -277,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="accuracy vs hidden-layer width")
     add_split_flags(sweep)
-    add_elm_flags(sweep)
     sweep.add_argument("--seed", type=int, default=0,
                        help="split seed and base classifier seed (default 0)")
     sweep.add_argument("--seeds", type=int, default=3,

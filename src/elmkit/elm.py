@@ -5,17 +5,17 @@ The hidden layer (input weights and biases) is drawn once at random and
 never adjusted.  Training reduces to collecting the hidden-layer
 activations for all samples into one matrix and solving a linear system
 for the output weights by minimum-norm least squares.  There is no
-iteration and no learning rate; the only knobs are the hidden-layer
-width, the activation, the seed, and the solve's relative rank cutoff
-``rank_tol``.
+iteration and no learning rate: the one parameter is the hidden-layer
+width, and the seed picks the draw.
 
 Given train features X (K x p), frozen weights W (H x p) and biases c:
 
     A[j, i] = f(W[i] . X[j] + c[i])          (K x H activations)
     B       = argmin ||A B - Y||  with minimum norm   (H x m outputs)
 
-where Y one-hot encodes the labels.  Prediction scores new samples with
-``f(X W^T + c) B`` and picks the best-scoring class.
+where f is the logistic function and Y one-hot encodes the labels.
+Prediction scores new samples with ``f(X W^T + c) B`` and picks the
+best-scoring class.
 """
 
 from __future__ import annotations
@@ -25,52 +25,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (LabeledDataset, ScalingParams, _check_int, _check_real, _Model, _set_fields,
-                   fit_scaling, scale_features)
-from .linalg import _check_rank_tol, _one_blas_thread, min_norm_lstsq
+from .data import (LabeledDataset, ScalingParams, _check_int, _Model, _set_fields, fit_scaling,
+                   scale_features)
+from .linalg import _one_blas_thread, min_norm_lstsq
 
 
-def _sigmoid(x, out=None):
-    # The logistic function as 1 / (1 + exp(-x)) in four in-place ufuncs into
-    # *out* (which may be *x*; without it a new array, and *x* is untouched).
-    # exp overflows below x = -709, giving an exact 0, and underflows above 745,
-    # giving 1: both flags are muted here, for every caller.
-    out = np.negative(x, out=out, dtype=np.float64)
-    with np.errstate(over="ignore", under="ignore"):
-        np.exp(out, out=out)
+def _logistic_of_negated(z, out=None):
+    # The logistic function of x, given z = -x: 1 / (1 + exp(z)) in three in-place
+    # ufuncs into *out* (which may be *z*; without it a new array).  Callers negate
+    # the layer, [-W | -b], so z comes out of the GEMM: negation is exact and rounding
+    # symmetric, so z has the bits of -(Wx + b).  exp overflows above z = 709, giving
+    # an exact 0, and underflows below -745, giving 1; the caller mutes both flags.
+    out = np.exp(z, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
 
 
-def _hardlimit(x, out=None):
-    # 1.0 where x >= 0, else 0.0; *out* as in _sigmoid
-    if out is None:
-        out = np.empty(np.shape(x))
-    return np.greater_equal(x, 0.0, out=out)
-
-
-ACTIVATIONS = {
-    "sigmoid": _sigmoid,
-    "tanh": np.tanh,
-    "hardlimit": _hardlimit,
-}
-
-
 @dataclass(frozen=True)
 class ElmConfig:
-    """Hyperparameters for the randomized-hidden-layer classifier."""
+    """Hyperparameters for the randomized-hidden-layer classifier: the width
+    of the hidden layer, and the seed of its draw."""
 
     hidden_nodes: int = 300
-    activation: str = "sigmoid"
     seed: int = 0
-    rank_tol: float = 1e-10
 
     def __post_init__(self):
         _set_fields(self, hidden_nodes=_check_int("hidden_nodes", self.hidden_nodes, 1),
-                    seed=_check_int("seed", self.seed), rank_tol=float(_check_real("rank_tol", self.rank_tol)))
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation '{self.activation}'; choose from {sorted(ACTIVATIONS)}")
-        _check_rank_tol(self.rank_tol)
+                    seed=_check_int("seed", self.seed))
 
 
 @dataclass(frozen=True)
@@ -109,12 +90,12 @@ def init_random_layer(n_features: int, config: ElmConfig) -> tuple[np.ndarray, n
     return weights, biases
 
 
-def build_hidden_matrix(features: np.ndarray, weights: np.ndarray, biases: np.ndarray,
-                        activation: str) -> np.ndarray:
-    """Activations of every hidden node on every sample: (samples, hidden).
+def build_hidden_matrix(features: np.ndarray, weights: np.ndarray,
+                        biases: np.ndarray) -> np.ndarray:
+    """Logistic activations of every hidden node on every sample: (samples, hidden).
 
-    The matrix is built as one (hidden, samples) C-ordered GEMM, ``[weights
-    | biases] @ [features | 1]^T``, with the activation applied in place, and
+    The matrix is built as one (hidden, samples) C-ordered GEMM, ``-[weights
+    | biases] @ [features | 1]^T``, with the logistic applied in place, and
     returned transposed: (samples, hidden) in Fortran order, the layout
     LAPACK factorises in place, so a solve needs no copy of it.
     """
@@ -125,8 +106,9 @@ def build_hidden_matrix(features: np.ndarray, weights: np.ndarray, biases: np.nd
         raise ValueError(
             f"feature width {features.shape[1]} does not match weights width {weights.shape[1]}"
         )
-    hidden = np.column_stack([weights, biases]) @ _with_ones_row(features)
-    return ACTIVATIONS[activation](hidden, out=hidden).T
+    hidden = np.negative(np.column_stack([weights, biases])) @ _with_ones_row(features)
+    with np.errstate(over="ignore", under="ignore"):
+        return _logistic_of_negated(hidden, out=hidden).T
 
 
 def _with_ones_row(features: np.ndarray) -> np.ndarray:
@@ -160,8 +142,9 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
     """Fit the classifier on a training split.
 
     Fits the [-1, 1] feature scaling on the split, draws the hidden
-    layer, and solves for the output weights in one least-squares pass.
-    The hidden-layer product and the solve run on one BLAS thread (see
+    layer, and solves for the output weights in one least-squares pass at
+    :func:`elmkit.linalg.min_norm_lstsq`'s default cutoff.  The
+    hidden-layer product and the solve run on one BLAS thread (see
     :func:`elmkit.linalg._one_blas_thread`), and the solve factorises a
     tall hidden matrix in place, so such a fit holds one copy of it.
     A class with no training samples gets an identically zero output
@@ -176,9 +159,8 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
     weights, biases = init_random_layer(train.n_features, config)
     targets = encode_targets(train.labels, train.n_classes)
     with _one_blas_thread():
-        hidden = build_hidden_matrix(scaled, weights, biases, config.activation)
-        output_weights = min_norm_lstsq(hidden, targets, rank_tol=config.rank_tol,
-                                        overwrite_a=True)
+        hidden = build_hidden_matrix(scaled, weights, biases)
+        output_weights = min_norm_lstsq(hidden, targets, overwrite_a=True)
     elapsed = time.perf_counter() - start
     return ElmModel(
         weights=weights,
@@ -195,6 +177,6 @@ def _scores(model: ElmModel, features: np.ndarray) -> np.ndarray:
     """Raw class scores (samples, classes) for unscaled input features, on one BLAS thread."""
     scaled = scale_features(features, model.scaling)
     with _one_blas_thread():
-        hidden = build_hidden_matrix(scaled, model.weights, model.biases, model.config.activation)
+        hidden = build_hidden_matrix(scaled, model.weights, model.biases)
         return hidden @ model.output_weights
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -365,21 +365,22 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _fit_accuracy(train, test, config, hidden, seed) -> float:
-    model = train_elm(train, replace(config, hidden_nodes=hidden, seed=seed))
+def _fit_accuracy(train, test, hidden, seed) -> float:
+    model = train_elm(train, ElmConfig(hidden_nodes=hidden, seed=seed))
     predicted = predict(model, test.features)
     return float((predicted == test.labels).mean())
 
 
 def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
                        hidden_grid=DEFAULT_HIDDEN_GRID,
-                       config: ElmConfig | None = None,
                        n_seeds: int = 3, base_seed: int = 0) -> SweepResult:
     """Median test accuracy of the direct-solve classifier per width.
 
     Each width trains ``n_seeds`` models with seeds ``base_seed + k``
     and reports median, min, and max accuracy; ``best_h`` breaks median
     ties toward the smaller width; *test* must have *train*'s class order.
+    Width and seed are all an :class:`ElmConfig` holds, so the result's
+    ``config`` is the default config's text.
 
     The fits are independent and run on min(cores, fits) pool threads,
     largest widths first, each on one BLAS thread, while the caller's
@@ -393,8 +394,6 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
     not started by then starts, and the call returns only once every
     started fit has finished, so no fit outlives it.
     """
-    if config is None:
-        config = ElmConfig()
     grid = [_check_int("hidden_grid width", h, 1) for h in hidden_grid]
     if not grid:
         raise ValueError("hidden_grid must be a nonempty list of positive widths")
@@ -410,7 +409,7 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
 
     jobs = sorted([(h, seed) for h in grid for seed in seeds], key=lambda job: (-job[0], job[1]))
     with _one_blas_thread(), ThreadPoolExecutor(min(_cores(), len(jobs))) as pool:
-        fits = pool.map(lambda job: _fit_accuracy(train, test, config, *job), jobs)
+        fits = pool.map(lambda job: _fit_accuracy(train, test, *job), jobs)
         accuracy = dict(zip(jobs, fits))
     all_accs = [[accuracy[(h, seed)] for seed in seeds] for h in grid]
 
@@ -429,7 +428,7 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
         entries=entries,
         best_h=best.hidden_nodes,
         best_accuracy=best.median_accuracy,
-        config=config_text(config),
+        config=config_text(ElmConfig()),
         train_fingerprint=dataset_fingerprint(train),
         test_fingerprint=dataset_fingerprint(test),
         n_seeds=n_seeds,

@@ -25,8 +25,9 @@ All numerics run through one private pass (``_pass``) that keeps every
 activation, error and delta array as (units, samples).  Each layer is one
 array ``[W | b]`` whose input carries a ones row (the features in
 ``_layout``, the hidden activations in ``_Scratch``), so its forward step
-is one GEMM and its activation in place, and its gradient ``[g_W | g_b]``
-is one GEMM too: ``delta_out @ hidden^T`` and ``delta_hidden @ X``, ones
+is one GEMM by the negated layer, ``-[W | b]``, and the logistic in place
+on that negated pre-activation, and its gradient ``[g_W | g_b]`` is one
+GEMM too: ``delta_out @ hidden^T`` and ``delta_hidden @ X``, ones
 included.  No pass adds a bias or sums a row, and training steps two
 arrays.  The pass writes into five work arrays (``_Scratch``: two of
 hidden x samples, three of classes x samples) with ``out=`` and in-place
@@ -41,7 +42,10 @@ Each training iteration runs one pass: the pass that computes the
 gradient at the current parameters also yields the cost there, which is
 the loss recorded after the previous step.  The pass after the final
 step is taken for its loss alone; its gradient goes unused.
-Both sigmoid layers use the one logistic kernel of :mod:`elmkit.elm`.
+Both sigmoid layers use the one logistic kernel of :mod:`elmkit.elm`,
+three in-place passes (``exp``, ``+ 1``, ``1 /``) over the negated
+pre-activation; ``train_mlp`` mutes exp's overflow flags once for the
+whole fit, not once per pass.
 
 Every pass runs on one OpenBLAS thread (:func:`elmkit.linalg._one_blas_thread`),
 which ``train_mlp`` holds for the whole fit, so the weights do not depend
@@ -57,7 +61,7 @@ import numpy as np
 
 from .data import (LabeledDataset, ScalingParams, _check_int, _check_real, _Model, _set_fields,
                    fit_scaling, scale_features)
-from .elm import _sigmoid, _with_ones_row, encode_targets
+from .elm import _logistic_of_negated, _with_ones_row, encode_targets
 from .linalg import _one_blas_thread
 
 
@@ -168,19 +172,21 @@ def _layout(features):
 def _pass(features, features_t, targets_t, params, scratch):
     """One forward pass, and with targets a backward one, in the (units, samples) layout.
 
-    *params* are the two layers as ``[weights | biases]``.  Fills
-    ``scratch.hidden`` and ``scratch.output``.  With ``targets_t``
-    (classes, samples) it returns the summed squared error and the exact
-    gradient in the same two-array form, and leaves ``1 - activation`` in
-    those two arrays (the ones row apart); otherwise it returns (None, None).
+    *params* are the two layers as ``[weights | biases]``; the caller mutes
+    exp's overflow and underflow flags (see
+    :func:`elmkit.elm._logistic_of_negated`).  Fills ``scratch.hidden`` and
+    ``scratch.output``.  With ``targets_t`` (classes, samples) it returns the
+    summed squared error and the exact gradient in the same two-array form,
+    and leaves ``1 - activation`` in those two arrays (the ones row apart);
+    otherwise it returns (None, None).
     """
     hidden_layer, out_layer = params
     s = scratch
     hidden = s.hidden[:-1]
-    np.matmul(hidden_layer, features_t, out=hidden)
-    _sigmoid(hidden, out=hidden)
-    np.matmul(out_layer, s.hidden, out=s.output)
-    _sigmoid(s.output, out=s.output)
+    np.matmul(-hidden_layer, features_t, out=hidden)
+    _logistic_of_negated(hidden, out=hidden)
+    np.matmul(-out_layer, s.hidden, out=s.output)
+    _logistic_of_negated(s.output, out=s.output)
     if targets_t is None:
         return None, None
     np.subtract(s.output, targets_t, out=s.error)
@@ -204,7 +210,7 @@ def _pass_once(features, targets, params):
     targets_t = None if targets is None else np.asarray(targets, dtype=np.float64).T.copy()
     scratch = _Scratch(len(params[1]), len(params[3]), len(features))
     layers = np.column_stack(params[:2]), np.column_stack(params[2:])
-    with _one_blas_thread():
+    with _one_blas_thread(), np.errstate(over="ignore", under="ignore"):
         loss, grads = _pass(features, features_t, targets_t, layers, scratch)
     return scratch, loss, grads
 
@@ -254,8 +260,9 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
     scratch = _Scratch(config.hidden_nodes, train.n_classes, train.n_samples)
     step = config.learning_rate * _MEAN_STEP_GAIN / train.n_samples
 
-    # Divergence is reported by the loss check below, not by numpy warnings.
-    with _one_blas_thread(), np.errstate(invalid="ignore", over="ignore"):
+    # Divergence is reported by the loss check below, not by numpy warnings;
+    # the logistic's exp may overflow or underflow on any pass.
+    with _one_blas_thread(), np.errstate(invalid="ignore", over="ignore", under="ignore"):
         loss, grads = _pass(features, features_t, targets_t, params, scratch)
         history = [loss]
         for iteration in range(1, config.iterations + 1):

@@ -7,9 +7,12 @@ followed by one space-separated row per line.  Floats are written with
 ``repr`` so loading reproduces every bit; :mod:`elmkit.data`'s line
 reader reads a file back in that order, and any error in it is a
 :class:`elmkit.data.FormatError` naming the line.
-Files are written as v2.  A v1 file differs only in three header lines
-that v2 dropped; it still loads when each holds the one value the v1
-writer ever gave it, since no v2 config can describe any other.
+Files are written as v3.  Older files differ only in header lines that
+a later version dropped, and still load: ``weight_range``,
+``init_range`` and ``divergence_factor`` (v1) and ``activation`` (elm,
+v1 and v2) must each hold the one value their writer ever gave a model
+that a v3 config can describe, and ``rank_tol`` (elm, v1 and v2), which
+only the fit read, any valid cutoff.
 Informational fields (training time, loss history) are deliberately not
 stored: a model file depends only on the training inputs and config,
 never on the wall clock.
@@ -21,15 +24,19 @@ from dataclasses import fields
 
 from .data import FormatError, ScalingParams, _fmt_vector, _Reader
 from .evaluate import _KINDS, _config_fields, _kind
+from .linalg import _check_rank_tol
 
-# The v1 header keys of each kind, in file order, and the fixed value of
-# each key that v2 dropped.
-_V1_KEYS = {
-    "elm": ("hidden_nodes", "activation", "seed", "weight_range", "rank_tol"),
-    "mlp": ("hidden_nodes", "learning_rate", "momentum", "iterations", "seed",
-            "init_range", "divergence_factor"),
+# The header keys of each kind and older version whose keys differ from the
+# config's fields, in file order, and the one value each dropped key but
+# rank_tol must hold; rank_tol, which only the fit read, may hold any valid cutoff.
+_OLD_KEYS = {
+    ("elm", "v1"): ("hidden_nodes", "activation", "seed", "weight_range", "rank_tol"),
+    ("elm", "v2"): ("hidden_nodes", "activation", "seed", "rank_tol"),
+    ("mlp", "v1"): ("hidden_nodes", "learning_rate", "momentum", "iterations", "seed",
+                    "init_range", "divergence_factor"),
 }
-_V1_FIXED = {"weight_range": "-1.0 1.0", "init_range": "-0.5 0.5", "divergence_factor": "100.0"}
+_FIXED = {"activation": "sigmoid", "weight_range": "-1.0 1.0", "init_range": "-0.5 0.5",
+          "divergence_factor": "100.0"}
 
 
 def save_model(model, path) -> None:
@@ -39,7 +46,7 @@ def save_model(model, path) -> None:
     follow in the kind's layout.
     """
     kind = _kind(model)
-    lines = [f"{kind.name}-model v2"]
+    lines = [f"{kind.name}-model v3"]
     lines += [f"{name}: {text}" for name, text in _config_fields(model.config)]
     lines.append(f"features: {model.n_features}")
     lines += [f"class: {name}" for name in model.class_names]
@@ -56,14 +63,16 @@ def save_model(model, path) -> None:
 
 
 def _read_config(reader: _Reader, kind, version: str):
-    # every config field's default has the field's type: int, float or str
+    # every config field's default has the field's type: int or float
     types = {f.name: type(f.default) for f in fields(kind.config)}
     values = {}
-    for key in (_V1_KEYS[kind.name] if version == "v1" else types):
+    for key in _OLD_KEYS.get((kind.name, version), types):
         if key in types:
             values[key] = reader.expect_key(key, types[key])
-        elif (text := reader.expect_key(key)) != _V1_FIXED[key]:
-            reader.fail(f"'{key}: {text}' has no v2 equivalent; only '{_V1_FIXED[key]}' loads")
+        elif key == "rank_tol":
+            reader.expect_key(key, lambda text: _check_rank_tol(float(text)))
+        elif (text := reader.expect_key(key)) != _FIXED[key]:
+            reader.fail(f"'{key}: {text}' has no v3 equivalent; only '{_FIXED[key]}' loads")
     return kind.config(**values)
 
 
@@ -83,12 +92,12 @@ def _read_model(reader: _Reader, kind, version: str):
 
 
 def load_model(path):
-    """Read a v2 or v1 model file back; the tag line selects the classifier kind."""
+    """Read a v3, v2 or v1 model file back; the tag line selects the classifier kind."""
     reader = _Reader(path)
     tag = reader.next_line().strip()
     name, _, version = tag.partition("-model ")
     kind = _KINDS.get(name)
-    if kind is None or version not in ("v1", "v2"):
+    if kind is None or version not in ("v1", "v2", "v3"):
         reader.fail(f"unknown model tag '{tag}'")
     try:
         return _read_model(reader, kind, version)

@@ -457,8 +457,8 @@ class TestTrainPredict:
         """Flags away from every default reach every field of both configs."""
         data = tmp_path / "train.csv"
         write_blobs_csv(data, rng)
-        flags = ["--hidden", "7", "--activation", "tanh", "--rank-tol", "1e-8", "--seed", "3",
-                 "--learning-rate", "0.5", "--momentum", "0.5", "--iterations", "9"]
+        flags = ["--hidden", "7", "--seed", "3", "--learning-rate", "0.5", "--momentum", "0.5",
+                 "--iterations", "9"]
         for kind, config_type in (("elm", ElmConfig), ("mlp", MlpConfig)):
             model_path = tmp_path / f"{kind}.model"
             assert main(["train", "--data", str(data), "--classifier", kind, *flags,
@@ -562,9 +562,9 @@ class TestBenchmarkCommand:
         write_blobs_csv(data, rng, n_per_class=30)
         out = tmp_path / "run"
         assert main(["benchmark", "--data", str(data), "--train-fraction", "0.5",
-                     "--hidden", "7", "--mlp-hidden", "5", "--activation", "tanh",
-                     "--rank-tol", "1e-8", "--seed", "3", "--learning-rate", "0.5",
-                     "--momentum", "0.5", "--iterations", "9", "--out", str(out)]) == 0
+                     "--hidden", "7", "--mlp-hidden", "5", "--seed", "3",
+                     "--learning-rate", "0.5", "--momentum", "0.5", "--iterations", "9",
+                     "--out", str(out)]) == 0
         for kind, config_type in (("elm", ElmConfig), ("mlp", MlpConfig)):
             config = load_model(out / f"{kind}.model").config
             for field in fields(config_type):
@@ -618,6 +618,41 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             "elmkit sweep: out of memory: Unable to allocate 2.1 MiB for an array\n")
         assert not (tmp_path / "sweep").exists()
+
+
+class TestRetiredFlags:
+    """The ELM is configured by width and seed alone: --activation and
+    --rank-tol are usage errors on every command that fits one."""
+
+    @pytest.mark.parametrize("flag", [["--activation", "tanh"], ["--activation", "sigmoid"],
+                                      ["--rank-tol", "1e-8"]], ids=lambda f: f[0])
+    @pytest.mark.parametrize("command", ["train", "benchmark", "sweep"])
+    def test_exits_2(self, tmp_path, rng, capsys, command, flag):
+        data = tmp_path / "scene.csv"
+        write_blobs_csv(data, rng)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--data", str(data), *flag, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_v2_model_with_another_activation_exits_3(self, tmp_path, rng, capsys):
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        model = tmp_path / "elm.model"
+        assert main(["train", "--data", str(data), "--hidden", "4", "--out", str(model)]) == 0
+        tag, hidden, seed, *rest = model.read_text().splitlines()
+        model.write_text("\n".join(["elm-model v2", hidden, "activation: tanh", seed,
+                                    "rank_tol: 1e-10", *rest]) + "\n")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"elmkit predict: {model}: line 3: 'activation: tanh' has no v3 equivalent; "
+            "only 'sigmoid' loads\n")
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestNegativeSeed:

@@ -1,13 +1,14 @@
 """Tests for the randomized-hidden-layer classifier."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from elmkit import elm
 from elmkit.data import LabeledDataset
 from elmkit.elm import (
-    ACTIVATIONS,
-    _sigmoid,
+    _logistic_of_negated,
     ElmConfig,
     ElmModel,
     build_hidden_matrix,
@@ -29,25 +30,28 @@ def blobs(rng, n_per_class=40, spread=1.0):
     return LabeledDataset(np.vstack(rows), np.concatenate(labels), ("a", "b", "c"))
 
 
-class TestActivations:
-    def test_sigmoid_midpoint_and_symmetry(self):
-        f = ACTIVATIONS["sigmoid"]
-        x = np.array([0.0, 2.0, -2.0])
-        out = f(x)
+def sigmoid(x):
+    """The logistic function through the kernel, which takes the negated argument."""
+    return _logistic_of_negated(-np.asarray(x, dtype=np.float64))
+
+
+class TestLogistic:
+    def test_midpoint_and_symmetry(self):
+        out = sigmoid([0.0, 2.0, -2.0])
         assert out[0] == 0.5
         np.testing.assert_allclose(out[1] + out[2], 1.0, atol=1e-15)
 
-    def test_sigmoid_reference_value(self):
-        f = ACTIVATIONS["sigmoid"]
-        np.testing.assert_allclose(f(np.array([1.0]))[0], 1.0 / (1.0 + np.exp(-1.0)))
+    def test_reference_value(self):
+        np.testing.assert_allclose(sigmoid([1.0])[0], 1.0 / (1.0 + np.exp(-1.0)))
 
-    def test_sigmoid_extremes_do_not_overflow(self):
-        f = ACTIVATIONS["sigmoid"]
-        with np.errstate(over="raise"):
-            out = f(np.array([-1000.0, 1000.0]))
-        np.testing.assert_allclose(out, [0.0, 1.0])
+    def test_extremes_give_0_and_1_without_warnings(self):
+        """exp overflows and underflows here; the hidden-matrix build mutes both flags."""
+        with np.errstate(all="raise"):
+            got = build_hidden_matrix(np.ones((1, 1)), np.array([[-1000.0], [1000.0]]),
+                                      np.zeros(2))
+        np.testing.assert_array_equal(got, [[0.0, 1.0]])
 
-    def test_sigmoid_matches_masked_formula(self):
+    def test_matches_masked_formula(self):
         """The one-sided exp form stays within 2.3e-16 of the two-sided formula."""
         x = np.linspace(-60.0, 60.0, 240_001)
         masked = np.empty_like(x)
@@ -56,51 +60,33 @@ class TestActivations:
         ex = np.exp(x[~pos])
         masked[~pos] = ex / (1.0 + ex)
         with np.errstate(all="raise"):
-            out = _sigmoid(x)
+            out = sigmoid(x)
         assert np.abs(out - masked).max() <= 2.3e-16
 
-    def test_sigmoid_leaves_input_untouched(self, rng):
-        x = rng.standard_normal((4, 3))
-        before = x.copy()
-        _sigmoid(x)
-        np.testing.assert_array_equal(x, before)
+    def test_leaves_input_untouched(self, rng):
+        z = rng.standard_normal((4, 3))
+        before = z.copy()
+        _logistic_of_negated(z)
+        np.testing.assert_array_equal(z, before)
 
-    def test_sigmoid_in_place_matches_new_array(self, rng):
-        x = rng.standard_normal((4, 3)) * 20
-        want = _sigmoid(x)
-        assert _sigmoid(x, out=x) is x
-        assert x.tobytes() == want.tobytes()
-
-    def test_tanh_matches_numpy(self, rng):
-        x = rng.standard_normal(50)
-        np.testing.assert_array_equal(ACTIVATIONS["tanh"](x), np.tanh(x))
-
-    def test_hardlimit_threshold(self):
-        f = ACTIVATIONS["hardlimit"]
-        np.testing.assert_array_equal(f(np.array([-0.1, 0.0, 0.1])), [0.0, 1.0, 1.0])
+    def test_in_place_matches_new_array(self, rng):
+        z = rng.standard_normal((4, 3)) * 20
+        want = _logistic_of_negated(z)
+        assert _logistic_of_negated(z, out=z) is z
+        assert z.tobytes() == want.tobytes()
 
 
 class TestElmConfig:
     def test_defaults(self):
+        """Width and seed are the only fields: the activation and the solve's cutoff are fixed."""
         config = ElmConfig()
+        assert [f.name for f in fields(config)] == ["hidden_nodes", "seed"]
         assert config.hidden_nodes == 300
-        assert config.activation == "sigmoid"
         assert config.seed == 0
-        assert config.rank_tol == 1e-10
 
     def test_bad_hidden_nodes(self):
         with pytest.raises(ValueError, match="hidden_nodes"):
             ElmConfig(hidden_nodes=0)
-
-    def test_bad_activation(self):
-        with pytest.raises(ValueError, match="activation"):
-            ElmConfig(activation="relu")
-
-    @pytest.mark.parametrize("rank_tol", [-1e-12, float("nan"), 1.0, float("inf")])
-    def test_bad_rank_tol(self, rank_tol):
-        """The same cutoff rule as the solve: NaN and 1 or more are rejected, not just negatives."""
-        with pytest.raises(ValueError, match="rank_tol must be non-negative"):
-            ElmConfig(rank_tol=rank_tol)
 
 
 class TestInitRandomLayer:
@@ -129,46 +115,48 @@ class TestInitRandomLayer:
 
 class TestBuildHiddenMatrix:
     def test_matches_scalar_oracle(self, rng):
-        """Entry (j, i) is the activation of node i's affine response to sample j."""
+        """Entry (j, i) is the logistic of node i's affine response to sample j."""
         features = rng.standard_normal((6, 3))
         weights = rng.standard_normal((4, 3))
         biases = rng.standard_normal(4)
-        for name, f in ACTIVATIONS.items():
-            got = build_hidden_matrix(features, weights, biases, name)
-            assert got.shape == (6, 4)
-            for j in range(6):
-                for i in range(4):
-                    expected = f(np.array([float(weights[i] @ features[j]) + biases[i]]))[0]
-                    np.testing.assert_allclose(got[j, i], expected, rtol=1e-12)
-
-    TEXTBOOK = {
-        "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
-        "tanh": np.tanh,
-        "hardlimit": lambda z: (z >= 0).astype(float),
-    }
+        got = build_hidden_matrix(features, weights, biases)
+        assert got.shape == (6, 4)
+        for j in range(6):
+            for i in range(4):
+                z = float(weights[i] @ features[j]) + biases[i]
+                np.testing.assert_allclose(got[j, i], 1.0 / (1.0 + np.exp(-z)), rtol=1e-12)
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
-    def test_matches_textbook_affine_map(self, rng, name, order):
+    def test_matches_textbook_affine_map(self, rng, order):
         """The bias rides in the GEMM as a column of [W | b]; the result matches
-        f(X @ W.T + b) within an absolute 1e-13, and stays Fortran-ordered.
-        hardlimit is compared where |z| > 1e-12, away from its step."""
+        1 / (1 + exp(-(X @ W.T + b))) within an absolute 1e-13, and stays
+        Fortran-ordered."""
         features = np.asarray(rng.uniform(-1, 1, size=(700, 6)), order=order)
         weights = rng.uniform(-1, 1, size=(300, 6))
         biases = rng.uniform(-1, 1, size=300)
         z = features @ weights.T + biases
-        got = build_hidden_matrix(features, weights, biases, name)
+        got = build_hidden_matrix(features, weights, biases)
         assert got.shape == (700, 300)
         assert got.flags.f_contiguous
-        away = np.abs(z) > 1e-12
-        assert away.mean() > 0.999
-        np.testing.assert_allclose(got[away], self.TEXTBOOK[name](z)[away], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, 1.0 / (1.0 + np.exp(-z)), rtol=0, atol=1e-13)
+
+    def test_negated_layer_gives_the_bits_of_the_negated_product(self, rng):
+        """The GEMM by -[W | b] is exactly -([W | b] @ [X | 1]^T): negation is exact
+        and rounding symmetric, so the logistic sees the same bits as when the
+        product was negated after the GEMM."""
+        features = rng.uniform(-1, 1, size=(500, 6))
+        weights = rng.uniform(-1, 1, size=(300, 6))
+        biases = rng.uniform(-1, 1, size=300)
+        product = np.column_stack([weights, biases]) @ np.vstack([features.T, np.ones(500)])
+        want = 1.0 / (1.0 + np.exp(np.negative(product)))
+        got = build_hidden_matrix(features, weights, biases)
+        assert got.T.tobytes() == want.tobytes()
 
     def test_width_mismatch(self, rng):
         with pytest.raises(ValueError, match="width"):
             build_hidden_matrix(rng.standard_normal((3, 2)),
                                 rng.standard_normal((4, 3)),
-                                np.zeros(4), "sigmoid")
+                                np.zeros(4))
 
 
 class TestEncodeTargets:

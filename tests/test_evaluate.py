@@ -116,9 +116,8 @@ class TestFingerprint:
 
 class TestConfigText:
     def test_embeds_every_field(self):
-        text = config_text(ElmConfig(hidden_nodes=40, activation="tanh", seed=5))
-        for token in ("classifier=elm", "hidden_nodes=40", "activation=tanh",
-                      "seed=5", "rank_tol="):
+        text = config_text(ElmConfig(hidden_nodes=40, seed=5))
+        for token in ("classifier=elm", "hidden_nodes=40", "seed=5"):
             assert token in text
         text = config_text(MlpConfig(iterations=100))
         for token in ("classifier=mlp", "hidden_nodes=26", "learning_rate=0.25",
@@ -126,8 +125,8 @@ class TestConfigText:
             assert token in text
 
     def test_exact_rendering(self):
-        assert config_text(ElmConfig(hidden_nodes=40, activation="tanh", seed=5)) == (
-            "classifier=elm hidden_nodes=40 activation=tanh seed=5 rank_tol=1e-10")
+        assert config_text(ElmConfig(hidden_nodes=40, seed=5)) == (
+            "classifier=elm hidden_nodes=40 seed=5")
         assert config_text(MlpConfig(iterations=100)) == (
             "classifier=mlp hidden_nodes=26 learning_rate=0.25 momentum=0.2 "
             "iterations=100 seed=0")
@@ -179,8 +178,7 @@ class TestPredictBothKinds:
     def forward(model, features):
         scaled = scale_features(features, model.scaling)
         if isinstance(model, ElmModel):
-            hidden = build_hidden_matrix(scaled, model.weights, model.biases,
-                                         model.config.activation)
+            hidden = build_hidden_matrix(scaled, model.weights, model.biases)
             return hidden @ model.output_weights
         return mlp_forward(scaled, model.w_hidden, model.b_hidden, model.w_out, model.b_out)[1]
 
@@ -286,7 +284,7 @@ class TestSweep:
         train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))
         accuracy = {10: (0.8, 0.9, 1.0), 5: (0.9, 0.9, 0.9), 20: (0.8, 0.8, 0.8)}
         monkeypatch.setattr(evaluate_module, "_fit_accuracy",
-                            lambda train, test, config, hidden, seed: accuracy[hidden][seed])
+                            lambda train, test, hidden, seed: accuracy[hidden][seed])
         result = sweep_hidden_nodes(train, test, hidden_grid=(10, 5, 20), n_seeds=3)
         assert [e.median_accuracy for e in result.entries] == [0.9, 0.9, 0.8]
         assert (result.best_h, result.best_accuracy) == (5, 0.9)

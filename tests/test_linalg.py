@@ -268,7 +268,7 @@ class TestMinNormLstsqMatchesPseudoinverse:
         targets = encode_targets(train.labels, train.n_classes)
         for width in (25, 100, 300, 450):
             weights, biases = init_random_layer(6, ElmConfig(hidden_nodes=width))
-            hidden = build_hidden_matrix(features, weights, biases, "sigmoid")
+            hidden = build_hidden_matrix(features, weights, biases)
             assert_matches_pseudoinverse(hidden, targets)
 
     def test_rank_deficient(self, rng):
@@ -329,7 +329,7 @@ def _training_systems(widths=(25, 300, 450)):
     targets = encode_targets(train.labels, train.n_classes)
     for width in widths:
         weights, biases = init_random_layer(6, ElmConfig(hidden_nodes=width))
-        yield build_hidden_matrix(features, weights, biases, "sigmoid"), targets
+        yield build_hidden_matrix(features, weights, biases), targets
 
 
 def test_bundled_openblas_is_found():

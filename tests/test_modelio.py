@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from elmkit.data import FormatError, LabeledDataset, ScalingParams
-from elmkit.elm import ACTIVATIONS, ElmConfig, ElmModel, train_elm
+from elmkit.elm import ElmConfig, ElmModel, train_elm
 from elmkit.evaluate import predict
 from elmkit.mlp import MlpConfig, MlpModel, train_mlp
 from elmkit.modelio import load_model, save_model
@@ -24,8 +24,7 @@ def blobs(rng):
 class TestElmRoundTrip:
     def test_bit_exact_arrays_and_config(self, tmp_path, rng):
         ds = blobs(rng)
-        model = train_elm(ds, ElmConfig(hidden_nodes=9, activation="tanh", seed=17,
-                                        rank_tol=1e-9))
+        model = train_elm(ds, ElmConfig(hidden_nodes=9, seed=17))
         path = tmp_path / "m.model"
         save_model(model, path)
         back = load_model(path)
@@ -45,6 +44,15 @@ class TestElmRoundTrip:
         back = load_model(path)
         queries = rng.uniform(-2, 8, size=(50, 2))
         np.testing.assert_array_equal(predict(back, queries), predict(model, queries))
+
+    def test_retraining_from_the_file_gives_the_same_bits(self, tmp_path, rng):
+        ds = blobs(rng)
+        model = train_elm(ds, ElmConfig(hidden_nodes=9, seed=np.int32(2)))
+        save_model(model, tmp_path / "m.model")
+        again = train_elm(ds, load_model(tmp_path / "m.model").config)
+        assert again.config == model.config
+        for array in ("weights", "biases", "output_weights"):
+            assert getattr(again, array).tobytes() == getattr(model, array).tobytes()
 
     def test_save_twice_identical_bytes(self, tmp_path, rng):
         model = train_elm(blobs(rng), ElmConfig(hidden_nodes=7, seed=1))
@@ -128,14 +136,6 @@ class TestFormatErrors:
         with pytest.raises(FormatError):
             load_model(path)
 
-    def test_nan_rank_tol_rejected(self, tmp_path, rng):
-        model = train_elm(blobs(rng), ElmConfig(hidden_nodes=6, seed=1))
-        path = tmp_path / "m.model"
-        save_model(model, path)
-        path.write_text(path.read_text().replace("rank_tol: 1e-10\n", "rank_tol: nan\n"))
-        with pytest.raises(FormatError, match="rank_tol"):
-            load_model(path)
-
     def test_errors_name_the_physical_line(self, tmp_path, rng):
         model = train_elm(blobs(rng), ElmConfig(hidden_nodes=6, seed=1))
         path = tmp_path / "m.model"
@@ -167,7 +167,7 @@ def golden_elm():
         weights=[[0.5, -0.25], [1.0, 2.0]],
         biases=[0.125, -3.0],
         output_weights=[[1.0, 0.0, -0.5], [0.0, 1.0, 0.25]],
-        config=ElmConfig(hidden_nodes=2, activation="tanh", seed=17, rank_tol=1e-9),
+        config=ElmConfig(hidden_nodes=2, seed=17),
         class_names=("north field", "south", "c,3"),
         scaling=ScalingParams(np.array([0.0, -1.5]), np.array([6.0, 5.0])),
     )
@@ -208,11 +208,11 @@ MLP_ARRAYS = (
 )
 
 # Model files as the v1 writer produced them, with the header lines that
-# v2 dropped.
+# v2 and v3 dropped.
 V1_ELM_TEXT = (
     "elm-model v1\n"
     "hidden_nodes: 2\n"
-    "activation: tanh\n"
+    "activation: sigmoid\n"
     "seed: 17\n"
     "weight_range: -0.75 1.25\n"
     "rank_tol: 1e-09\n"
@@ -300,8 +300,7 @@ def random_config(rng, config_type, hidden):
     number = np.float64 if rng.random() < 0.5 else float
     seed = int(rng.integers(1000))
     if config_type is ElmConfig:
-        return ElmConfig(hidden_nodes=hidden, activation=str(rng.choice(list(ACTIVATIONS))),
-                         seed=seed, rank_tol=number(rng.random() * 10.0 ** -rng.integers(15)))
+        return ElmConfig(hidden_nodes=hidden, seed=seed)
     return MlpConfig(hidden_nodes=hidden, learning_rate=number(rng.uniform(0.01, 2.0)),
                      momentum=number(rng.random()), iterations=int(rng.integers(1, 5000)),
                      seed=seed)
@@ -439,12 +438,11 @@ class TestConfigIntFields:
 
 
 # The float fields of each kind's config, as (kind, field)
-FLOAT_FIELDS = [("elm", "rank_tol"), ("mlp", "learning_rate"), ("mlp", "momentum")]
+FLOAT_FIELDS = [("mlp", "learning_rate"), ("mlp", "momentum")]
 
 
-# A config of each kind with a float field set, and a training call on it
-TRAINERS = {"elm": lambda ds, **field: train_elm(ds, ElmConfig(hidden_nodes=9, seed=2, **field)),
-            "mlp": lambda ds, **field: train_mlp(ds, MlpConfig(hidden_nodes=5, iterations=50,
+# An MLP config with a float field set, and a training call on it
+TRAINERS = {"mlp": lambda ds, **field: train_mlp(ds, MlpConfig(hidden_nodes=5, iterations=50,
                                                                seed=2, **field))}
 
 
@@ -474,8 +472,7 @@ class TestConfigFloatFields:
         save_model(model, tmp_path / "m.model")
         assert_same_model(load_model(tmp_path / "m.model"), model, layout)
 
-    @pytest.mark.parametrize("kind, name, value", [("elm", "rank_tol", 1e-10),
-                                                   ("mlp", "learning_rate", 0.1),
+    @pytest.mark.parametrize("kind, name, value", [("mlp", "learning_rate", 0.1),
                                                    ("mlp", "momentum", 0.1)])
     def test_retraining_from_the_file_gives_the_same_bits(self, tmp_path, rng, kind, name, value):
         ds = blobs(rng)
@@ -489,17 +486,15 @@ class TestConfigFloatFields:
 
 
 class TestGoldenFormat:
-    """The exact v2 text of both model kinds, header and array layout."""
+    """The exact v3 text of both model kinds, header and array layout."""
 
     def test_elm_file_text(self, tmp_path):
         path = tmp_path / "m.model"
         save_model(golden_elm(), path)
         assert path.read_text() == (
-            "elm-model v2\n"
+            "elm-model v3\n"
             "hidden_nodes: 2\n"
-            "activation: tanh\n"
             "seed: 17\n"
-            "rank_tol: 1e-09\n"
             "features: 2\n"
             "class: north field\n"
             "class: south\n"
@@ -512,7 +507,7 @@ class TestGoldenFormat:
         path = tmp_path / "m.model"
         save_model(golden_mlp(), path)
         assert path.read_text() == (
-            "mlp-model v2\n"
+            "mlp-model v3\n"
             "hidden_nodes: 2\n"
             "learning_rate: 0.3\n"
             "momentum: 0.1\n"
@@ -527,14 +522,14 @@ class TestGoldenFormat:
 
 
 def assert_loads_as(tmp_path, text, want):
-    """*text* loads to *want*: equal config, and the same v2 file once saved."""
-    v1, v2 = tmp_path / "v1.model", tmp_path / "v2.model"
-    v1.write_text(text)
-    back = load_model(v1)
+    """*text* loads to *want*: equal config, and the same v3 file once saved."""
+    old, v3 = tmp_path / "old.model", tmp_path / "v3.model"
+    old.write_text(text)
+    back = load_model(old)
     assert back.config == want.config
-    save_model(back, v1)
-    save_model(want, v2)
-    assert v1.read_text() == v2.read_text()
+    save_model(back, old)
+    save_model(want, v3)
+    assert old.read_text() == v3.read_text()
 
 
 class TestV1Files:
@@ -551,7 +546,7 @@ class TestV1Files:
         path = tmp_path / "m.model"
         path.write_text(V1_ELM_TEXT)
         with pytest.raises(FormatError,
-                           match=r"m\.model: line 5: 'weight_range: -0\.75 1\.25' has no v2"):
+                           match=r"m\.model: line 5: 'weight_range: -0\.75 1\.25' has no v3"):
             load_model(path)
 
     @pytest.mark.parametrize("line, text", [(7, "init_range: -1.0 1.0"),
@@ -561,12 +556,92 @@ class TestV1Files:
         lines[line - 1] = text
         path = tmp_path / "m.model"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=rf"line {line}: '{text}' has no v2"):
+        with pytest.raises(FormatError, match=rf"line {line}: '{text}' has no v3"):
             load_model(path)
 
     def test_v2_header_under_a_v1_tag_is_rejected(self, tmp_path):
         path = tmp_path / "m.model"
         save_model(golden_mlp(), path)
-        path.write_text(path.read_text().replace("mlp-model v2", "mlp-model v1"))
+        path.write_text(path.read_text().replace("mlp-model v3", "mlp-model v1"))
         with pytest.raises(FormatError, match="line 7: expected 'init_range:'"):
+            load_model(path)
+
+
+def older_elm_text(v3_text, version, activation="sigmoid", rank_tol="1e-10"):
+    """A v3 ELM file's text as the *version* writer wrote it, with the header
+    lines that v3 dropped."""
+    tag, hidden, seed, *rest = v3_text.splitlines()
+    assert tag == "elm-model v3"
+    header = [f"elm-model {version}", hidden, f"activation: {activation}", seed]
+    if version == "v1":
+        header.append("weight_range: -1.0 1.0")
+    return "\n".join([*header, f"rank_tol: {rank_tol}", *rest]) + "\n"
+
+
+class TestV2Files:
+    """v1 and v2 ELM files load when their activation is sigmoid, the only
+    one a v3 config describes, and their rank_tol, which only the fit read,
+    is any valid cutoff; v2 MLP files differ from v3 in the tag alone."""
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_elm_file_predicts_the_same_labels_and_resaves_as_v3(self, tmp_path, rng, version):
+        model = train_elm(blobs(rng), ElmConfig(hidden_nodes=12, seed=3))
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        v3_text = path.read_text()
+        path.write_text(older_elm_text(v3_text, version))
+        back = load_model(path)
+        queries = rng.uniform(-2, 8, size=(50, 2))
+        np.testing.assert_array_equal(predict(back, queries), predict(model, queries))
+        save_model(back, path)
+        assert path.read_text() == v3_text
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    @pytest.mark.parametrize("activation", ["tanh", "hardlimit"])
+    def test_other_activation_names_line_3(self, tmp_path, version, activation):
+        path = tmp_path / "m.model"
+        save_model(golden_elm(), path)
+        path.write_text(older_elm_text(path.read_text(), version, activation=activation))
+        with pytest.raises(FormatError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == (f"{path}: line 3: 'activation: {activation}' "
+                                      "has no v3 equivalent; only 'sigmoid' loads")
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    @pytest.mark.parametrize("rank_tol", ["1e-06", "0.0", "0.999", "1e-10"])
+    def test_any_valid_rank_tol_loads(self, tmp_path, version, rank_tol):
+        path = tmp_path / "m.model"
+        save_model(golden_elm(), path)
+        assert_loads_as(tmp_path, older_elm_text(path.read_text(), version, rank_tol=rank_tol),
+                        golden_elm())
+
+    @pytest.mark.parametrize("version, line", [("v1", 6), ("v2", 5)])
+    @pytest.mark.parametrize("rank_tol, message", [
+        ("nan", "rank_tol must be non-negative and below 1, got nan"),
+        ("inf", "rank_tol must be non-negative and below 1, got inf"),
+        ("1.5", "rank_tol must be non-negative and below 1, got 1.5"),
+        ("1.0", "rank_tol must be non-negative and below 1, got 1.0"),
+        ("-1e-12", "rank_tol must be non-negative and below 1, got -1e-12"),
+        ("tiny", "could not convert string to float: 'tiny'"),
+    ])
+    def test_invalid_rank_tol_names_its_line(self, tmp_path, version, line, rank_tol, message):
+        path = tmp_path / "m.model"
+        save_model(golden_elm(), path)
+        path.write_text(older_elm_text(path.read_text(), version, rank_tol=rank_tol))
+        with pytest.raises(FormatError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"{path}: line {line}: bad value for 'rank_tol': {message}"
+
+    def test_mlp_file_loads_unchanged(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(golden_mlp(), path)
+        v3_text = path.read_text()
+        assert v3_text.startswith("mlp-model v3\n")
+        assert_loads_as(tmp_path, v3_text.replace("mlp-model v3", "mlp-model v2", 1), golden_mlp())
+
+    def test_v3_elm_header_under_a_v2_tag_is_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(golden_elm(), path)
+        path.write_text(path.read_text().replace("elm-model v3", "elm-model v2"))
+        with pytest.raises(FormatError, match="line 3: expected 'activation:'"):
             load_model(path)

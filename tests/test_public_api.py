@@ -8,7 +8,7 @@ import elmkit
 from elmkit import cli
 
 PUBLIC_NAMES = [
-    "ACTIVATIONS", "BenchmarkResult", "ConfusionMatrix", "ElmConfig", "ElmModel", "EvalReport",
+    "BenchmarkResult", "ConfusionMatrix", "ElmConfig", "ElmModel", "EvalReport",
     "FormatError", "LabeledDataset", "MlpConfig", "MlpDivergenceError", "MlpModel",
     "ScalingParams", "SplitSpec", "SweepEntry", "SweepResult", "SyntheticConfig", "benchmark",
     "build_hidden_matrix", "confusion", "dataset_fingerprint", "decode_scores",
@@ -27,7 +27,7 @@ def test_public_names_are_exactly_the_pinned_list():
     names = sorted(name for name in dir(elmkit) if not name.startswith("_")
                    and not isinstance(getattr(elmkit, name), types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(names) == 49
+    assert len(names) == 48
 
 
 def test_one_exception_class_per_exit_code():
