@@ -142,8 +142,9 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
     """Fit the classifier on a training split.
 
     Fits the [-1, 1] feature scaling on the split, draws the hidden
-    layer, and solves for the output weights in one least-squares pass at
-    :func:`elmkit.linalg.min_norm_lstsq`'s default cutoff.  The
+    layer, and solves for the output weights in one least-squares pass
+    with :func:`elmkit.linalg.min_norm_lstsq`, which counts a singular
+    value at or below 1e-10 times the largest as zero.  The
     hidden-layer product and the solve run on one BLAS thread (see
     :func:`elmkit.linalg._one_blas_thread`), and the solve factorises a
     tall hidden matrix in place, so such a fit holds one copy of it.

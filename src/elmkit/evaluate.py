@@ -318,7 +318,6 @@ class SweepResult:
     entries: tuple[SweepEntry, ...]
     best_h: int
     best_accuracy: float
-    config: str
     train_fingerprint: str
     test_fingerprint: str
     n_seeds: int
@@ -327,7 +326,6 @@ class SweepResult:
     def render_text(self) -> str:
         lines = [
             "hidden-layer width sweep",
-            f"config: {self.config}",
             f"seeds per width: {self.n_seeds} starting at {self.base_seed}",
             f"train fingerprint: {self.train_fingerprint}",
             f"test fingerprint: {self.test_fingerprint}",
@@ -343,7 +341,6 @@ class SweepResult:
     def to_record(self) -> str:
         lines = [
             "record=sweep",
-            f"config={self.config}",
             f"n_seeds={self.n_seeds}",
             f"base_seed={self.base_seed}",
             f"train_fingerprint={self.train_fingerprint}",
@@ -379,8 +376,6 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
     Each width trains ``n_seeds`` models with seeds ``base_seed + k``
     and reports median, min, and max accuracy; ``best_h`` breaks median
     ties toward the smaller width; *test* must have *train*'s class order.
-    Width and seed are all an :class:`ElmConfig` holds, so the result's
-    ``config`` is the default config's text.
 
     The fits are independent and run on min(cores, fits) pool threads,
     largest widths first, each on one BLAS thread, while the caller's
@@ -428,7 +423,6 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
         entries=entries,
         best_h=best.hidden_nodes,
         best_accuracy=best.median_accuracy,
-        config=config_text(ElmConfig()),
         train_fingerprint=dataset_fingerprint(train),
         test_fingerprint=dataset_fingerprint(test),
         n_seeds=n_seeds,

@@ -2,8 +2,9 @@
 
 Matrices are plain 2-D float64 ndarrays with at least one row and one
 column and only finite entries; :func:`as_matrix` enforces that contract
-at every public entry point.  A matrix that breaks it, a bad
-``rank_tol``, and an SVD that does not converge raise ``ValueError``.
+at every public entry point.  A matrix that breaks it and an SVD that
+does not converge raise ``ValueError``.  Both solvers count a singular
+value as zero at one fixed cutoff, ``1e-10`` times the largest.
 All functions are pure and never mutate
 their arguments, so they are safe to call concurrently.  The one
 exception is :func:`min_norm_lstsq` with ``overwrite_a=True``: it may
@@ -50,40 +51,29 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def _check_rank_tol(rank_tol: float) -> None:
-    # NaN fails too; from 1 up, gelsd cuts nothing and the reference everything
-    if not (0.0 <= rank_tol < 1.0):
-        raise ValueError(f"rank_tol must be non-negative and below 1, got {rank_tol}")
+# Relative rank cutoff of both solvers: a singular value at or below
+# _RANK_TOL * s_max counts as zero, the standard numerical-rank convention.
+_RANK_TOL = 1e-10
 
 
-def pseudoinverse(a, rank_tol: float = 1e-10) -> np.ndarray:
-    """Moore-Penrose generalized inverse via the SVD.
+def pseudoinverse(a) -> np.ndarray:
+    """Moore-Penrose generalized inverse of the matrix *a* via the SVD.
 
-    Singular values s_i with ``s_i > rank_tol * s_max`` are inverted;
-    the rest are treated as zero rank.  The all-zero matrix therefore
-    maps to the all-zero matrix of transposed shape.  The result
-    satisfies the four Penrose conditions up to floating-point error.
-
-    Parameters
-    ----------
-    a : array_like
-        Matrix to invert, any shape.
-    rank_tol : float
-        Relative rank tolerance, as a fraction of the largest singular
-        value.  The default 1e-10 is the standard numerical-rank
-        convention; raise it for badly conditioned inputs.
+    Singular values s_i with ``s_i > 1e-10 * s_max`` are inverted; the
+    rest are treated as zero rank.  The all-zero matrix therefore maps
+    to the all-zero matrix of transposed shape.  The result satisfies
+    the four Penrose conditions up to floating-point error.
 
     Raises ``ValueError``, naming the shape, if numpy's SVD (LAPACK
     gesdd) does not converge.
     """
-    _check_rank_tol(rank_tol)
     a = as_matrix(a)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"SVD did not converge for {a.shape[0]}x{a.shape[1]} input: {exc}") from None
     inv_s = np.zeros_like(s)
-    keep = s > rank_tol * s[0]
+    keep = s > _RANK_TOL * s[0]
     inv_s[keep] = 1.0 / s[keep]
     # C-ordered V: the transposed view of vt takes another BLAS path and
     # moves the last bits of some results
@@ -223,26 +213,25 @@ def _check_arguments(routine: str, info: ctypes.c_int64, shape) -> None:
         raise ValueError(f"{routine} rejected argument {-info.value} for {shape[0]}x{shape[1]} input")
 
 
-def _lstsq(a: np.ndarray, y: np.ndarray, rank_tol: float, shape) -> np.ndarray:
+def _lstsq(a: np.ndarray, y: np.ndarray, shape) -> np.ndarray:
     """``np.linalg.lstsq`` (LAPACK gelsd), its failure named by the caller's *shape*."""
     try:
-        return np.linalg.lstsq(a, y, rcond=rank_tol)[0]
+        return np.linalg.lstsq(a, y, rcond=_RANK_TOL)[0]
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             f"least-squares SVD did not converge for {shape[0]}x{shape[1]} input: {exc}"
         ) from None
 
 
-# Largest rank_tol * ||A||_F * ||R^-1||_F that takes the QR route: that
-# product bounds rank_tol * cond_2(A), so the route's systems are 100
+# Largest _RANK_TOL * ||A||_F * ||R^-1||_F that takes the QR route: that
+# product bounds _RANK_TOL * cond_2(A), so the route's systems are 100
 # times too well conditioned for the cutoff to remove a singular value.
 _QR_MARGIN = 0.01
 
 _QR_BLOCK = 32  # column block of dgeqrt and dgemqrt; of 16 to 64, 32 and 48 were fastest
 
 
-def _qr_solve(blas: _OpenBlas, a: np.ndarray, y: np.ndarray, rank_tol: float,
-              overwrite_a: bool) -> np.ndarray:
+def _qr_solve(blas: _OpenBlas, a: np.ndarray, y: np.ndarray, overwrite_a: bool) -> np.ndarray:
     """Least squares for a tall *a* by blocked Householder QR and back-substitution.
 
     dgeqrt factorises A = QR in place in blocks of nb = min(32, n)
@@ -286,35 +275,39 @@ def _qr_solve(blas: _OpenBlas, a: np.ndarray, y: np.ndarray, rank_tol: float,
         norm_a, norm_inv = (blas.dlantr(b"F", b"U", b"N", _int(n), _int(n), _ptr(x), _int(ld),
                                         _ptr(work), 1, 1, 1) for x, ld in ((a, m), (inv, ld_inv)))
         # NaN or infinity in either norm fails the test
-        if rank_tol * norm_a * norm_inv <= _QR_MARGIN:
+        if _RANK_TOL * norm_a * norm_inv <= _QR_MARGIN:
             blas.dtrtrs(b"U", b"N", b"N", _int(n), _int(nrhs), _ptr(a), _int(m), _ptr(b), _int(m),
                         ctypes.byref(info), 1, 1, 1)
             _check_arguments("dtrtrs", info, (m, n))
             return np.ascontiguousarray(b[:n])
-    return _lstsq(np.triu(a[:n]), b[:n], rank_tol, (m, n))
+    return _lstsq(np.triu(a[:n]), b[:n], (m, n))
 
 
-def min_norm_lstsq(a, y, rank_tol: float = 1e-10, overwrite_a: bool = False) -> np.ndarray:
+def min_norm_lstsq(a, y, overwrite_a: bool = False) -> np.ndarray:
     """Minimum-norm least-squares solution of ``a @ x = y``.
 
     Among all x minimising the Frobenius norm of ``a @ x - y``, returns
-    the unique one of smallest Frobenius norm: ``pseudoinverse(a, rank_tol)
-    @ y`` up to rounding.  Singular values s_i with ``s_i <= rank_tol *
-    s_max`` count as zero, the same cutoff as :func:`pseudoinverse`.
+    the unique one of smallest Frobenius norm: ``pseudoinverse(a) @ y``
+    up to rounding.  Singular values s_i with ``s_i <= 1e-10 * s_max``
+    count as zero, the same fixed cutoff as :func:`pseudoinverse`.
 
     With numpy's bundled OpenBLAS, a tall *a* (rows >= cols) is factorised by
     blocked Householder QR: dgeqrt and dgemqrt in 32-column blocks, in a third
     less time than dgeqrf and dormqr over the width sweep (see
     :func:`_qr_solve`).  When ``||a||_F * ||R^-1||_F``, an upper bound on the
-    condition number, is at most ``0.01 / rank_tol``, the cutoff would remove
-    no singular value even with a 100-fold margin, and back-substitution with
-    R gives the solution.  Otherwise ``np.linalg.lstsq``, LAPACK's SVD
+    condition number, is at most ``0.01 / 1e-10 = 1e8``, the cutoff would
+    remove no singular value even with a 100-fold margin, and back-substitution
+    with R gives the solution.  Otherwise ``np.linalg.lstsq``, LAPACK's SVD
     least-squares routine (gelsd), solves the n x n system in R with the same
     cutoff.  A wide *a*, and any *a* without the bundled OpenBLAS, goes to
     ``np.linalg.lstsq`` directly.  The routes agree within rounding, not bit
     for bit; identical inputs give bit-identical results on the same number of
-    BLAS threads.  Neither forms the pseudoinverse; :func:`pseudoinverse`
-    stays as the reference they are tested against.
+    BLAS threads and BLAS kernel.  Neither forms the pseudoinverse;
+    :func:`pseudoinverse` stays as the reference they are tested against,
+    within the least-squares perturbation bound
+    ``10 * (k + k**2 * ||r|| / (||a||_2 * ||x||)) * eps``, where k is the
+    condition number of the kept singular values and r = y - a @ x the
+    residual (Wedin 1973).
 
     With *overwrite_a* set, the solve may destroy *a* (scipy's name for
     this): on the QR route a writable Fortran-ordered float64 *a* is then
@@ -328,13 +321,11 @@ def min_norm_lstsq(a, y, rank_tol: float = 1e-10, overwrite_a: bool = False) -> 
         raise ValueError(
             f"dimension mismatch in min_norm_lstsq: a has {a.shape[0]} rows, y has {y.shape[0]}"
         )
-    # gelsd would silently read a negative cutoff as machine precision
-    _check_rank_tol(rank_tol)
     blas = _openblas()
     if blas is not None and a.shape[0] >= a.shape[1]:
-        out = _qr_solve(blas, a, y, rank_tol, overwrite_a)
+        out = _qr_solve(blas, a, y, overwrite_a)
     else:
-        out = _lstsq(a, y, rank_tol, a.shape)
+        out = _lstsq(a, y, a.shape)
     if not np.isfinite(out).all():
         raise ValueError("min_norm_lstsq produced non-finite entries")
     return out

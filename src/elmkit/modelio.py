@@ -24,7 +24,6 @@ from dataclasses import fields
 
 from .data import FormatError, ScalingParams, _fmt_vector, _Reader
 from .evaluate import _KINDS, _config_fields, _kind
-from .linalg import _check_rank_tol
 
 # The header keys of each kind and older version whose keys differ from the
 # config's fields, in file order, and the one value each dropped key but
@@ -37,6 +36,12 @@ _OLD_KEYS = {
 }
 _FIXED = {"activation": "sigmoid", "weight_range": "-1.0 1.0", "init_range": "-0.5 0.5",
           "divergence_factor": "100.0"}
+
+
+def _check_rank_tol(rank_tol: float) -> None:
+    # the v1 and v2 fits took only a cutoff in [0, 1); NaN fails too
+    if not (0.0 <= rank_tol < 1.0):
+        raise ValueError(f"rank_tol must be non-negative and below 1, got {rank_tol}")
 
 
 def save_model(model, path) -> None:

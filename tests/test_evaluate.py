@@ -458,3 +458,14 @@ class TestSweep:
         assert "best hidden width" in text
         for entry in result.entries:
             assert f"\n{entry.hidden_nodes:>6} " in text
+
+    def test_widths_and_seeds_are_the_whole_configuration(self, rng):
+        """A sweep's configuration is its widths and seeds; no config line repeats a default."""
+        ds = blobs(rng, n_per_class=40)
+        train, test = stratified_split(ds, SplitSpec(train_fraction=0.5, seed=1))
+        result = sweep_hidden_nodes(train, test, hidden_grid=(5, 10), n_seeds=2, base_seed=3)
+        keys = [line.partition("=")[0] for line in result.to_record().splitlines()]
+        assert keys == ["record", "n_seeds", "base_seed", "train_fingerprint",
+                        "test_fingerprint", "hidden_5", "hidden_10", "best_h", "best_accuracy"]
+        assert result.render_text().splitlines()[:2] == [
+            "hidden-layer width sweep", "seeds per width: 2 starting at 3"]

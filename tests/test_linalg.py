@@ -160,10 +160,6 @@ class TestPseudoinverse:
             p = pseudoinverse(a)
             assert max(self.penrose_errors(a, p)) < 1e-8
 
-    def test_negative_rank_tol_rejected(self):
-        with pytest.raises(ValueError, match="rank_tol must be non-negative and below 1"):
-            pseudoinverse(np.eye(2), rank_tol=-1.0)
-
 
 # ---------------------------------------------------------------------------
 # min_norm_lstsq
@@ -235,22 +231,31 @@ class TestMinNormLstsq:
 EPS = np.finfo(np.float64).eps
 
 
-def assert_matches_pseudoinverse(a, y, rank_tol=1e-10):
-    """min_norm_lstsq(a, y) equals pseudoinverse(a) @ y within 10 * cond * eps.
+def lstsq_tolerance(a, y, ref):
+    """Relative error bound 10 * (cond + cond**2 * ||r|| / (||a||_2 * ||ref||)) * eps.
 
-    cond is the ratio of the largest singular value to the smallest one
-    kept by the cutoff; both sides are backward-stable SVD solves.
+    The least-squares perturbation bound (Wedin, BIT 1973; Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 20) for two
+    backward-stable solves: cond is the ratio of the largest singular
+    value to the smallest one kept by the 1e-10 cutoff, and r = y - a @ ref
+    is the residual.  A consistent system (r = 0) leaves 10 * cond * eps.
     """
-    x = min_norm_lstsq(a, y, rank_tol=rank_tol)
-    # the in-place solve of a Fortran-ordered copy gives the same bits
-    in_place = min_norm_lstsq(a.copy(order="F"), y, rank_tol=rank_tol, overwrite_a=True)
-    assert in_place.tobytes() == x.tobytes()
-    ref = pseudoinverse(a, rank_tol=rank_tol) @ y
     s = np.linalg.svd(a, compute_uv=False)
-    kept = s[s > rank_tol * s[0]]
+    kept = s[s > 1e-10 * s[0]]
     cond = kept[0] / kept[-1]
-    err = np.linalg.norm(x - ref) / np.linalg.norm(ref)
-    assert err <= 10.0 * cond * EPS, (err, cond)
+    residual = np.linalg.norm(y - a @ ref) / (s[0] * np.linalg.norm(ref))
+    return 10.0 * (cond + cond ** 2 * residual) * EPS
+
+
+def assert_matches_pseudoinverse(a, y):
+    """min_norm_lstsq(a, y) equals pseudoinverse(a) @ y within :func:`lstsq_tolerance`."""
+    x = min_norm_lstsq(a, y)
+    # the in-place solve of a Fortran-ordered copy gives the same bits
+    in_place = min_norm_lstsq(a.copy(order="F"), y, overwrite_a=True)
+    assert in_place.tobytes() == x.tobytes()
+    ref = pseudoinverse(a) @ y
+    err, tolerance = np.linalg.norm(x - ref) / np.linalg.norm(ref), lstsq_tolerance(a, y, ref)
+    assert err <= tolerance, (err, tolerance)
     return x
 
 
@@ -282,39 +287,27 @@ class TestMinNormLstsqMatchesPseudoinverse:
         assert out.shape == (3, 2)
         assert not out.any()
 
-    def test_cuts_the_same_singular_values(self, rng):
-        """One singular value just above rank_tol * s_max is kept, one just below is cut."""
+    def test_cuts_the_same_singular_values(self, rng, magnitude=1.0):
+        """One singular value just above 1e-10 * s_max is kept, one just below is cut."""
         u, _ = np.linalg.qr(rng.standard_normal((20, 5)))
         v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        s = np.array([1.0, 0.25, 1.2e-3, 0.8e-3, 1e-7])
+        s = magnitude * np.array([1.0, 0.25, 1.2e-10, 0.8e-10, 1e-14])
         a = u @ np.diag(s) @ v.T
         y = rng.standard_normal((20, 2))
-        x = assert_matches_pseudoinverse(a, y, rank_tol=1e-3)
+        x = assert_matches_pseudoinverse(a, y)
 
         def truncated(rank):
             return v[:, :rank] @ ((u[:, :rank].T @ y) / s[:rank, None])
 
         scale = np.linalg.norm(truncated(3))
-        assert np.linalg.norm(x - truncated(3)) <= 1e-9 * scale
+        assert np.linalg.norm(x - truncated(3)) <= lstsq_tolerance(a, y, truncated(3)) * scale
         assert np.linalg.norm(x - truncated(4)) > 0.1 * scale
         assert np.linalg.norm(x - truncated(2)) > 0.1 * scale
 
-    @pytest.mark.parametrize("rank_tol", [1.0, 2.0, float("inf")])
-    def test_rank_tol_of_one_or_more_rejected(self, rank_tol):
-        """The reference would cut every singular value; gelsd would cut none."""
-        a = np.random.default_rng(0).standard_normal((6, 3))
-        for solve in (lambda: pseudoinverse(a, rank_tol=rank_tol),
-                      lambda: min_norm_lstsq(a, np.ones((6, 1)), rank_tol=rank_tol)):
-            with pytest.raises(ValueError, match="rank_tol must be non-negative and below 1"):
-                solve()
-
-    @pytest.mark.parametrize("rank_tol", [-1e-12, -1.0, float("nan")])
-    def test_negative_rank_tol_rejected_by_the_solve(self, rank_tol):
-        with pytest.raises(ValueError, match="rank_tol") as excinfo:
-            min_norm_lstsq(np.eye(3), np.ones((3, 1)), rank_tol=rank_tol)
-        # rejected by the solve's own check, before gelsd sees the cutoff
-        assert [entry.name for entry in excinfo.traceback][-2:] == [
-            "min_norm_lstsq", "_check_rank_tol"]
+    @pytest.mark.parametrize("magnitude", [1e-6, 1e6])
+    def test_cutoff_is_relative_to_the_largest_singular_value(self, rng, magnitude):
+        """Scaling the matrix keeps and cuts the same singular values."""
+        self.test_cuts_the_same_singular_values(rng, magnitude)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +452,7 @@ class TestQrRoute:
         assert inv_ld == [300, 300] and gelsd_calls == []
 
     def test_graded_singular_values_fall_back_and_cut_nothing(self, rng, gelsd_calls):
-        """cond 1e9 exceeds the bound's 0.01 / rank_tol = 1e8 but not 1 / rank_tol."""
+        """cond 1e9 exceeds the bound's 0.01 / 1e-10 = 1e8 but not the cutoff's 1e10."""
         u, _ = np.linalg.qr(rng.standard_normal((200, 20)))
         v, _ = np.linalg.qr(rng.standard_normal((20, 20)))
         s = np.logspace(0, -9, 20)

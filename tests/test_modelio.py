@@ -621,7 +621,9 @@ class TestV2Files:
         ("inf", "rank_tol must be non-negative and below 1, got inf"),
         ("1.5", "rank_tol must be non-negative and below 1, got 1.5"),
         ("1.0", "rank_tol must be non-negative and below 1, got 1.0"),
+        ("2.0", "rank_tol must be non-negative and below 1, got 2.0"),
         ("-1e-12", "rank_tol must be non-negative and below 1, got -1e-12"),
+        ("-1.0", "rank_tol must be non-negative and below 1, got -1.0"),
         ("tiny", "could not convert string to float: 'tiny'"),
     ])
     def test_invalid_rank_tol_names_its_line(self, tmp_path, version, line, rank_tol, message):

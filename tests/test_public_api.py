@@ -1,6 +1,7 @@
 """The package's public names, pinned so that any change to them is deliberate."""
 
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -28,6 +29,18 @@ def test_public_names_are_exactly_the_pinned_list():
                    and not isinstance(getattr(elmkit, name), types.ModuleType))
     assert names == PUBLIC_NAMES
     assert len(names) == 48
+
+
+def test_solver_signatures_take_no_cutoff():
+    """Both solvers cut singular values at one fixed 1e-10: neither takes a cutoff."""
+    def bare(function):
+        signature = inspect.signature(function)
+        return str(signature.replace(
+            parameters=[p.replace(annotation=p.empty) for p in signature.parameters.values()],
+            return_annotation=signature.empty))
+
+    assert bare(elmkit.min_norm_lstsq) == "(a, y, overwrite_a=False)"
+    assert bare(elmkit.pseudoinverse) == "(a)"
 
 
 def test_one_exception_class_per_exit_code():
