@@ -223,19 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.set_defaults(handler=cmd_generate)
 
-    def add_split_flags(p):
+    def add_split_flags(p, seeded):
         p.add_argument("--data", required=True, help="labeled CSV to split and use")
         p.add_argument("--train-fraction", type=float, default=DEFAULT_TRAIN_FRACTION,
                        help="stratified train share (default matches the bundled scene)")
+        p.add_argument("--seed", type=int, default=0,
+                       help=f"seed of the split and of {seeded} (default 0)")
 
-    def add_classifier_flags(p, with_classifier=True):
-        if with_classifier:
-            p.add_argument("--classifier", choices=tuple(_KINDS), default="elm",
-                           help="classifier kind (default elm)")
-        p.add_argument("--hidden", type=int,
-                       help=f"hidden-layer width (default: {ElmConfig.hidden_nodes} elm, "
-                            f"{MlpConfig.hidden_nodes} mlp)")
-        p.add_argument("--seed", type=int, default=0, help="classifier seed (default 0)")
+    def add_mlp_flags(p):
         p.add_argument("--learning-rate", type=float, default=MlpConfig.learning_rate,
                        help="mlp learning rate (default %(default)s)")
         p.add_argument("--momentum", type=float, default=MlpConfig.momentum,
@@ -245,7 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="fit a classifier on a labeled CSV")
     train.add_argument("--data", required=True, help="labeled training CSV")
-    add_classifier_flags(train)
+    train.add_argument("--classifier", choices=tuple(_KINDS), default="elm",
+                       help="classifier kind (default elm)")
+    train.add_argument("--hidden", type=int,
+                       help=f"hidden-layer width (default: {ElmConfig.hidden_nodes} elm, "
+                            f"{MlpConfig.hidden_nodes} mlp)")
+    train.add_argument("--seed", type=int, default=0,
+                       help="seed of the elm's hidden layer or the mlp's weights (default 0)")
+    add_mlp_flags(train)
     train.add_argument("--out", required=True,
                        help="output model file (training report goes to OUT.report.txt)")
     train.set_defaults(handler=cmd_train)
@@ -258,18 +260,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("benchmark",
                            help="train both classifiers on one split and compare")
-    add_split_flags(bench)
-    add_classifier_flags(bench, with_classifier=False)
+    add_split_flags(bench, "both classifiers")
+    bench.add_argument("--hidden", type=int,
+                       help=f"elm hidden-layer width (default {ElmConfig.hidden_nodes})")
     bench.add_argument("--mlp-hidden", type=int,
-                       help=f"baseline hidden width (default {MlpConfig.hidden_nodes}); "
-                            "--hidden sets the elm width")
+                       help=f"mlp hidden-layer width (default {MlpConfig.hidden_nodes})")
+    add_mlp_flags(bench)
     bench.add_argument("--out", required=True, help="output directory for artifacts")
     bench.set_defaults(handler=cmd_benchmark)
 
     sweep = sub.add_parser("sweep", help="accuracy vs hidden-layer width")
-    add_split_flags(sweep)
-    sweep.add_argument("--seed", type=int, default=0,
-                       help="split seed and base classifier seed (default 0)")
+    add_split_flags(sweep, "each width's first classifier")
     sweep.add_argument("--seeds", type=int, default=3,
                        help="classifier seeds per width (default 3)")
     sweep.add_argument("--out", required=True, help="output directory for artifacts")

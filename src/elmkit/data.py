@@ -401,7 +401,8 @@ def save_csv(dataset: LabeledDataset, path, feature_names: Sequence[str] | None 
 
     Feature values are written with full round-trip precision.  Default
     column names are ``f1..fp``.  Each entry of *header_comments* is
-    written as a leading ``# `` line (readers skip them).
+    written as a leading ``# `` line, which readers skip: an entry with a line
+    break raises ``ValueError``, and a first name starting ``#`` is quoted.
     """
     p = dataset.n_features
     if feature_names is None:
@@ -410,10 +411,14 @@ def save_csv(dataset: LabeledDataset, path, feature_names: Sequence[str] | None 
         feature_names = [str(n) for n in feature_names]
         if len(feature_names) != p:
             raise ValueError(f"expected {p} feature names, got {len(feature_names)}")
+    if any("\n" in str(c) or "\r" in str(c) for c in header_comments):
+        raise ValueError("a header comment contains a line break")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for comment in header_comments:
             handle.write(f"# {comment}\n")
         writer = csv.writer(handle)
+        if feature_names[0].lstrip().startswith("#"):  # else the header reads as a comment
+            handle.write('"{}",'.format(feature_names.pop(0).replace('"', '""')))
         writer.writerow([*feature_names, "label"])
         # repr of the Python floats of tolist(): the same text as a numpy
         # scalar's, without making one per cell

@@ -92,11 +92,12 @@ def init_random_layer(n_features: int, config: ElmConfig) -> tuple[np.ndarray, n
 
 def build_hidden_matrix(features: np.ndarray, weights: np.ndarray,
                         biases: np.ndarray) -> np.ndarray:
-    """Logistic activations of every hidden node on every sample: (samples, hidden).
+    """Logistic activations of every node of a layer ``[weights | biases]`` on every
+    sample, (samples, nodes): the ELM's hidden layer, or either layer of the MLP.
 
-    The matrix is built as one (hidden, samples) C-ordered GEMM, ``-[weights
+    The matrix is built as one (nodes, samples) C-ordered GEMM, ``-[weights
     | biases] @ [features | 1]^T``, with the logistic applied in place, and
-    returned transposed: (samples, hidden) in Fortran order, the layout
+    returned transposed: (samples, nodes) in Fortran order, the layout
     LAPACK factorises in place, so a solve needs no copy of it.
     """
     features = np.asarray(features, dtype=np.float64)

@@ -21,35 +21,31 @@ operating point (rate 0.25, momentum 0.2, 2200 iterations) close to its
 asymptotic accuracy on scenes of a few thousand samples, while 1.0
 undertrains badly there.  The gradient definition is untouched.
 
-All numerics run through one private pass (``_pass``) that keeps every
+Training runs through one private pass (``_pass``) that keeps every
 activation, error and delta array as (units, samples).  Each layer is one
 array ``[W | b]`` whose input carries a ones row (the features in
 ``_layout``, the hidden activations in ``_Scratch``), so its forward step
-is one GEMM by the negated layer, ``-[W | b]``, and the logistic in place
-on that negated pre-activation, and its gradient ``[g_W | g_b]`` is one
-GEMM too: ``delta_out @ hidden^T`` and ``delta_hidden @ X``, ones
-included.  No pass adds a bias or sums a row, and training steps two
-arrays.  The pass writes into five work arrays (``_Scratch``: two of
-hidden x samples, three of classes x samples) with ``out=`` and in-place
-ufuncs.  ``train_mlp`` allocates them, and lays out the scaled features
-and the one-hot targets, once per fit, so no iteration allocates a
-samples-sized array.
-:func:`mlp_forward`, :func:`mlp_cost` and :func:`mlp_gradient` run the
-same pass on arrays allocated per call and return (samples, units)
-arrays, in the four-array parameter form.
+is one GEMM by the negated layer, ``-[W | b]``, then the logistic kernel of
+:mod:`elmkit.elm` in place, and its gradient ``[g_W | g_b]`` is one GEMM
+too: ``delta_out @ hidden^T`` and ``delta_hidden @ X``, ones included.  No
+pass adds a bias or sums a row, and training steps two arrays.  The pass
+writes into five work arrays (``_Scratch``: two of hidden x samples, three
+of classes x samples) with ``out=`` and in-place ufuncs.  ``train_mlp``
+allocates them, and lays out the scaled features and the one-hot targets,
+once per fit, so no iteration allocates a samples-sized array.
+:func:`mlp_cost` and :func:`mlp_gradient` run the pass on arrays allocated
+per call.  :func:`mlp_forward`, and so scoring, builds each layer with
+:func:`elmkit.elm.build_hidden_matrix`: the pass's GEMM on the same
+layout, so the pass's forward bits.
 
 Each training iteration runs one pass: the pass that computes the
 gradient at the current parameters also yields the cost there, which is
 the loss recorded after the previous step.  The pass after the final
 step is taken for its loss alone; its gradient goes unused.
-Both sigmoid layers use the one logistic kernel of :mod:`elmkit.elm`,
-three in-place passes (``exp``, ``+ 1``, ``1 /``) over the negated
-pre-activation; ``train_mlp`` mutes exp's overflow flags once for the
-whole fit, not once per pass.
-
-Every pass runs on one OpenBLAS thread (:func:`elmkit.linalg._one_blas_thread`),
-which ``train_mlp`` holds for the whole fit, so the weights do not depend
-on the machine's core count.
+``train_mlp`` mutes exp's overflow flags once for the whole fit, not once
+per pass, and holds one OpenBLAS thread for it
+(:func:`elmkit.linalg._one_blas_thread`), as the public functions here do
+per call, so the weights do not depend on the machine's core count.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ import numpy as np
 
 from .data import (LabeledDataset, ScalingParams, _check_int, _check_real, _Model, _set_fields,
                    fit_scaling, scale_features)
-from .elm import _logistic_of_negated, _with_ones_row, encode_targets
+from .elm import _logistic_of_negated, _with_ones_row, build_hidden_matrix, encode_targets
 from .linalg import _one_blas_thread
 
 
@@ -170,15 +166,12 @@ def _layout(features):
 
 
 def _pass(features, features_t, targets_t, params, scratch):
-    """One forward pass, and with targets a backward one, in the (units, samples) layout.
+    """One forward and one backward pass in the (units, samples) layout: the summed
+    squared error against *targets_t* (classes, samples), and its exact gradient in
+    the form of *params*, the two layers as ``[weights | biases]``.
 
-    *params* are the two layers as ``[weights | biases]``; the caller mutes
-    exp's overflow and underflow flags (see
-    :func:`elmkit.elm._logistic_of_negated`).  Fills ``scratch.hidden`` and
-    ``scratch.output``.  With ``targets_t`` (classes, samples) it returns the
-    summed squared error and the exact gradient in the same two-array form,
-    and leaves ``1 - activation`` in those two arrays (the ones row apart);
-    otherwise it returns (None, None).
+    The caller mutes exp's overflow and underflow flags.  The pass leaves
+    ``1 - activation`` in ``scratch.hidden`` and ``scratch.output`` (the ones row apart).
     """
     hidden_layer, out_layer = params
     s = scratch
@@ -187,8 +180,6 @@ def _pass(features, features_t, targets_t, params, scratch):
     _logistic_of_negated(hidden, out=hidden)
     np.matmul(-out_layer, s.hidden, out=s.output)
     _logistic_of_negated(s.output, out=s.output)
-    if targets_t is None:
-        return None, None
     np.subtract(s.output, targets_t, out=s.error)
     loss = float(np.square(s.error, out=s.delta_out).sum())
     # cost is sum of (output - target)^2: chain through both sigmoids
@@ -205,26 +196,26 @@ def _pass(features, features_t, targets_t, params, scratch):
 
 
 def _pass_once(features, targets, params):
-    """:func:`_pass` on work arrays allocated for this call alone."""
+    """(loss, gradient) of :func:`_pass` on work arrays allocated for this call alone."""
     features, features_t = _layout(features)
-    targets_t = None if targets is None else np.asarray(targets, dtype=np.float64).T.copy()
+    targets_t = np.asarray(targets, dtype=np.float64).T.copy()
     scratch = _Scratch(len(params[1]), len(params[3]), len(features))
     layers = np.column_stack(params[:2]), np.column_stack(params[2:])
     with _one_blas_thread(), np.errstate(over="ignore", under="ignore"):
-        loss, grads = _pass(features, features_t, targets_t, layers, scratch)
-    return scratch, loss, grads
+        return _pass(features, features_t, targets_t, layers, scratch)
 
 
 def mlp_forward(features, w_hidden, b_hidden, w_out, b_out):
-    """Forward pass; returns (hidden activations, output activations),
-    each (samples, units)."""
-    scratch, _, _ = _pass_once(features, None, (w_hidden, b_hidden, w_out, b_out))
-    return scratch.hidden[:-1].T, scratch.output.T
+    """(hidden activations, output activations), each (samples, units): each
+    layer by :func:`elmkit.elm.build_hidden_matrix`, on one BLAS thread."""
+    with _one_blas_thread():
+        hidden = build_hidden_matrix(features, w_hidden, b_hidden)
+        return hidden, build_hidden_matrix(hidden, w_out, b_out)
 
 
 def mlp_cost(features, targets, w_hidden, b_hidden, w_out, b_out) -> float:
     """Sum of squared errors of the forward pass against the targets."""
-    return _pass_once(features, targets, (w_hidden, b_hidden, w_out, b_out))[1]
+    return _pass_once(features, targets, (w_hidden, b_hidden, w_out, b_out))[0]
 
 
 def mlp_gradient(features, targets, w_hidden, b_hidden, w_out, b_out):
@@ -233,7 +224,7 @@ def mlp_gradient(features, targets, w_hidden, b_hidden, w_out, b_out):
     Returns gradients in parameter order (w_hidden, b_hidden, w_out,
     b_out); each matches its parameter's shape.
     """
-    g_hidden, g_out = _pass_once(features, targets, (w_hidden, b_hidden, w_out, b_out))[2]
+    g_hidden, g_out = _pass_once(features, targets, (w_hidden, b_hidden, w_out, b_out))[1]
     return g_hidden[:, :-1], g_hidden[:, -1], g_out[:, :-1], g_out[:, -1]
 
 

@@ -752,6 +752,24 @@ class TestEntryPoints:
         for code in ("0", "2", "3", "4", "5"):
             assert code in proc.stdout
 
+    @pytest.mark.parametrize("command, entries", [
+        ("train", ["--hidden HIDDEN hidden-layer width (default: 300 elm, 26 mlp)",
+                   "--seed SEED seed of the elm's hidden layer or the mlp's weights (default 0)"]),
+        ("benchmark", ["--seed SEED seed of the split and of both classifiers (default 0)",
+                       "--hidden HIDDEN elm hidden-layer width (default 300)",
+                       "--mlp-hidden MLP_HIDDEN mlp hidden-layer width (default 26)"]),
+        ("sweep", ["--seed SEED seed of the split and of each width's first classifier "
+                   "(default 0)"]),
+    ], ids=["train", "benchmark", "sweep"])
+    def test_help_says_what_each_width_and_seed_flag_sets(self, capsys, command, entries):
+        """benchmark's --seed also seeds the split, and its --hidden sets the elm width only."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for entry in entries:
+            assert entry in text
+
     def test_memory_error_is_one_line_exit_6(self, tmp_path, capsys, monkeypatch):
         def exhausted(config):
             raise MemoryError("Unable to allocate 43.7 TiB for an array")

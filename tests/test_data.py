@@ -161,6 +161,30 @@ class TestCsvRoundTrip:
         features, _ = load_feature_csv(path)
         np.testing.assert_array_equal(features, ds.features)
 
+    @pytest.mark.parametrize("names, header", [
+        (["#b1", "f2"], b'"#b1",f2,label\r\n'),
+        ([" #b1", "f2"], b'" #b1",f2,label\r\n'),
+        (['#"b1', "f2"], b'"#""b1",f2,label\r\n'),
+        (["f1", "#b2"], b"f1,#b2,label\r\n"),
+    ], ids=["first", "first-after-space", "first-with-quote", "second"])
+    def test_first_name_starting_with_hash_is_quoted(self, tmp_path, names, header):
+        """Unquoted, such a header would read back as a comment line."""
+        ds = small_dataset()
+        path = tmp_path / "data.csv"
+        save_csv(ds, path, feature_names=names, header_comments=["note"])
+        assert path.read_bytes().split(b"\n", 1)[1].startswith(header)
+        back = load_csv(path, class_names=ds.class_names)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert load_feature_csv(path)[1] == [name.strip() for name in names]
+
+    @pytest.mark.parametrize("comment", ["two\nlines", "cr\rhere", "trailing\r\n"])
+    def test_header_comment_with_line_break_rejected(self, tmp_path, comment):
+        """The line after the break would not start with '#'."""
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match="line break"):
+            save_csv(small_dataset(), path, header_comments=["fine", comment])
+        assert not path.exists()
+
     def test_error_rows_count_comment_lines(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("# one comment\nf1,label\n1.0,a\nbad,b\n")

@@ -326,6 +326,15 @@ class TestTrainMlp:
             train_mlp(ds, config)
         assert excinfo.value.iteration == diverged
 
+    def test_scores_give_the_training_pass_bits(self, rng):
+        """The last recorded loss is the summed squared error of the model's
+        own scores on its training rows, to the bit."""
+        ds = blobs(rng)
+        model = train_mlp(ds, MlpConfig(hidden_nodes=7, learning_rate=0.5, iterations=40, seed=2))
+        targets_t = encode_targets(ds.labels, ds.n_classes).T.copy()
+        scores = predict_scores(model, ds.features)
+        assert float(np.square(scores.T - targets_t).sum()) == model.loss_history[-1]
+
     def test_scaling_travels_with_model(self, rng):
         ds = blobs(rng, n_per_class=50, spread=0.5)
         shifted = LabeledDataset(ds.features * 40.0 + 900.0, ds.labels, ds.class_names)
@@ -345,16 +354,24 @@ class TestOneBlasThread:
     caller's count is back afterwards."""
 
     @pytest.fixture
-    def counts_in_pass(self, monkeypatch, blas_threads):
+    def counts_in(self, monkeypatch, blas_threads):
+        """counts_in(name): the thread counts seen at each call of ``mlp.<name>``."""
+        def spy(name):
+            seen, inner = [], getattr(mlp, name)
+
+            def recording(*args):
+                seen.append(blas_threads())
+                return inner(*args)
+
+            monkeypatch.setattr(mlp, name, recording)
+            return seen
+
+        return spy
+
+    @pytest.fixture
+    def counts_in_pass(self, counts_in):
         """The thread count seen at each entry into the pass."""
-        seen, inner = [], mlp._pass
-
-        def recording(*args):
-            seen.append(blas_threads())
-            return inner(*args)
-
-        monkeypatch.setattr(mlp, "_pass", recording)
-        return seen
+        return counts_in("_pass")
 
     def test_training_passes(self, rng, counts_in_pass, blas_threads):
         train_mlp(blobs(rng), MlpConfig(hidden_nodes=4, iterations=5, seed=1))
@@ -363,17 +380,19 @@ class TestOneBlasThread:
 
     @pytest.mark.parametrize("name", ["predict_scores", "mlp_forward", "mlp_cost",
                                       "mlp_gradient"])
-    def test_public_passes(self, rng, counts_in_pass, blas_threads, name):
+    def test_public_passes(self, rng, counts_in, blas_threads, name):
         ds = blobs(rng)
         model = train_mlp(ds, MlpConfig(hidden_nodes=4, iterations=5, seed=1))
         params = model.w_hidden, model.b_hidden, model.w_out, model.b_out
         targets = encode_targets(ds.labels, ds.n_classes)
-        counts_in_pass.clear()
+        # scoring builds its two layers; the cost and the gradient run one pass
+        scoring = name in ("predict_scores", "mlp_forward")
+        seen = counts_in("build_hidden_matrix" if scoring else "_pass")
         {"predict_scores": lambda: predict_scores(model, ds.features),
          "mlp_forward": lambda: mlp_forward(ds.features, *params),
          "mlp_cost": lambda: mlp_cost(ds.features, targets, *params),
          "mlp_gradient": lambda: mlp_gradient(ds.features, targets, *params)}[name]()
-        assert counts_in_pass == [1]
+        assert seen == ([1, 1] if scoring else [1])
         assert blas_threads() == 2
 
     def test_count_restored_after_divergence(self, counts_in_pass, blas_threads):
