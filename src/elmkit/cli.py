@@ -71,6 +71,11 @@ _EXIT_CODES_HELP = "exit codes:\n" + "".join(
     f"  {code}  {meaning}\n" for code, meaning, _ in _EXIT_CODES)
 
 
+# The mlp's learning flags as (dest, type, what it sets); each is None when unset.
+_MLP_FLAGS = (("learning_rate", float, "learning rate"), ("momentum", float, "momentum"),
+              ("iterations", int, "training iterations"))
+
+
 def _config_comment_lines(config) -> list[str]:
     lines = [f"generator seed: {config.seed}", f"features: {config.n_features}"]
     for cls, name in enumerate(config.class_names):
@@ -107,11 +112,11 @@ def cmd_generate(args) -> int:
 
 def _config(config_type, args, hidden: int | None):
     """A classifier config: each field from the flag whose dest is its name,
-    the width from *hidden* (the value of --hidden or --mlp-hidden)."""
-    values = {f.name: getattr(args, f.name) for f in fields(config_type)
-              if f.name != "hidden_nodes"}
-    return config_type(hidden_nodes=config_type.hidden_nodes if hidden is None else hidden,
-                       **values)
+    the width from *hidden* (the value of --hidden or --mlp-hidden); a field
+    whose flag was left unset (None) keeps its default."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(config_type)}
+    values["hidden_nodes"] = hidden
+    return config_type(**{name: v for name, v in values.items() if v is not None})
 
 
 def _training_report(model, dataset) -> str:
@@ -137,6 +142,11 @@ def _training_report(model, dataset) -> str:
 
 
 def cmd_train(args) -> int:
+    given = [name for name, _, _ in _MLP_FLAGS if getattr(args, name) is not None]
+    if given and args.classifier != "mlp":
+        flag = "--" + given[0].replace("_", "-")
+        print(f"elmkit train: {flag} applies to --classifier mlp only", file=sys.stderr)
+        return 2
     dataset = load_csv(args.data)
     kind = _KINDS[args.classifier]
     model = kind.train(dataset, _config(kind.config, args, args.hidden))
@@ -230,13 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help=f"seed of the split and of {seeded} (default 0)")
 
-    def add_mlp_flags(p):
-        p.add_argument("--learning-rate", type=float, default=MlpConfig.learning_rate,
-                       help="mlp learning rate (default %(default)s)")
-        p.add_argument("--momentum", type=float, default=MlpConfig.momentum,
-                       help="mlp momentum (default %(default)s)")
-        p.add_argument("--iterations", type=int, default=MlpConfig.iterations,
-                       help="mlp training iterations (default %(default)s)")
+    def add_mlp_flags(p, note=""):
+        for name, kind, what in _MLP_FLAGS:
+            p.add_argument("--" + name.replace("_", "-"), type=kind,
+                           help=f"mlp {what} (default {getattr(MlpConfig, name)}{note})")
 
     train = sub.add_parser("train", help="fit a classifier on a labeled CSV")
     train.add_argument("--data", required=True, help="labeled training CSV")
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{MlpConfig.hidden_nodes} mlp)")
     train.add_argument("--seed", type=int, default=0,
                        help="seed of the elm's hidden layer or the mlp's weights (default 0)")
-    add_mlp_flags(train)
+    add_mlp_flags(train, "; mlp only")
     train.add_argument("--out", required=True,
                        help="output model file (training report goes to OUT.report.txt)")
     train.set_defaults(handler=cmd_train)

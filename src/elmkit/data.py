@@ -72,16 +72,16 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
 
 
 def _class_names(names) -> tuple[str, ...]:
-    """*names* as a tuple of two or more distinct strings that every file
-    format reads back unchanged: readers strip names and take one per line."""
+    """*names* as a tuple of two or more distinct, non-empty strings that every
+    file format reads back unchanged: readers strip names and take one per line."""
     names = tuple(str(n) for n in names)
     if len(names) < 2:
         raise ValueError("at least two classes are required")
     if len(set(names)) != len(names):
         raise ValueError("class names must be distinct")
     for name in names:
-        if name != name.strip() or "\n" in name or "\r" in name:
-            raise ValueError(f"class name {name!r} has outer whitespace or a line break")
+        if not name or name != name.strip() or "\n" in name or "\r" in name:
+            raise ValueError(f"class name {name!r} is empty or has outer whitespace or a line break")
     return names
 
 
@@ -251,6 +251,8 @@ class _Reader:
     def read_class(self, names: list) -> None:
         """Append the next ``class:`` line's name to *names*, which must not hold it yet."""
         name = self.expect_key("class")
+        if not name:
+            self.fail("empty 'class:' name")
         if name in names:
             self.fail(f"class '{name}' repeats an earlier 'class:' line")
         names.append(name)
@@ -374,8 +376,8 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> LabeledDataset:
     Raises :class:`FormatError` on an empty or non-UTF-8 file, a
     missing column, a row with the wrong cell count, an unparseable or
     non-finite cell, a cell longer than ``csv.field_size_limit()``, an
-    unknown class, or a class name holding a line break, each reported
-    with its physical line.
+    empty or unknown class, or a class name holding a line break, each
+    reported with its physical line.
     """
     _, features, label_names, line_numbers = _parse_csv(path, label_required=True)
 
@@ -385,6 +387,8 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> LabeledDataset:
         ordered = tuple(str(n) for n in class_names)
     mapping = {name: i for i, name in enumerate(ordered)}
     for line_no, name in zip(line_numbers, label_names):
+        if not name:
+            raise FormatError(f"{path}: row {line_no}: empty label")
         # a model file is read line by line, so such a class name could not be read back
         if "\n" in name or "\r" in name:
             raise FormatError(f"{path}: row {line_no}: class name contains a line break")

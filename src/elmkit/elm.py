@@ -30,13 +30,14 @@ from .data import (LabeledDataset, ScalingParams, _check_int, _Model, _set_field
 from .linalg import _one_blas_thread, min_norm_lstsq
 
 
-def _logistic_of_negated(z, out=None):
-    # The logistic function of x, given z = -x: 1 / (1 + exp(z)) in three in-place
-    # ufuncs into *out* (which may be *z*; without it a new array).  Callers negate
-    # the layer, [-W | -b], so z comes out of the GEMM: negation is exact and rounding
-    # symmetric, so z has the bits of -(Wx + b).  exp overflows above z = 709, giving
-    # an exact 0, and underflows below -745, giving 1; the caller mutes both flags.
-    out = np.exp(z, out=out)
+def _logistic_layer(layer, inputs, out):
+    # The logistic activations of a layer [W | b] on *inputs*, whose last row is ones,
+    # into *out*: z = -[W | b] @ inputs by one GEMM (negation is exact and rounding
+    # symmetric, so z has the bits of -(Wx + b)), then 1 / (1 + exp(z)) in three
+    # in-place ufuncs.  exp overflows above z = 709, giving an exact 0, and underflows
+    # below -745, giving 1; the caller mutes both flags.
+    np.matmul(np.negative(layer), inputs, out=out)
+    np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
 
@@ -95,10 +96,11 @@ def build_hidden_matrix(features: np.ndarray, weights: np.ndarray,
     """Logistic activations of every node of a layer ``[weights | biases]`` on every
     sample, (samples, nodes): the ELM's hidden layer, or either layer of the MLP.
 
-    The matrix is built as one (nodes, samples) C-ordered GEMM, ``-[weights
-    | biases] @ [features | 1]^T``, with the logistic applied in place, and
-    returned transposed: (samples, nodes) in Fortran order, the layout
-    LAPACK factorises in place, so a solve needs no copy of it.
+    It is built by the layer step that the MLP's training pass runs too, so it has
+    that pass's forward bits: one (nodes, samples) C-ordered GEMM, ``-[weights |
+    biases] @ [features | 1]^T``, then the logistic in place.  It is returned
+    transposed: (samples, nodes) in Fortran order, the layout LAPACK factorises in
+    place, so a solve needs no copy of it.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -107,9 +109,9 @@ def build_hidden_matrix(features: np.ndarray, weights: np.ndarray,
         raise ValueError(
             f"feature width {features.shape[1]} does not match weights width {weights.shape[1]}"
         )
-    hidden = np.negative(np.column_stack([weights, biases])) @ _with_ones_row(features)
     with np.errstate(over="ignore", under="ignore"):
-        return _logistic_of_negated(hidden, out=hidden).T
+        return _logistic_layer(np.column_stack([weights, biases]), _with_ones_row(features),
+                               np.empty((len(weights), len(features)))).T
 
 
 def _with_ones_row(features: np.ndarray) -> np.ndarray:

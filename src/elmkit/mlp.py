@@ -21,22 +21,20 @@ operating point (rate 0.25, momentum 0.2, 2200 iterations) close to its
 asymptotic accuracy on scenes of a few thousand samples, while 1.0
 undertrains badly there.  The gradient definition is untouched.
 
-Training runs through one private pass (``_pass``) that keeps every
-activation, error and delta array as (units, samples).  Each layer is one
-array ``[W | b]`` whose input carries a ones row (the features in
-``_layout``, the hidden activations in ``_Scratch``), so its forward step
-is one GEMM by the negated layer, ``-[W | b]``, then the logistic kernel of
-:mod:`elmkit.elm` in place, and its gradient ``[g_W | g_b]`` is one GEMM
-too: ``delta_out @ hidden^T`` and ``delta_hidden @ X``, ones included.  No
-pass adds a bias or sums a row, and training steps two arrays.  The pass
-writes into five work arrays (``_Scratch``: two of hidden x samples, three
-of classes x samples) with ``out=`` and in-place ufuncs.  ``train_mlp``
-allocates them, and lays out the scaled features and the one-hot targets,
-once per fit, so no iteration allocates a samples-sized array.
-:func:`mlp_cost` and :func:`mlp_gradient` run the pass on arrays allocated
-per call.  :func:`mlp_forward`, and so scoring, builds each layer with
-:func:`elmkit.elm.build_hidden_matrix`: the pass's GEMM on the same
-layout, so the pass's forward bits.
+Training runs through one private pass object (``_Pass``), built once
+per fit, and once per :func:`mlp_cost` or :func:`mlp_gradient` call,
+from the scaled features, the targets and the hidden width.  It lays out
+the features with a ones column, in both orders, and the targets, and
+owns five work arrays (two of hidden x samples, three of classes x
+samples), so no iteration allocates a samples-sized array.  Called with
+the two layers, each one array ``[W | b]``, it runs one forward and one
+backward pass with every array as (units, samples).  Its forward steps
+are the layer step of :mod:`elmkit.elm` (one GEMM by the negated layer
+on inputs with a ones row, then the logistic in place) that
+:func:`elmkit.elm.build_hidden_matrix`, and so :func:`mlp_forward` and
+scoring, runs too: scoring gives the pass's forward bits.  Each gradient
+``[g_W | g_b]`` is one GEMM too, ``delta_out @ hidden^T`` and
+``delta_hidden @ X``, ones included.  No pass adds a bias or sums a row.
 
 Each training iteration runs one pass: the pass that computes the
 gradient at the current parameters also yields the cost there, which is
@@ -57,7 +55,7 @@ import numpy as np
 
 from .data import (LabeledDataset, ScalingParams, _check_int, _check_real, _Model, _set_fields,
                    fit_scaling, scale_features)
-from .elm import _logistic_of_negated, _with_ones_row, build_hidden_matrix, encode_targets
+from .elm import _logistic_layer, _with_ones_row, build_hidden_matrix, encode_targets
 from .linalg import _one_blas_thread
 
 
@@ -144,65 +142,53 @@ def init_mlp_params(n_features: int, n_classes: int,
     return w_hidden, b_hidden, w_out, b_out
 
 
-class _Scratch:
-    """The pass's work arrays, all (units, samples) and C-ordered.  ``hidden``
-    has a last row of ones, which the pass never writes: the output bias's input."""
+class _Pass:
+    """The summed squared error against fixed targets, and its exact gradient, in the
+    (units, samples) layout of the module docstring.  Built from the features, the
+    targets and the hidden width; a call with the two layers ``[weights | biases]``
+    returns ``(loss, (g_hidden, g_out))``, each gradient in its layer's shape.  Every
+    call reuses one layout and the same work arrays, so the GEMMs give the same bits
+    whatever the caller's array order.  The caller mutes exp's overflow and underflow
+    flags.  A call leaves ``1 - activation`` in ``hidden`` and ``output``.
+    """
 
-    def __init__(self, n_hidden: int, n_classes: int, n_samples: int):
+    def __init__(self, features, targets, n_hidden: int):
+        self.features_t = _with_ones_row(np.asarray(features, dtype=np.float64))
+        self.features = self.features_t.T.copy()
+        self.targets_t = np.asarray(targets, dtype=np.float64).T.copy()
+        n_classes, n_samples = self.targets_t.shape
+        # hidden's last row of ones, which no call writes, is the output bias's input
         self.hidden = np.ones((n_hidden + 1, n_samples))
         self.delta_hidden = np.empty((n_hidden, n_samples))
         self.output, self.error, self.delta_out = (
             np.empty((n_classes, n_samples)) for _ in range(3))
 
-
-def _layout(features):
-    """Features and a ones column as C-ordered (samples, features + 1) and (features + 1, samples).
-
-    Every caller of :func:`_pass` goes through here, so the GEMMs see the
-    same memory layout, and give the same bits, whatever the input order.
-    """
-    features_t = _with_ones_row(np.asarray(features, dtype=np.float64))
-    return features_t.T.copy(), features_t
-
-
-def _pass(features, features_t, targets_t, params, scratch):
-    """One forward and one backward pass in the (units, samples) layout: the summed
-    squared error against *targets_t* (classes, samples), and its exact gradient in
-    the form of *params*, the two layers as ``[weights | biases]``.
-
-    The caller mutes exp's overflow and underflow flags.  The pass leaves
-    ``1 - activation`` in ``scratch.hidden`` and ``scratch.output`` (the ones row apart).
-    """
-    hidden_layer, out_layer = params
-    s = scratch
-    hidden = s.hidden[:-1]
-    np.matmul(-hidden_layer, features_t, out=hidden)
-    _logistic_of_negated(hidden, out=hidden)
-    np.matmul(-out_layer, s.hidden, out=s.output)
-    _logistic_of_negated(s.output, out=s.output)
-    np.subtract(s.output, targets_t, out=s.error)
-    loss = float(np.square(s.error, out=s.delta_out).sum())
-    # cost is sum of (output - target)^2: chain through both sigmoids
-    np.multiply(s.error, 2.0, out=s.delta_out)
-    s.delta_out *= s.output
-    np.subtract(1.0, s.output, out=s.output)
-    s.delta_out *= s.output
-    g_out = s.delta_out @ s.hidden.T
-    np.matmul(out_layer[:, :-1].T, s.delta_out, out=s.delta_hidden)
-    s.delta_hidden *= hidden
-    np.subtract(1.0, hidden, out=hidden)
-    s.delta_hidden *= hidden
-    return loss, (s.delta_hidden @ features, g_out)
+    def __call__(self, hidden_layer, out_layer):
+        hidden = self.hidden[:-1]
+        _logistic_layer(hidden_layer, self.features_t, hidden)
+        _logistic_layer(out_layer, self.hidden, self.output)
+        np.subtract(self.output, self.targets_t, out=self.error)
+        loss = float(np.square(self.error, out=self.delta_out).sum())
+        # cost is sum of (output - target)^2: chain through both sigmoids
+        delta_out = np.multiply(self.error, 2.0, out=self.delta_out)
+        delta_out *= self.output
+        np.subtract(1.0, self.output, out=self.output)
+        delta_out *= self.output
+        g_out = delta_out @ self.hidden.T
+        delta_hidden = np.matmul(out_layer[:, :-1].T, delta_out, out=self.delta_hidden)
+        delta_hidden *= hidden
+        np.subtract(1.0, hidden, out=hidden)
+        delta_hidden *= hidden
+        return loss, (delta_hidden @ self.features, g_out)
 
 
 def _pass_once(features, targets, params):
-    """(loss, gradient) of :func:`_pass` on work arrays allocated for this call alone."""
-    features, features_t = _layout(features)
-    targets_t = np.asarray(targets, dtype=np.float64).T.copy()
-    scratch = _Scratch(len(params[1]), len(params[3]), len(features))
+    """(loss, gradient) of a :class:`_Pass` built for this call alone, on one BLAS
+    thread, at the four parameter arrays *params*."""
     layers = np.column_stack(params[:2]), np.column_stack(params[2:])
+    run_pass = _Pass(features, targets, len(params[1]))
     with _one_blas_thread(), np.errstate(over="ignore", under="ignore"):
-        return _pass(features, features_t, targets_t, layers, scratch)
+        return run_pass(*layers)
 
 
 def mlp_forward(features, w_hidden, b_hidden, w_out, b_out):
@@ -243,25 +229,24 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
         config = MlpConfig()
     start = time.perf_counter()
     scaling = fit_scaling(train)
-    features, features_t = _layout(scale_features(train.features, scaling))
-    targets_t = encode_targets(train.labels, train.n_classes).T.copy()
+    run_pass = _Pass(scale_features(train.features, scaling),
+                     encode_targets(train.labels, train.n_classes), config.hidden_nodes)
     params = init_mlp_params(train.n_features, train.n_classes, config)
     params = np.column_stack(params[:2]), np.column_stack(params[2:])  # [W | b] per layer
     velocities = [np.zeros_like(p) for p in params]
-    scratch = _Scratch(config.hidden_nodes, train.n_classes, train.n_samples)
     step = config.learning_rate * _MEAN_STEP_GAIN / train.n_samples
 
     # Divergence is reported by the loss check below, not by numpy warnings;
     # the logistic's exp may overflow or underflow on any pass.
     with _one_blas_thread(), np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        loss, grads = _pass(features, features_t, targets_t, params, scratch)
+        loss, grads = run_pass(*params)
         history = [loss]
         for iteration in range(1, config.iterations + 1):
             for param, velocity, grad in zip(params, velocities, grads):
                 velocity *= config.momentum
                 velocity -= step * grad
                 param += velocity
-            loss, grads = _pass(features, features_t, targets_t, params, scratch)
+            loss, grads = run_pass(*params)
             if not np.isfinite(loss):
                 raise MlpDivergenceError(iteration, loss)
             history.append(loss)

@@ -31,6 +31,17 @@ def blas_threads(blas):
     set_threads(before)
 
 
+@pytest.fixture
+def lstsq_route(monkeypatch):
+    """min_norm_lstsq as on a numpy without its bundled OpenBLAS (the macOS arm64
+    wheels use Accelerate): every input goes to np.linalg.lstsq, never to QR."""
+    def no_qr(*args):
+        raise AssertionError("the QR route ran without the OpenBLAS binding")
+
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    monkeypatch.setattr(linalg, "_qr_solve", no_qr)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance criterion pass/fail lines after the test run."""
     module = sys.modules.get("test_acceptance") or sys.modules.get("tests.test_acceptance")

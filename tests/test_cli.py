@@ -36,6 +36,11 @@ def write_blobs_csv(path, rng, n_per_class=40, spread=0.6):
     return ds
 
 
+def small_fit(kind):
+    """train flags for a quick fit of *kind*: width 4, and 5 iterations for the mlp."""
+    return ["--classifier", kind, "--hidden", "4", *(["--iterations", "5"] if kind == "mlp" else [])]
+
+
 class TestGenerate:
     def test_writes_default_scene(self, tmp_path):
         out = tmp_path / "scene.csv"
@@ -179,8 +184,8 @@ class TestMalformedInputExits3:
         data = tmp_path / "train.csv"
         write_blobs_csv(data, rng)
         model = tmp_path / f"{classifier}.model"
-        assert main(["train", "--data", str(data), "--classifier", classifier, "--hidden", "4",
-                     "--iterations", "5", "--out", str(model)]) == 0
+        assert main(["train", "--data", str(data), *small_fit(classifier),
+                     "--out", str(model)]) == 0
         lines = model.read_text().splitlines()
         line_no = lines.index("features: 2") + 1
         lines[line_no - 1] = f"features: {value}"
@@ -353,8 +358,7 @@ class TestTrainPredict:
         data = tmp_path / "train.csv"
         write_blobs_csv(data, rng)
         model_path = tmp_path / f"{kind}.model"
-        main(["train", "--data", str(data), "--classifier", kind, "--hidden", "4",
-              "--iterations", "5", "--out", str(model_path)])
+        main(["train", "--data", str(data), *small_fit(kind), "--out", str(model_path)])
         capsys.readouterr()
         huge = tmp_path / "huge.csv"
         huge.write_text("f1,f2\n1.0,2.0\n1e308,1e308\n")
@@ -372,8 +376,8 @@ class TestTrainPredict:
         data = tmp_path / "train.csv"
         save_csv(LabeledDataset([[0.0, 1e308], [1.0, -1e308], [2.0, 0.0], [3.0, 1.0]],
                                 [0, 1, 0, 1], ("a", "b")), data)
-        code = main(["train", "--data", str(data), "--classifier", kind, "--hidden", "4",
-                     "--iterations", "5", "--out", str(tmp_path / "m.model")])
+        code = main(["train", "--data", str(data), *small_fit(kind),
+                     "--out", str(tmp_path / "m.model")])
         assert code == 4
         assert capsys.readouterr().err == (
             "elmkit train: feature bounds must be finite, with feature_max >= feature_min and a "
@@ -442,6 +446,41 @@ class TestTrainPredict:
             f"elmkit predict: {model_path}: line {row + 1}: "
             "class 'a' repeats an earlier 'class:' line\n")
 
+    @pytest.mark.parametrize("kind", ["elm", "mlp"])
+    def test_bare_model_class_line_exits_3(self, tmp_path, rng, capsys, kind):
+        """A model file's empty class name would label rows ''."""
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        model_path = tmp_path / f"{kind}.model"
+        assert main(["train", "--data", str(data), *small_fit(kind),
+                     "--out", str(model_path)]) == 0
+        lines = model_path.read_text().splitlines()
+        row = lines.index("class: b")
+        lines[row] = "class: "
+        model_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"elmkit predict: {model_path}: line {row + 1}: empty 'class:' name\n")
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["elm", "mlp"])
+    def test_empty_label_cell_exits_3(self, tmp_path, rng, capsys, kind):
+        """It used to train a model with one more class, named ''."""
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        lines = data.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ", "
+        data.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "m.model"
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), *small_fit(kind), "--out", str(model_path)])
+        assert code == 3
+        assert capsys.readouterr().err == f"elmkit train: {data}: row 6: empty label\n"
+        assert list(tmp_path.iterdir()) == [data]
+
     def test_no_tuning_flags_give_the_config_defaults(self, tmp_path, rng):
         data = tmp_path / "train.csv"
         write_blobs_csv(data, rng)
@@ -457,11 +496,11 @@ class TestTrainPredict:
         """Flags away from every default reach every field of both configs."""
         data = tmp_path / "train.csv"
         write_blobs_csv(data, rng)
-        flags = ["--hidden", "7", "--seed", "3", "--learning-rate", "0.5", "--momentum", "0.5",
-                 "--iterations", "9"]
-        for kind, config_type in (("elm", ElmConfig), ("mlp", MlpConfig)):
+        flags = ["--hidden", "7", "--seed", "3"]
+        mlp_flags = ["--learning-rate", "0.5", "--momentum", "0.5", "--iterations", "9"]
+        for kind, config_type, more in (("elm", ElmConfig, []), ("mlp", MlpConfig, mlp_flags)):
             model_path = tmp_path / f"{kind}.model"
-            assert main(["train", "--data", str(data), "--classifier", kind, *flags,
+            assert main(["train", "--data", str(data), "--classifier", kind, *flags, *more,
                          "--out", str(model_path)]) == 0
             config = load_model(model_path).config
             for field in fields(config_type):
@@ -655,6 +694,24 @@ class TestRetiredFlags:
         assert not (tmp_path / "p.csv").exists()
 
 
+class TestMlpFlagsWithTheElm:
+    """train's learning flags set the mlp only: with the elm they are a usage error,
+    not a value silently dropped."""
+
+    @pytest.mark.parametrize("classifier", [[], ["--classifier", "elm"]], ids=["default", "elm"])
+    @pytest.mark.parametrize("flag, value", [("--learning-rate", "5"), ("--momentum", "0.9"),
+                                             ("--iterations", "3")])
+    def test_exits_2_naming_the_flag(self, tmp_path, rng, capsys, classifier, flag, value):
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), *classifier, flag, value,
+                     "--out", str(tmp_path / "m.model")])
+        assert code == 2
+        assert capsys.readouterr().err == f"elmkit train: {flag} applies to --classifier mlp only\n"
+        assert list(tmp_path.iterdir()) == [data]
+
+
 class TestNegativeSeed:
     """A negative seed is rejected where it is configured, with a message naming it."""
 
@@ -675,8 +732,8 @@ class TestNegativeSeed:
         data = tmp_path / "scene.csv"
         write_blobs_csv(data, rng)
         model_path = tmp_path / f"{classifier}.model"
-        assert main(["train", "--data", str(data), "--classifier", classifier,
-                     "--hidden", "4", "--iterations", "5", "--out", str(model_path)]) == 0
+        assert main(["train", "--data", str(data), *small_fit(classifier),
+                     "--out", str(model_path)]) == 0
         text = model_path.read_text()
         assert "\nseed: 0\n" in text
         model_path.write_text(text.replace("\nseed: 0\n", "\nseed: -5\n"))
@@ -754,7 +811,10 @@ class TestEntryPoints:
 
     @pytest.mark.parametrize("command, entries", [
         ("train", ["--hidden HIDDEN hidden-layer width (default: 300 elm, 26 mlp)",
-                   "--seed SEED seed of the elm's hidden layer or the mlp's weights (default 0)"]),
+                   "--seed SEED seed of the elm's hidden layer or the mlp's weights (default 0)",
+                   "--learning-rate LEARNING_RATE mlp learning rate (default 0.25; mlp only)",
+                   "--momentum MOMENTUM mlp momentum (default 0.2; mlp only)",
+                   "--iterations ITERATIONS mlp training iterations (default 2200; mlp only)"]),
         ("benchmark", ["--seed SEED seed of the split and of both classifiers (default 0)",
                        "--hidden HIDDEN elm hidden-layer width (default 300)",
                        "--mlp-hidden MLP_HIDDEN mlp hidden-layer width (default 26)"]),

@@ -71,7 +71,7 @@ class TestLabeledDataset:
             LabeledDataset(np.ones((2, 2)), np.array([0, 1]), ("a", "a"))
 
     @pytest.mark.parametrize("names", [("a", "a ", "b"), (" a", "b", "c"), ("a\nb", "c"),
-                                       ("a", "b\r"), ("a", "\tb")])
+                                       ("a", "b\r"), ("a", "\tb"), ("a", "", "b")])
     def test_class_names_no_reader_gives_back_rejected(self, names):
         """Readers strip names and read one per line: ("a", "a ", "b") would load as two classes."""
         with pytest.raises(ValueError, match="outer whitespace or a line break"):
@@ -277,6 +277,15 @@ class TestCsvErrors:
         path.write_bytes(f'f1,label\n1.0,a\n2.0,"a{line_break}b"\n3.0,b\n'.encode())
         with pytest.raises(FormatError, match="row 3: class name contains a line break"):
             load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["", "  ", '" "'], ids=["empty", "spaces", "quoted-space"])
+    @pytest.mark.parametrize("pinned", [None, ("a", "b")], ids=["found", "pinned"])
+    def test_empty_label_names_its_row(self, tmp_path, cell, pinned):
+        """An empty label used to become one more class, named ''."""
+        path = tmp_path / "data.csv"
+        path.write_text(f"# note\nf1,label\n1.0,a\n2.0,{cell}\n3.0,b\n")
+        with pytest.raises(FormatError, match=r"data\.csv: row 4: empty label$"):
+            load_csv(path, class_names=pinned)
 
     def test_unknown_class_line_counts_comment_lines(self, tmp_path):
         path = tmp_path / "unknown.csv"
@@ -594,6 +603,17 @@ class TestConfigFileRoundTrip:
         path = tmp_path / "bad.cfg"
         path.write_text("seed: 1\n")
         with pytest.raises(FormatError, match="tag"):
+            load_synthetic_config(path)
+
+    @pytest.mark.parametrize("line", ["class:", "class:   "])
+    def test_bare_class_line_names_its_line(self, tmp_path, line):
+        path = tmp_path / "bare.cfg"
+        save_synthetic_config(littleport_like_config(), path)
+        lines = path.read_text().splitlines()
+        assert lines[3] == "class: wheat"
+        lines[3] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"bare\.cfg: line 4: empty 'class:' name"):
             load_synthetic_config(path)
 
     def test_unknown_key(self, tmp_path):

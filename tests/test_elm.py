@@ -8,7 +8,7 @@ import pytest
 from elmkit import elm
 from elmkit.data import LabeledDataset
 from elmkit.elm import (
-    _logistic_of_negated,
+    _logistic_layer,
     ElmConfig,
     ElmModel,
     build_hidden_matrix,
@@ -31,8 +31,10 @@ def blobs(rng, n_per_class=40, spread=1.0):
 
 
 def sigmoid(x):
-    """The logistic function through the kernel, which takes the negated argument."""
-    return _logistic_of_negated(-np.asarray(x, dtype=np.float64))
+    """The logistic function through the layer step: one node, weight 1 and bias 0."""
+    x = np.asarray(x, dtype=np.float64)
+    return _logistic_layer(np.array([[1.0, 0.0]]), np.vstack([x, np.ones_like(x)]),
+                           np.empty((1, x.size)))[0]
 
 
 class TestLogistic:
@@ -63,17 +65,15 @@ class TestLogistic:
             out = sigmoid(x)
         assert np.abs(out - masked).max() <= 2.3e-16
 
-    def test_leaves_input_untouched(self, rng):
-        z = rng.standard_normal((4, 3))
-        before = z.copy()
-        _logistic_of_negated(z)
-        np.testing.assert_array_equal(z, before)
-
-    def test_in_place_matches_new_array(self, rng):
-        z = rng.standard_normal((4, 3)) * 20
-        want = _logistic_of_negated(z)
-        assert _logistic_of_negated(z, out=z) is z
-        assert z.tobytes() == want.tobytes()
+    def test_leaves_inputs_untouched_and_writes_out(self, rng):
+        layer = rng.standard_normal((4, 3))
+        inputs = np.vstack([rng.standard_normal((2, 5)), np.ones(5)])
+        before = layer.copy(), inputs.copy()
+        out = np.empty((4, 5))
+        assert _logistic_layer(layer, inputs, out) is out
+        np.testing.assert_array_equal(layer, before[0])
+        np.testing.assert_array_equal(inputs, before[1])
+        np.testing.assert_allclose(out, 1.0 / (1.0 + np.exp(-(layer @ inputs))), rtol=1e-15)
 
 
 class TestElmConfig:

@@ -469,3 +469,9 @@ class TestSweep:
                         "test_fingerprint", "hidden_5", "hidden_10", "best_h", "best_accuracy"]
         assert result.render_text().splitlines()[:2] == [
             "hidden-layer width sweep", "seeds per width: 2 starting at 3"]
+
+
+@pytest.mark.usefixtures("lstsq_route")
+class TestSweepWithoutOpenblas(TestSweep):
+    """Every case of :class:`TestSweep` on the np.linalg.lstsq route that the macOS
+    arm64 wheels take, so the sweep's worker-count determinism is checked there too."""

@@ -1,0 +1,101 @@
+"""Metamorphic relations of both classifiers on the bundled split of three scenes.
+
+Each relation changes the data without changing the problem, so it must
+leave every test prediction as it was:
+
+* permuting the training rows;
+* duplicating every training row (the MLP's step divides by the sample
+  count, so its trajectory is the same);
+* permuting the rows given to ``predict``, whose labels permute with
+  them, and whose scores do to their last bits.
+
+Only the order of the sums over samples changes, so the weights may move
+in their last bits and no further.  The ELM's output weights solve a
+least-squares system, whose rounding is amplified by the condition number
+κ of its hidden matrix: they may move by κ·eps relative (measured: 0.05
+to 0.08 of that).  The MLP's weights may move by 32 eps relative per
+array (measured: at most 6.6 eps after 300 iterations).  Class reordering
+is left out: the MLP's initial draw follows class order.
+"""
+
+import numpy as np
+import pytest
+
+from elmkit import (ElmConfig, LabeledDataset, MlpConfig, default_split_spec, generate_synthetic,
+                    littleport_like_config, predict, predict_scores, stratified_split, train_elm,
+                    train_mlp)
+from elmkit.data import scale_features
+from elmkit.elm import build_hidden_matrix
+
+EPS = np.finfo(np.float64).eps
+KINDS = {"elm": (train_elm, ElmConfig(hidden_nodes=300)),
+         "mlp": (train_mlp, MlpConfig(iterations=300))}
+WEIGHTS = {"elm": ("output_weights",), "mlp": ("w_hidden", "b_hidden", "w_out", "b_out")}
+
+
+@pytest.fixture(scope="module", params=[42, 0, 7], ids=lambda seed: f"scene{seed}")
+def scene(request):
+    """(train, test, relation name -> transformed train) of the bundled split."""
+    seed = request.param
+    train, test = stratified_split(generate_synthetic(littleport_like_config(seed=seed)),
+                                   default_split_spec(seed))
+    order = np.random.default_rng(seed).permutation(train.n_samples)
+    duplicated = LabeledDataset(np.vstack([train.features] * 2), np.tile(train.labels, 2),
+                                train.class_names)
+    return train, test, {"permuted": train.subset(order), "duplicated": duplicated}
+
+
+@pytest.fixture(scope="module", params=sorted(KINDS))
+def fits(request, scene):
+    """(kind, model on the split, relation name -> model on the transformed split,
+    relative bound on each weight array's move, test)."""
+    train, test, transformed = scene
+    fit, config = KINDS[request.param]
+    model = fit(train, config)
+    bound = condition_number(model, train) * EPS if request.param == "elm" else 32 * EPS
+    return (request.param, model, {name: fit(rows, config) for name, rows in transformed.items()},
+            bound, test)
+
+
+def condition_number(model, train):
+    """κ of the ELM's hidden matrix over the singular values its solve keeps."""
+    hidden = build_hidden_matrix(scale_features(train.features, model.scaling), model.weights,
+                                 model.biases)
+    values = np.linalg.svd(hidden, compute_uv=False)
+    kept = values[values > 1e-10 * values[0]]
+    return kept[0] / kept[-1]
+
+
+def score_tolerance(model):
+    """2·n·eps times the largest 1-norm of the weights into one score, n of them: the
+    error bound of two length-n sums whose other factors are at most 1 in size (hidden
+    activations and the ones row).  The MLP's output logistic only shrinks an error."""
+    if hasattr(model, "output_weights"):
+        weights = model.output_weights.T
+    else:
+        weights = np.column_stack([model.w_out, model.b_out])
+    return 2 * weights.shape[1] * EPS * np.abs(weights).sum(axis=1).max()
+
+
+@pytest.mark.parametrize("relation", ["permuted", "duplicated"])
+def test_training_rows_relation(fits, relation):
+    kind, model, moved, bound, test = fits
+    other = moved[relation]
+    np.testing.assert_array_equal(predict(other, test.features), predict(model, test.features))
+    for name in WEIGHTS[kind]:
+        before, after = getattr(model, name), getattr(other, name)
+        assert np.linalg.norm(after - before) <= bound * np.linalg.norm(before), name
+
+
+def test_predict_rows_permuted(fits):
+    """Labels permute exactly and scores within :func:`score_tolerance`.  The GEMMs may
+    round a row differently at another position: the ELM's output GEMM moved scores by
+    up to 1e-12 (under 1e-4 of the tolerance).  The MLP's scores permuted bit for bit
+    on OpenBLAS's default kernels here, and moved by one ulp on its Haswell kernels."""
+    kind, model, _, _, test = fits
+    order = np.random.default_rng(1).permutation(test.n_samples)
+    scores = predict_scores(model, test.features)
+    permuted = predict_scores(model, test.features[order])
+    np.testing.assert_array_equal(predict(model, test.features[order]),
+                                  predict(model, test.features)[order])
+    assert np.abs(permuted - scores[order]).max() <= score_tolerance(model)

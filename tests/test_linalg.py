@@ -314,17 +314,6 @@ class TestMinNormLstsqMatchesPseudoinverse:
 # The same cases without the bundled OpenBLAS: the np.linalg.lstsq route
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def lstsq_route(monkeypatch):
-    """min_norm_lstsq as on a numpy without its bundled OpenBLAS (the macOS arm64
-    wheels use Accelerate): every input goes to np.linalg.lstsq, never to QR."""
-    def no_qr(*args):
-        raise AssertionError("the QR route ran without the OpenBLAS binding")
-
-    monkeypatch.setattr(linalg, "_openblas", lambda: None)
-    monkeypatch.setattr(linalg, "_qr_solve", no_qr)
-
-
 @pytest.mark.usefixtures("lstsq_route")
 class TestMinNormLstsqWithoutOpenblas(TestMinNormLstsq):
     """Every case of :class:`TestMinNormLstsq` on the np.linalg.lstsq route."""

@@ -355,23 +355,23 @@ class TestOneBlasThread:
 
     @pytest.fixture
     def counts_in(self, monkeypatch, blas_threads):
-        """counts_in(name): the thread counts seen at each call of ``mlp.<name>``."""
-        def spy(name):
-            seen, inner = [], getattr(mlp, name)
+        """counts_in(name, owner=mlp): the thread counts seen at each call of ``owner.<name>``."""
+        def spy(name, owner=mlp):
+            seen, inner = [], getattr(owner, name)
 
             def recording(*args):
                 seen.append(blas_threads())
                 return inner(*args)
 
-            monkeypatch.setattr(mlp, name, recording)
+            monkeypatch.setattr(owner, name, recording)
             return seen
 
         return spy
 
     @pytest.fixture
     def counts_in_pass(self, counts_in):
-        """The thread count seen at each entry into the pass."""
-        return counts_in("_pass")
+        """The thread count seen at each call of the pass object."""
+        return counts_in("__call__", mlp._Pass)
 
     def test_training_passes(self, rng, counts_in_pass, blas_threads):
         train_mlp(blobs(rng), MlpConfig(hidden_nodes=4, iterations=5, seed=1))
@@ -387,7 +387,7 @@ class TestOneBlasThread:
         targets = encode_targets(ds.labels, ds.n_classes)
         # scoring builds its two layers; the cost and the gradient run one pass
         scoring = name in ("predict_scores", "mlp_forward")
-        seen = counts_in("build_hidden_matrix" if scoring else "_pass")
+        seen = counts_in("build_hidden_matrix") if scoring else counts_in("__call__", mlp._Pass)
         {"predict_scores": lambda: predict_scores(model, ds.features),
          "mlp_forward": lambda: mlp_forward(ds.features, *params),
          "mlp_cost": lambda: mlp_cost(ds.features, targets, *params),
