@@ -57,9 +57,6 @@ from .mlp import (
     MlpDivergenceError,
     MlpModel,
     init_mlp_params,
-    mlp_cost,
-    mlp_forward,
-    mlp_gradient,
     train_mlp,
 )
 from .modelio import load_model, save_model

@@ -71,6 +71,16 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _frozen_ints(name: str, values) -> np.ndarray:
+    # A frozen int64 copy of *values*, refusing bools and whatever a cast would change (1.9)
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # a NaN casts to garbage, which the comparison catches
+        out = _frozen_array(raw, np.int64)
+    if raw.dtype == bool or not np.array_equal(out, raw):
+        raise ValueError(f"{name} must be integers that int64 holds, got {raw.dtype} {name}")
+    return out
+
+
 def _class_names(names) -> tuple[str, ...]:
     """*names* as a tuple of two or more distinct, non-empty strings that every
     file format reads back unchanged: readers strip names and take one per line."""
@@ -139,11 +149,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         features = _frozen_array(self.features)
-        raw = np.asarray(self.labels)
-        with np.errstate(invalid="ignore"):  # a NaN casts to garbage, which the comparison catches
-            labels = _frozen_array(raw, np.int64)
-        if raw.dtype == bool or not np.array_equal(labels, raw):
-            raise ValueError(f"labels must be integers that int64 holds, got {raw.dtype} labels")
+        labels = _frozen_ints("labels", self.labels)
         if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
             raise ValueError(f"features must be a nonempty 2-D matrix, got shape {features.shape}")
         if not np.isfinite(features).all():
@@ -174,7 +180,7 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         """New dataset holding the given sample rows (class names unchanged)."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = _frozen_ints("indices", indices)
         return LabeledDataset(self.features[idx], self.labels[idx], self.class_names)
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (LabeledDataset, ScalingParams, _check_int, _Model, _set_fields, fit_scaling,
-                   scale_features)
+from .data import (LabeledDataset, ScalingParams, _check_int, _frozen_ints, _Model, _set_fields,
+                   fit_scaling, scale_features)
 from .linalg import _one_blas_thread, min_norm_lstsq
 
 
@@ -123,7 +123,7 @@ def _with_ones_row(features: np.ndarray) -> np.ndarray:
 
 def encode_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
     """One-hot target matrix, one row per sample, one column per class."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _frozen_ints("labels", labels)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-D vector")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
@@ -177,10 +177,7 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
     )
 
 
-def _scores(model: ElmModel, features: np.ndarray) -> np.ndarray:
-    """Raw class scores (samples, classes) for unscaled input features, on one BLAS thread."""
-    scaled = scale_features(features, model.scaling)
-    with _one_blas_thread():
-        hidden = build_hidden_matrix(scaled, model.weights, model.biases)
-        return hidden @ model.output_weights
+def _scores(model: ElmModel, scaled: np.ndarray) -> np.ndarray:
+    """Raw class scores (samples, classes) for scaled input features."""
+    return build_hidden_matrix(scaled, model.weights, model.biases) @ model.output_weights
 

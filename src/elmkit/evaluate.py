@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import LabeledDataset, _check_int, _frozen_array
+from .data import LabeledDataset, _check_int, _frozen_ints, scale_features
 from .elm import ElmConfig, ElmModel, _scores as _elm_scores, decode_scores, encode_targets, train_elm
 from .linalg import _one_blas_thread
 from .mlp import MlpConfig, MlpModel, _scores as _mlp_scores, train_mlp
@@ -33,7 +33,7 @@ class _Kind(NamedTuple):
     model: type
     config: type
     train: Callable     # (dataset, config) -> model
-    scores: Callable    # (model, features) -> (samples, classes) scores
+    scores: Callable    # (model, scaled features) -> (samples, classes) scores
 
 
 # The one table of classifier kinds, keyed by name.  Its train functions look
@@ -45,12 +45,12 @@ _KINDS = {kind.name: kind for kind in (
 )}
 
 
-def _kind(obj) -> _Kind:
-    """Table entry for a model or a config of either classifier kind."""
+def _kind(obj, role: str = "model") -> _Kind:
+    """Table entry for a trained model (or, with *role* ``"config"``, a config) of either kind."""
     for kind in _KINDS.values():
-        if isinstance(obj, (kind.model, kind.config)):
+        if isinstance(obj, getattr(kind, role)):
             return kind
-    raise TypeError(f"unknown classifier type {type(obj).__name__}")
+    raise TypeError(f"{type(obj).__name__} is not a classifier {role}")
 
 
 def _config_fields(config) -> list[tuple[str, str]]:
@@ -78,7 +78,7 @@ def dataset_fingerprint(dataset: LabeledDataset) -> str:
 
 def config_text(config) -> str:
     """Canonical one-line rendering of a classifier config."""
-    parts = [f"classifier={_kind(config).name}"]
+    parts = [f"classifier={_kind(config, 'config').name}"]
     parts += [f"{name}={text}" for name, text in _config_fields(config)]
     return " ".join(parts)
 
@@ -91,7 +91,7 @@ class ConfusionMatrix:
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        counts = _frozen_array(self.counts, np.int64)
+        counts = _frozen_ints("counts", self.counts)
         m = len(self.class_names)
         if counts.shape != (m, m):
             raise ValueError(f"counts must be {m}x{m}, got {counts.shape}")
@@ -128,8 +128,7 @@ class ConfusionMatrix:
 
 def confusion(actual, predicted, class_names) -> ConfusionMatrix:
     """Tally actual-vs-predicted label pairs into a ConfusionMatrix."""
-    actual = np.asarray(actual, dtype=np.int64)
-    predicted = np.asarray(predicted, dtype=np.int64)
+    actual, predicted = _frozen_ints("actual", actual), _frozen_ints("predicted", predicted)
     if actual.shape != predicted.shape or actual.ndim != 1:
         raise ValueError("actual and predicted must be matching 1-D label vectors")
     m = len(class_names)
@@ -161,7 +160,7 @@ class EvalReport:
     predict_time_s: float
 
     def __post_init__(self):
-        object.__setattr__(self, "predicted", _frozen_array(self.predicted, np.int64))
+        object.__setattr__(self, "predicted", _frozen_ints("predicted", self.predicted))
 
     def render_text(self) -> str:
         per_class = self.confusion.per_class_accuracy()
@@ -203,7 +202,9 @@ class EvalReport:
 
 def predict_scores(model, features: np.ndarray) -> np.ndarray:
     """Either kind's class scores (samples, classes) for unscaled features, on one BLAS thread."""
-    return _kind(model).scores(model, features)
+    scores, scaled = _kind(model).scores, scale_features(features, model.scaling)
+    with _one_blas_thread():
+        return scores(model, scaled)
 
 
 def predict(model, features: np.ndarray) -> np.ndarray:

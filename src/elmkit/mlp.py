@@ -6,7 +6,7 @@ over all samples and output units:
 
     C = sum_j || forward(x_j) - y_j ||^2
 
-:func:`mlp_gradient` returns the exact gradient of that sum (verifiable
+The training pass computes the exact gradient of that sum (verifiable
 against finite differences).  The training loop, however, scales its
 step by the sample count: stepping with the raw sum gradient at the
 documented learning rate produces first moves large enough to saturate
@@ -22,28 +22,25 @@ asymptotic accuracy on scenes of a few thousand samples, while 1.0
 undertrains badly there.  The gradient definition is untouched.
 
 Training runs through one private pass object (``_Pass``), built once
-per fit, and once per :func:`mlp_cost` or :func:`mlp_gradient` call,
-from the scaled features, the targets and the hidden width.  It lays out
-the features with a ones column, in both orders, and the targets, and
-owns five work arrays (two of hidden x samples, three of classes x
-samples), so no iteration allocates a samples-sized array.  Called with
-the two layers, each one array ``[W | b]``, it runs one forward and one
-backward pass with every array as (units, samples).  Its forward steps
-are the layer step of :mod:`elmkit.elm` (one GEMM by the negated layer
-on inputs with a ones row, then the logistic in place) that
-:func:`elmkit.elm.build_hidden_matrix`, and so :func:`mlp_forward` and
-scoring, runs too: scoring gives the pass's forward bits.  Each gradient
-``[g_W | g_b]`` is one GEMM too, ``delta_out @ hidden^T`` and
-``delta_hidden @ X``, ones included.  No pass adds a bias or sums a row.
+per fit from the scaled features, the targets and the hidden width.  It
+lays out the features with a ones column, in both orders, and the
+targets, and owns five work arrays (two of hidden x samples, three of
+classes x samples), so no iteration allocates a samples-sized array.
+Called with the two layers, each one array ``[W | b]``, it runs one
+forward and one backward pass with every array as (units, samples).  Its
+forward steps are the layer step of :mod:`elmkit.elm` (one GEMM by the
+negated layer on inputs with a ones row, then the logistic in place)
+that :func:`elmkit.elm.build_hidden_matrix`, and so scoring, runs too:
+scoring gives the pass's forward bits.  Each gradient ``[g_W | g_b]`` is
+one GEMM too, ``delta_out @ hidden^T`` and ``delta_hidden @ X``, ones
+included.  No pass adds a bias or sums a row.
 
-Each training iteration runs one pass: the pass that computes the
-gradient at the current parameters also yields the cost there, which is
-the loss recorded after the previous step.  The pass after the final
-step is taken for its loss alone; its gradient goes unused.
-``train_mlp`` mutes exp's overflow flags once for the whole fit, not once
-per pass, and holds one OpenBLAS thread for it
-(:func:`elmkit.linalg._one_blas_thread`), as the public functions here do
-per call, so the weights do not depend on the machine's core count.
+Each training iteration runs one pass, whose cost at the current
+parameters is the loss recorded after the previous step; the pass after
+the final step is taken for its loss alone.  ``train_mlp`` mutes exp's
+overflow flags once per fit and holds one OpenBLAS thread for it
+(:func:`elmkit.linalg._one_blas_thread`), so the weights do not depend
+on the machine's core count.
 """
 
 from __future__ import annotations
@@ -182,38 +179,6 @@ class _Pass:
         return loss, (delta_hidden @ self.features, g_out)
 
 
-def _pass_once(features, targets, params):
-    """(loss, gradient) of a :class:`_Pass` built for this call alone, on one BLAS
-    thread, at the four parameter arrays *params*."""
-    layers = np.column_stack(params[:2]), np.column_stack(params[2:])
-    run_pass = _Pass(features, targets, len(params[1]))
-    with _one_blas_thread(), np.errstate(over="ignore", under="ignore"):
-        return run_pass(*layers)
-
-
-def mlp_forward(features, w_hidden, b_hidden, w_out, b_out):
-    """(hidden activations, output activations), each (samples, units): each
-    layer by :func:`elmkit.elm.build_hidden_matrix`, on one BLAS thread."""
-    with _one_blas_thread():
-        hidden = build_hidden_matrix(features, w_hidden, b_hidden)
-        return hidden, build_hidden_matrix(hidden, w_out, b_out)
-
-
-def mlp_cost(features, targets, w_hidden, b_hidden, w_out, b_out) -> float:
-    """Sum of squared errors of the forward pass against the targets."""
-    return _pass_once(features, targets, (w_hidden, b_hidden, w_out, b_out))[0]
-
-
-def mlp_gradient(features, targets, w_hidden, b_hidden, w_out, b_out):
-    """Exact gradient of the summed squared-error cost.
-
-    Returns gradients in parameter order (w_hidden, b_hidden, w_out,
-    b_out); each matches its parameter's shape.
-    """
-    g_hidden, g_out = _pass_once(features, targets, (w_hidden, b_hidden, w_out, b_out))[1]
-    return g_hidden[:, :-1], g_hidden[:, -1], g_out[:, :-1], g_out[:, -1]
-
-
 def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpModel:
     """Fit the baseline network by full-batch momentum descent.
 
@@ -265,8 +230,7 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
     )
 
 
-def _scores(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Output-layer activations (samples, classes) for unscaled inputs."""
-    scaled = scale_features(features, model.scaling)
-    _, output = mlp_forward(scaled, model.w_hidden, model.b_hidden, model.w_out, model.b_out)
-    return output
+def _scores(model: MlpModel, scaled: np.ndarray) -> np.ndarray:
+    """Output-layer activations (samples, classes) for scaled inputs, layer by layer."""
+    hidden = build_hidden_matrix(scaled, model.w_hidden, model.b_hidden)
+    return build_hidden_matrix(hidden, model.w_out, model.b_out)

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from elmkit import linalg
+from elmkit import linalg, mlp
 
 
 @pytest.fixture
@@ -40,6 +40,21 @@ def lstsq_route(monkeypatch):
 
     monkeypatch.setattr(linalg, "_openblas", lambda: None)
     monkeypatch.setattr(linalg, "_qr_solve", no_qr)
+
+
+@pytest.fixture
+def mlp_pass():
+    """run(features, targets, w_hidden, b_hidden, w_out, b_out) -> (loss, gradients): one
+    ``mlp._Pass``, the pass ``train_mlp`` runs, at the four parameter arrays stacked as
+    two ``[W | b]`` layers, on one BLAS thread with exp's overflow muted.  The gradients
+    come back in parameter order, each in its parameter's shape."""
+    def run(features, targets, w_hidden, b_hidden, w_out, b_out):
+        layers = np.column_stack([w_hidden, b_hidden]), np.column_stack([w_out, b_out])
+        with linalg._one_blas_thread(), np.errstate(over="ignore", under="ignore"):
+            loss, grads = mlp._Pass(features, targets, len(b_hidden))(*layers)
+        return loss, tuple(part for g in grads for part in (g[:, :-1], g[:, -1]))
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -24,13 +24,7 @@ from elmkit.data import (
 from elmkit.elm import ElmConfig, encode_targets, train_elm
 from elmkit.evaluate import benchmark, sweep_hidden_nodes, training_cost
 from elmkit.linalg import min_norm_lstsq, pseudoinverse
-from elmkit.mlp import (
-    MlpConfig,
-    init_mlp_params,
-    mlp_cost,
-    mlp_gradient,
-    train_mlp,
-)
+from elmkit.mlp import MlpConfig, init_mlp_params, train_mlp
 
 
 # One line per criterion; conftest echoes these in the terminal summary,
@@ -143,9 +137,10 @@ def test_criterion_3_exact_interpolation():
 
 
 @criterion(4, "baseline gradient correctness", budget_s=10.0)
-def test_criterion_4_gradient_matches_finite_differences():
-    """Analytic gradients of ten random networks agree with central
-    differences (step 1e-5) to a relative error below 1e-4."""
+def test_criterion_4_gradient_matches_finite_differences(mlp_pass):
+    """Analytic gradients of ten random networks, from the pass that
+    ``train_mlp`` runs, agree with central differences (step 1e-5) to a
+    relative error below 1e-4."""
     step = 1e-5
     for net in range(10):
         rng = np.random.default_rng(4000 + net)
@@ -157,16 +152,16 @@ def test_criterion_4_gradient_matches_finite_differences():
         x = rng.uniform(-1, 1, size=(int(rng.integers(3, 9)), n_features))
         y = encode_targets(rng.integers(0, n_classes, size=x.shape[0]), n_classes)
 
-        analytic = mlp_gradient(x, y, *params)
+        analytic = mlp_pass(x, y, *params)[1]
         for index in range(4):
             numeric = np.zeros_like(params[index])
             flat = params[index].ravel()
             for pos in range(flat.size):
                 bumped = [p.copy() for p in params]
                 bumped[index].ravel()[pos] = flat[pos] + step
-                hi = mlp_cost(x, y, *bumped)
+                hi = mlp_pass(x, y, *bumped)[0]
                 bumped[index].ravel()[pos] = flat[pos] - step
-                lo = mlp_cost(x, y, *bumped)
+                lo = mlp_pass(x, y, *bumped)[0]
                 numeric.ravel()[pos] = (hi - lo) / (2 * step)
             rel = rel_error(analytic[index], numeric)
             assert rel < 1e-4, f"network {net}, parameter {index}: {rel}"

@@ -101,6 +101,13 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="one per sample"):
             LabeledDataset(np.ones((3, 2)), np.array([0, 1]), ("a", "b"))
 
+    @pytest.mark.parametrize("indices, dtype", [([1.0, 4.9], "float64"), ([True, False], "bool")])
+    def test_subset_indices_a_cast_would_change_rejected(self, indices, dtype):
+        """A cast would take row 4 for 4.9, and rows 1 and 0 for a mask."""
+        with pytest.raises(ValueError, match=f"^indices must be integers that int64 holds, "
+                                             f"got {dtype} indices$"):
+            small_dataset().subset(indices)
+
     def test_subset_picks_rows(self):
         ds = small_dataset()
         sub = ds.subset([1, 4])

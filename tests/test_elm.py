@@ -179,6 +179,13 @@ class TestEncodeTargets:
         with pytest.raises(ValueError, match="range"):
             encode_targets(np.array([0, 3]), 3)
 
+    @pytest.mark.parametrize("labels, dtype", [([0.0, 1.9], "float64"), ([True, False], "bool")])
+    def test_labels_a_cast_would_change_rejected(self, labels, dtype):
+        """A cast would encode 1.9 as class 1, and True as class 1."""
+        with pytest.raises(ValueError, match=f"^labels must be integers that int64 holds, "
+                                             f"got {dtype} labels$"):
+            encode_targets(labels, 2)
+
 
 class TestDecodeScores:
     def test_argmax(self):

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,7 +27,7 @@ from elmkit.evaluate import (
     sweep_hidden_nodes,
     training_cost,
 )
-from elmkit.mlp import MlpConfig, mlp_forward, train_mlp
+from elmkit.mlp import MlpConfig, train_mlp
 
 
 def blobs(rng, n_per_class=50, spread=0.7):
@@ -84,6 +85,30 @@ class TestConfusion:
         with pytest.raises(ValueError, match="range"):
             confusion(np.array([0, 2]), np.array([0, 0]), ("a", "b"))
 
+    @pytest.mark.parametrize("actual, predicted, name, dtype", [
+        ([0.7, 1.2, 1.9], [0, 1, 1], "actual", "float64"),
+        ([0, 1, 1], [0, np.nan, 1], "predicted", "float64"),
+        ([0, 1, 1], [True, False, True], "predicted", "bool"),
+    ])
+    def test_labels_a_cast_would_change_rejected(self, actual, predicted, name, dtype):
+        """A cast to int64 would count 0.7 as class 0 and True as class 1."""
+        with pytest.raises(ValueError, match=f"^{name} must be integers that int64 holds, "
+                                             f"got {dtype} {name}$"):
+            confusion(actual, predicted, ("a", "b"))
+
+    @pytest.mark.parametrize("counts, dtype", [
+        ([[1.5, 0], [0, 2.9]], "float64"), ([[True, False], [False, True]], "bool"),
+    ])
+    def test_counts_a_cast_would_change_rejected(self, counts, dtype):
+        """A cast would store [[1, 0], [0, 2]] and report accuracy 1.0."""
+        with pytest.raises(ValueError, match=f"^counts must be integers that int64 holds, "
+                                             f"got {dtype} counts$"):
+            ConfusionMatrix(counts, ("a", "b"))
+
+    def test_whole_float_counts_are_kept(self):
+        matrix = ConfusionMatrix([[1.0, 0.0], [2.0, 3.0]], ("a", "b"))
+        assert matrix.counts.dtype == np.int64 and matrix.overall_accuracy() == 4 / 6
+
     def test_render_contains_all_counts(self, rng):
         actual = rng.integers(0, 3, size=60)
         predicted = rng.integers(0, 3, size=60)
@@ -124,6 +149,11 @@ class TestConfigText:
                       "momentum=0.2", "iterations=100", "seed=0"):
             assert token in text
 
+    def test_model_is_not_a_config(self, rng):
+        model = train_elm(blobs(rng), ElmConfig(hidden_nodes=4))
+        with pytest.raises(TypeError, match="^ElmModel is not a classifier config$"):
+            config_text(model)
+
     def test_exact_rendering(self):
         assert config_text(ElmConfig(hidden_nodes=40, seed=5)) == (
             "classifier=elm hidden_nodes=40 seed=5")
@@ -133,6 +163,17 @@ class TestConfigText:
 
 
 class TestEvaluate:
+    def test_predicted_a_cast_would_change_rejected(self, rng):
+        ds = blobs(rng)
+        report = evaluate(train_elm(ds, ElmConfig(hidden_nodes=8, seed=1)), ds, ds)
+        predicted = report.predicted.astype(float)
+        predicted[0] = 0.5
+        with pytest.raises(ValueError, match="^predicted must be integers that int64 holds, "
+                                             "got float64 predicted$"):
+            replace(report, predicted=predicted)
+        kept = replace(report, predicted=report.predicted.astype(float)).predicted
+        assert kept.dtype == np.int64 and kept.tobytes() == report.predicted.tobytes()
+
     def test_report_fields(self, rng):
         ds = blobs(rng)
         train, test = stratified_split(ds, SplitSpec(train_fraction=0.6, seed=0))
@@ -180,7 +221,8 @@ class TestPredictBothKinds:
         if isinstance(model, ElmModel):
             hidden = build_hidden_matrix(scaled, model.weights, model.biases)
             return hidden @ model.output_weights
-        return mlp_forward(scaled, model.w_hidden, model.b_hidden, model.w_out, model.b_out)[1]
+        hidden = build_hidden_matrix(scaled, model.w_hidden, model.b_hidden)
+        return build_hidden_matrix(hidden, model.w_out, model.b_out)
 
     @pytest.mark.parametrize("fit", [
         lambda ds: train_elm(ds, ElmConfig(hidden_nodes=12, seed=3)),
@@ -194,6 +236,14 @@ class TestPredictBothKinds:
         assert scores.dtype == want.dtype and scores.shape == (25, 3)
         assert scores.tobytes() == np.ascontiguousarray(want).tobytes()
         np.testing.assert_array_equal(predict(model, queries), decode_scores(scores))
+
+    @pytest.mark.parametrize("call", [predict_scores, predict], ids=["predict_scores", "predict"])
+    @pytest.mark.parametrize("obj", [np.zeros((3, 2)), "elm", ElmConfig(), MlpConfig()],
+                             ids=["array", "str", "elm-config", "mlp-config"])
+    def test_non_model_raises_type_error_naming_the_type(self, call, obj):
+        """The kind is looked up before the model's scaling is read."""
+        with pytest.raises(TypeError, match=f"^{type(obj).__name__} is not a classifier model$"):
+            call(obj, np.zeros((4, 2)))
 
 
 class TestBenchmark:

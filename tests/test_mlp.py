@@ -6,16 +6,13 @@ import pytest
 from elmkit import mlp
 from elmkit.data import (LabeledDataset, fit_scaling, generate_synthetic, littleport_like_config,
                          scale_features)
-from elmkit.elm import encode_targets
+from elmkit.elm import build_hidden_matrix, encode_targets
 from elmkit.evaluate import predict, predict_scores
 from elmkit.mlp import (
     _MEAN_STEP_GAIN,
     MlpConfig,
     MlpDivergenceError,
     init_mlp_params,
-    mlp_cost,
-    mlp_forward,
-    mlp_gradient,
     train_mlp,
 )
 
@@ -33,8 +30,15 @@ def blobs(rng, n_per_class=40, spread=0.8):
     return LabeledDataset(np.vstack(rows), np.concatenate(labels), ("a", "b", "c"))
 
 
-def reference_train(ds, config):
-    """The unfused training loop: gradient, step, then a full cost pass.
+def forward(features, w_hidden, b_hidden, w_out, b_out):
+    """(hidden, output) activations, each layer by build_hidden_matrix, as scoring runs them."""
+    hidden = build_hidden_matrix(features, w_hidden, b_hidden)
+    return hidden, build_hidden_matrix(hidden, w_out, b_out)
+
+
+def reference_train(ds, config, run_pass):
+    """The unfused training loop: gradient, step, then a full cost pass, each by
+    a new pass from the ``mlp_pass`` fixture (*run_pass*).
 
     Returns (iteration whose loss went non-finite or None, loss history,
     parameters).
@@ -44,14 +48,14 @@ def reference_train(ds, config):
     params = list(init_mlp_params(ds.n_features, ds.n_classes, config))
     velocities = [np.zeros_like(p) for p in params]
     step = config.learning_rate * _MEAN_STEP_GAIN / ds.n_samples
-    history = [mlp_cost(features, targets, *params)]
+    history = [run_pass(features, targets, *params)[0]]
     with np.errstate(invalid="ignore", over="ignore"):
         for iteration in range(1, config.iterations + 1):
-            grads = mlp_gradient(features, targets, *params)
+            grads = run_pass(features, targets, *params)[1]
             for i in range(4):
                 velocities[i] = config.momentum * velocities[i] - step * grads[i]
                 params[i] = params[i] + velocities[i]
-            loss = mlp_cost(features, targets, *params)
+            loss = run_pass(features, targets, *params)[0]
             if not np.isfinite(loss):
                 return iteration, history, params
             history.append(loss)
@@ -108,7 +112,7 @@ class TestForward:
     def test_hand_computed_two_by_two(self):
         w1, b1, w2, b2 = tiny_params()
         x = np.array([[1.0, 2.0]])
-        hidden, output = mlp_forward(x, w1, b1, w2, b2)
+        hidden, output = forward(x, w1, b1, w2, b2)
         h0 = sigmoid(0.1 * 1.0 - 0.2 * 2.0 + 0.05)
         h1 = sigmoid(0.3 * 1.0 + 0.4 * 2.0 - 0.05)
         np.testing.assert_allclose(hidden, [[h0, h1]], rtol=1e-15)
@@ -118,53 +122,55 @@ class TestForward:
 
     def test_output_range(self, rng):
         params = init_mlp_params(4, 3, MlpConfig(hidden_nodes=6, seed=1))
-        _, output = mlp_forward(rng.standard_normal((20, 4)) * 50, *params)
+        _, output = forward(rng.standard_normal((20, 4)) * 50, *params)
         assert (output > 0).all() and (output < 1).all()
 
 
 class TestCost:
-    def test_known_value(self):
+    def test_known_value(self, mlp_pass):
         w1, b1, w2, b2 = tiny_params()
         x = np.array([[1.0, 2.0]])
         y = np.array([[1.0, 0.0]])
-        _, output = mlp_forward(x, w1, b1, w2, b2)
+        _, output = forward(x, w1, b1, w2, b2)
         expected = (output[0, 0] - 1.0) ** 2 + output[0, 1] ** 2
-        np.testing.assert_allclose(mlp_cost(x, y, w1, b1, w2, b2), expected, rtol=1e-15)
+        np.testing.assert_allclose(mlp_pass(x, y, w1, b1, w2, b2)[0], expected, rtol=1e-15)
 
-    def test_sums_over_samples(self, rng):
+    def test_sums_over_samples(self, rng, mlp_pass):
         params = init_mlp_params(3, 2, MlpConfig(hidden_nodes=4, seed=3))
         x = rng.standard_normal((8, 3))
         y = encode_targets(rng.integers(0, 2, size=8), 2)
-        total = mlp_cost(x, y, *params)
-        parts = sum(mlp_cost(x[j:j + 1], y[j:j + 1], *params) for j in range(8))
+        total = mlp_pass(x, y, *params)[0]
+        parts = sum(mlp_pass(x[j:j + 1], y[j:j + 1], *params)[0] for j in range(8))
         np.testing.assert_allclose(total, parts, rtol=1e-12)
 
 
 class TestMemoryOrder:
-    def test_c_and_fortran_ordered_inputs_give_the_same_bits(self, rng):
+    def test_c_and_fortran_ordered_inputs_give_the_same_bits(self, rng, mlp_pass):
         params = init_mlp_params(5, 3, MlpConfig(hidden_nodes=9, seed=6))
         x = rng.uniform(-1, 1, size=(300, 5))
         y = encode_targets(rng.integers(0, 3, size=300), 3)
         fx, fy = np.asfortranarray(x), np.asfortranarray(y)
         assert not fx.flags.c_contiguous and not fy.flags.c_contiguous
-        for a, b in zip(mlp_forward(x, *params), mlp_forward(fx, *params)):
+        for a, b in zip(forward(x, *params), forward(fx, *params)):
             assert a.tobytes() == b.tobytes()
-        assert mlp_cost(x, y, *params) == mlp_cost(fx, fy, *params)
-        for a, b in zip(mlp_gradient(x, y, *params), mlp_gradient(fx, fy, *params)):
+        (cost, grads), (f_cost, f_grads) = mlp_pass(x, y, *params), mlp_pass(fx, fy, *params)
+        assert cost == f_cost
+        for a, b in zip(grads, f_grads):
             assert a.tobytes() == b.tobytes()
 
 
-def numerical_gradient(features, targets, params, index, step=1e-6):
-    """Central-difference gradient for one parameter array."""
+def numerical_gradient(run_pass, features, targets, params, index, step=1e-6):
+    """Central-difference gradient for one parameter array, from the costs of
+    *run_pass* (the ``mlp_pass`` fixture)."""
     param = params[index]
     grad = np.zeros_like(param)
     flat = param.ravel()
     for k in range(flat.size):
         bumped = [p.copy() for p in params]
         bumped[index].ravel()[k] = flat[k] + step
-        hi = mlp_cost(features, targets, *bumped)
+        hi = run_pass(features, targets, *bumped)[0]
         bumped[index].ravel()[k] = flat[k] - step
-        lo = mlp_cost(features, targets, *bumped)
+        lo = run_pass(features, targets, *bumped)[0]
         grad.ravel()[k] = (hi - lo) / (2 * step)
     return grad
 
@@ -190,7 +196,7 @@ class TestAgainstTextbook:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_cost_and_gradient(self, order, seed):
+    def test_cost_and_gradient(self, order, seed, mlp_pass):
         rng = np.random.default_rng(seed)
         params = init_mlp_params(6, 7, MlpConfig(hidden_nodes=26, seed=seed))
         # wider weights than the initial draw, so some units saturate
@@ -199,9 +205,8 @@ class TestAgainstTextbook:
         y = encode_targets(rng.integers(0, 7, size=500), 7)
         assert x.flags.f_contiguous == (order == "F")
         want_cost, want_grads = textbook_cost_and_gradient(x, y, *params)
-        cost = mlp_cost(x, y, *params)
+        cost, grads = mlp_pass(x, y, *params)
         assert abs(cost - want_cost) <= self.RTOL * want_cost
-        grads = mlp_gradient(x, y, *params)
         for name, got, want, param in zip(("w_hidden", "b_hidden", "w_out", "b_out"),
                                           grads, want_grads, params):
             assert got.shape == param.shape
@@ -211,7 +216,7 @@ class TestAgainstTextbook:
     def test_forward(self, rng):
         params = init_mlp_params(6, 7, MlpConfig(hidden_nodes=26, seed=3))
         x = rng.uniform(-1, 1, size=(200, 6))
-        hidden, output = mlp_forward(x, *params)
+        hidden, output = forward(x, *params)
         want_hidden = sigmoid(x @ params[0].T + params[1])
         np.testing.assert_allclose(hidden, want_hidden, rtol=self.RTOL, atol=0)
         np.testing.assert_allclose(output, sigmoid(want_hidden @ params[2].T + params[3]),
@@ -219,33 +224,33 @@ class TestAgainstTextbook:
 
 
 class TestGradient:
-    def test_matches_central_differences(self, rng):
+    def test_matches_central_differences(self, rng, mlp_pass):
         """Analytic gradient of the summed cost agrees with finite differences."""
         params = list(init_mlp_params(3, 2, MlpConfig(hidden_nodes=4, seed=8)))
         x = rng.uniform(-1, 1, size=(6, 3))
         y = encode_targets(rng.integers(0, 2, size=6), 2)
-        analytic = mlp_gradient(x, y, *params)
+        analytic = mlp_pass(x, y, *params)[1]
         for index in range(4):
-            numeric = numerical_gradient(x, y, params, index)
+            numeric = numerical_gradient(mlp_pass, x, y, params, index)
             scale = max(np.linalg.norm(numeric), 1e-12)
             rel = np.linalg.norm(analytic[index] - numeric) / scale
             assert rel < 1e-7, f"parameter {index}: relative error {rel}"
 
-    def test_additive_over_samples(self, rng):
+    def test_additive_over_samples(self, rng, mlp_pass):
         params = init_mlp_params(3, 2, MlpConfig(hidden_nodes=5, seed=2))
         x = rng.uniform(-1, 1, size=(7, 3))
         y = encode_targets(rng.integers(0, 2, size=7), 2)
-        whole = mlp_gradient(x, y, *params)
+        whole = mlp_pass(x, y, *params)[1]
         for index in range(4):
-            parts = sum(mlp_gradient(x[j:j + 1], y[j:j + 1], *params)[index] for j in range(7))
+            parts = sum(mlp_pass(x[j:j + 1], y[j:j + 1], *params)[1][index] for j in range(7))
             np.testing.assert_allclose(whole[index], parts, rtol=1e-10, atol=1e-12)
 
-    def test_zero_at_perfect_output_limit(self):
+    def test_zero_at_perfect_output_limit(self, mlp_pass):
         """Gradient shrinks to zero as outputs approach their targets."""
         w1, b1, w2, b2 = tiny_params()
         x = np.array([[0.3, -0.4]])
-        _, output = mlp_forward(x, w1, b1, w2, b2)
-        grads = mlp_gradient(x, output, w1, b1, w2, b2)  # target == output
+        _, output = forward(x, w1, b1, w2, b2)
+        grads = mlp_pass(x, output, w1, b1, w2, b2)[1]  # target == output
         for g in grads:
             np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
@@ -303,11 +308,11 @@ class TestTrainMlp:
         assert not np.isfinite(excinfo.value.loss)
         assert "iteration 22" in str(excinfo.value)
 
-    def test_fused_loop_matches_reference_loop_bit_for_bit(self, rng):
+    def test_fused_loop_matches_reference_loop_bit_for_bit(self, rng, mlp_pass):
         ds = blobs(rng)
         config = MlpConfig(hidden_nodes=7, learning_rate=0.5, momentum=0.3,
                            iterations=60, seed=4)
-        diverged, history, params = reference_train(ds, config)
+        diverged, history, params = reference_train(ds, config, mlp_pass)
         assert diverged is None
         model = train_mlp(ds, config)
         assert model.loss_history == tuple(history)
@@ -316,11 +321,11 @@ class TestTrainMlp:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("iterations", [300, 22])
-    def test_divergence_iteration_matches_reference_loop(self, iterations):
+    def test_divergence_iteration_matches_reference_loop(self, iterations, mlp_pass):
         """The loss goes non-finite after step 22: mid-run, or on the last step."""
         ds = blobs(np.random.default_rng(0))
         config = runaway_config(iterations)
-        diverged, _, _ = reference_train(ds, config)
+        diverged, _, _ = reference_train(ds, config, mlp_pass)
         assert diverged == 22
         with pytest.raises(MlpDivergenceError) as excinfo:
             train_mlp(ds, config)
@@ -378,21 +383,14 @@ class TestOneBlasThread:
         assert counts_in_pass == [1] * 6
         assert blas_threads() == 2
 
-    @pytest.mark.parametrize("name", ["predict_scores", "mlp_forward", "mlp_cost",
-                                      "mlp_gradient"])
+    @pytest.mark.parametrize("name", ["predict_scores", "predict"])
     def test_public_passes(self, rng, counts_in, blas_threads, name):
+        """Scoring builds its two layers on one thread."""
         ds = blobs(rng)
         model = train_mlp(ds, MlpConfig(hidden_nodes=4, iterations=5, seed=1))
-        params = model.w_hidden, model.b_hidden, model.w_out, model.b_out
-        targets = encode_targets(ds.labels, ds.n_classes)
-        # scoring builds its two layers; the cost and the gradient run one pass
-        scoring = name in ("predict_scores", "mlp_forward")
-        seen = counts_in("build_hidden_matrix") if scoring else counts_in("__call__", mlp._Pass)
-        {"predict_scores": lambda: predict_scores(model, ds.features),
-         "mlp_forward": lambda: mlp_forward(ds.features, *params),
-         "mlp_cost": lambda: mlp_cost(ds.features, targets, *params),
-         "mlp_gradient": lambda: mlp_gradient(ds.features, targets, *params)}[name]()
-        assert seen == ([1, 1] if scoring else [1])
+        seen = counts_in("build_hidden_matrix")
+        {"predict_scores": predict_scores, "predict": predict}[name](model, ds.features)
+        assert seen == [1, 1]
         assert blas_threads() == 2
 
     def test_count_restored_after_divergence(self, counts_in_pass, blas_threads):

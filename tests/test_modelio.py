@@ -161,6 +161,12 @@ class TestFormatErrors:
         with pytest.raises(TypeError):
             save_model({"not": "a model"}, tmp_path / "x.model")
 
+    @pytest.mark.parametrize("config", [ElmConfig(), MlpConfig()], ids=["elm", "mlp"])
+    def test_config_rejected_on_save_naming_its_type(self, tmp_path, config):
+        with pytest.raises(TypeError, match=f"^{type(config).__name__} is not a classifier model$"):
+            save_model(config, tmp_path / "x.model")
+        assert not (tmp_path / "x.model").exists()
+
 
 def golden_elm():
     return ElmModel(
