@@ -1,4 +1,4 @@
-"""The dataset pipeline end to end: generator configs, CSV files,
+"""The dataset pipeline end to end: the bundled scene, CSV files,
 stratified splits, and feature scaling."""
 
 import tempfile
@@ -12,9 +12,7 @@ from elmkit import (
     generate_synthetic,
     littleport_like_config,
     load_csv,
-    load_synthetic_config,
     save_csv,
-    save_synthetic_config,
     scale_features,
     stratified_split,
 )
@@ -27,13 +25,6 @@ def main():
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-
-        # the generator config is itself a text artifact
-        cfg_path = tmp / "scene.cfg"
-        save_synthetic_config(config, cfg_path)
-        back = load_synthetic_config(cfg_path)
-        print("\nconfig file round-trips exactly:",
-              back.means.tobytes() == config.means.tobytes())
 
         scene = generate_synthetic(config)
         csv_path = tmp / "scene.csv"

@@ -21,9 +21,7 @@ from .data import (
     littleport_like_config,
     load_csv,
     load_feature_csv,
-    load_synthetic_config,
     save_csv,
-    save_synthetic_config,
     scale_features,
     stratified_split,
 )
@@ -33,7 +31,6 @@ from .elm import (
     build_hidden_matrix,
     decode_scores,
     encode_targets,
-    init_random_layer,
     train_elm,
 )
 from .evaluate import (
@@ -56,7 +53,6 @@ from .mlp import (
     MlpConfig,
     MlpDivergenceError,
     MlpModel,
-    init_mlp_params,
     train_mlp,
 )
 from .modelio import load_model, save_model

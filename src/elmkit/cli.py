@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``generate``  — write a synthetic scene as a labeled CSV (optionally
-  pre-split into train and test files).
+* ``generate``  — write the bundled synthetic scene, at any sampling
+  seed, as a labeled CSV (optionally pre-split into train and test files).
 * ``train``     — fit a classifier on a labeled CSV, write a model file
   plus a training report next to it.
 * ``predict``   — label new samples with a saved model.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .data import (
@@ -36,7 +36,6 @@ from .data import (
     littleport_like_config,
     load_csv,
     load_feature_csv,
-    load_synthetic_config,
     save_csv,
     stratified_split,
 )
@@ -60,7 +59,7 @@ from .modelio import load_model, save_model
 _EXIT_CODES = (
     (0, "success", ()),
     (2, "usage error (bad flags or arguments)", ()),
-    (3, "malformed input file (dataset, generator config, or model)", (FormatError,)),
+    (3, "malformed input file (dataset or model)", (FormatError,)),
     (4, "invalid data or configuration values", (ValueError,)),
     (5, "training diverged", (MlpDivergenceError,)),
     (6, "out of memory", (MemoryError,)),
@@ -85,12 +84,7 @@ def _config_comment_lines(config) -> list[str]:
 
 
 def cmd_generate(args) -> int:
-    if args.config is not None:
-        config = load_synthetic_config(args.config)
-    else:
-        config = littleport_like_config()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = littleport_like_config() if args.seed is None else littleport_like_config(args.seed)
     dataset = generate_synthetic(config)
     # split first, so that a split that fails writes nothing
     if args.train_fraction is not None:
@@ -226,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic labeled CSV scene")
-    gen.add_argument("--config", help="generator config file (default: bundled scene)")
     gen.add_argument("--seed", type=int, help="override the sampling (and split) seed")
     gen.add_argument("--train-fraction", type=float,
                      help="also write .train/.test files split at this fraction")

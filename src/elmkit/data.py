@@ -1,20 +1,15 @@
 """Dataset pipeline: CSV ingestion, stratified splitting, feature scaling,
 and a synthetic multispectral generator.
 
-The on-disk formats are deliberately plain text:
+The on-disk format is deliberately plain text: a **labeled CSV** is
+comma-delimited, UTF-8, with one header row naming the feature columns
+plus a ``label`` column; features are decimal-point reals, labels are
+class-name strings.  Its line splitter, :func:`_read_lines`, also reads
+:mod:`elmkit.modelio`'s model files.
 
-* **Labeled CSV** — comma-delimited, UTF-8, one header row naming the
-  feature columns plus a ``label`` column; features are decimal-point
-  reals, labels are class-name strings.
-* **Generator config** — a key-value text file (see
-  :func:`save_synthetic_config`) holding the sampling seed, the feature
-  count, and per class a name, sample count, mean vector and covariance
-  rows, read back in exactly that order by the one ``key: value`` line
-  reader, which also reads :mod:`elmkit.modelio`'s model files.
-
-A malformed file of any of these formats raises :class:`FormatError`, a
-``ValueError`` whose message names the file and, where there is one, the
-physical line; an invalid value passed in code raises a plain ``ValueError``.
+A malformed file raises :class:`FormatError`, a ``ValueError`` whose
+message names the file and, where there is one, the physical line; an
+invalid value passed in code raises a plain ``ValueError``.
 
 Everything here is a pure function over immutable values; datasets are
 frozen and their arrays are marked read-only.
@@ -29,14 +24,14 @@ import io
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, get_type_hints
 
 import numpy as np
 
 
 class FormatError(ValueError):
-    """A malformed input file: a dataset CSV, a generator config or a model file."""
+    """A malformed input file: a dataset CSV or a model file."""
 
 
 def _check_real(name: str, value, kind: str = "a number"):
@@ -203,90 +198,6 @@ def _read_lines(path, newline=None) -> list[str]:
 
 def _fmt_vector(vec) -> str:
     return " ".join(repr(float(v)) for v in np.asarray(vec).ravel())
-
-
-class _Reader:
-    """In-order ``key: value`` line reader whose errors name the physical line."""
-
-    def __init__(self, path, skip_blank: bool = False):
-        self.path = path
-        lines = [(n, line.rstrip("\n"))
-                 for n, line in enumerate(_read_lines(path), start=1)]
-        if skip_blank:
-            lines = [item for item in lines if item[1].strip()]
-        while lines and not lines[-1][1].strip():
-            lines.pop()
-        if not lines:
-            raise FormatError(f"{path}: file is empty")
-        self.lines = lines
-        self.pos = 0
-        self.line_no = 0  # physical line of the line read last
-
-    def fail(self, message: str):
-        raise FormatError(f"{self.path}: line {self.line_no}: {message}")
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.lines)
-
-    def at_key(self, key: str) -> bool:
-        return not self.at_end() and self.lines[self.pos][1].startswith(f"{key}:")
-
-    def next_line(self) -> str:
-        if self.at_end():
-            self.line_no += 1  # the line after the last one
-            self.fail("unexpected end of file")
-        self.line_no, line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect_key(self, key: str, parse=str):
-        """The next line's value, which must follow ``key:``, read by *parse*."""
-        line = self.next_line()
-        prefix = f"{key}:"
-        if not line.startswith(prefix):
-            self.fail(f"expected '{prefix}', got '{line[:40]}'")
-        try:
-            return parse(line[len(prefix):].strip())
-        except ValueError as exc:
-            self.fail(f"bad value for '{key}': {exc}")
-
-    def expect_size(self, key: str) -> int:
-        """The next line's value, which must follow ``key:`` and be an integer of at least 1."""
-        return self.expect_key(key, lambda text: _check_int(key, int(text), 1))
-
-    def read_class(self, names: list) -> None:
-        """Append the next ``class:`` line's name to *names*, which must not hold it yet."""
-        name = self.expect_key("class")
-        if not name:
-            self.fail("empty 'class:' name")
-        if name in names:
-            self.fail(f"class '{name}' repeats an earlier 'class:' line")
-        names.append(name)
-
-    def read_vector(self, key: str, count: int) -> np.ndarray:
-        return self._parse_row(self.expect_key(key), count)
-
-    def read_matrix(self, key: str, rows: int, cols: int) -> np.ndarray:
-        if self.expect_key(key):
-            self.fail(f"'{key}:' marker line must be bare")
-        # Check the declared size against the file before building anything,
-        # so an inflated header fails here instead of exhausting memory.
-        left = len(self.lines) - self.pos
-        if rows > left:
-            self.fail(f"'{key}' declares {rows} rows but only {left} lines remain")
-        out = [self._parse_row(self.next_line(), cols) for _ in range(rows)]
-        return np.array(out).reshape(rows, cols)
-
-    def _parse_row(self, text: str, count: int) -> np.ndarray:
-        try:
-            row = np.array([float(t) for t in text.split()])
-        except ValueError:
-            self.fail(f"unparseable number in '{text[:60]}'")
-        if not np.isfinite(row).all():
-            self.fail(f"non-finite number in '{text[:60]}'")
-        if row.size != count:
-            self.fail(f"expected {count} values on a row, got {row.size}")
-        return row
 
 
 # ---------------------------------------------------------------------------
@@ -712,63 +623,3 @@ def default_split_spec(seed: int = DEFAULT_SEED) -> SplitSpec:
     in seeded order.
     """
     return SplitSpec(train_fraction=DEFAULT_TRAIN_FRACTION, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Generator config file I/O
-# ---------------------------------------------------------------------------
-
-_CONFIG_TAG = "synthetic-config v1"
-
-# Most feature cells (total count x features) a config file may ask the
-# generator for: 10 million float64 cells are 80 MB, over 350 times the
-# bundled scene.  A config past it is malformed, so an inflated count
-# fails while the file is read instead of when the samples are drawn.
-_MAX_GENERATED_CELLS = 10_000_000
-
-
-def save_synthetic_config(config: SyntheticConfig, path) -> None:
-    """Write a generator config as a key-value text file.
-
-    Layout: a format tag line, ``seed:`` and ``features:`` lines, then
-    per class a ``class:`` name line followed by ``count:``, ``mean:``
-    (space-separated reals) and p ``cov:`` rows.  Numbers round-trip
-    exactly.
-    """
-    lines = [_CONFIG_TAG, f"seed: {config.seed}", f"features: {config.n_features}"]
-    for cls, name in enumerate(config.class_names):
-        lines.append(f"class: {name}")
-        lines.append(f"count: {config.counts[cls]}")
-        lines.append("mean: " + _fmt_vector(config.means[cls]))
-        lines += ["cov: " + _fmt_vector(row) for row in config.covariances[cls]]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def load_synthetic_config(path) -> SyntheticConfig:
-    """Read a generator config in the key order :func:`save_synthetic_config` writes.
-
-    Blank lines are skipped.  A line out of place or a bad value raises
-    :class:`FormatError` naming its physical line, as does the
-    ``count:`` line that takes the total past ``_MAX_GENERATED_CELLS``.
-    Values that :class:`SyntheticConfig` rejects raise it naming the file.
-    """
-    reader = _Reader(path, skip_blank=True)
-    if reader.next_line().strip() != _CONFIG_TAG:
-        reader.fail(f"missing '{_CONFIG_TAG}' tag line")
-    seed = reader.expect_key("seed", int)
-    features = reader.expect_size("features")
-    names, counts, means, covs = [], [], [], []
-    while not reader.at_end():
-        reader.read_class(names)
-        counts.append(reader.expect_size("count"))
-        if sum(counts) * features > _MAX_GENERATED_CELLS:
-            reader.fail(f"counts so far ({sum(counts)} samples x {features} features) "
-                        f"exceed the generator limit of {_MAX_GENERATED_CELLS} cells")
-        means.append(reader.read_vector("mean", features))
-        covs.append([reader.read_vector("cov", features) for _ in range(features)])
-    try:
-        return SyntheticConfig(tuple(names), np.asarray(means), np.asarray(covs),
-                               tuple(counts), seed)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None

@@ -76,7 +76,7 @@ class ElmModel(_Model):
                ("output_weights", "hidden", "classes"))
 
 
-def init_random_layer(n_features: int, config: ElmConfig) -> tuple[np.ndarray, np.ndarray]:
+def _init_random_layer(n_features: int, config: ElmConfig) -> tuple[np.ndarray, np.ndarray]:
     """Draw the frozen hidden layer for the given input width.
 
     The (hidden_nodes, n_features) weight matrix and the bias vector are
@@ -160,7 +160,7 @@ def train_elm(train: LabeledDataset, config: ElmConfig | None = None) -> ElmMode
     start = time.perf_counter()
     scaling = fit_scaling(train)
     scaled = scale_features(train.features, scaling)
-    weights, biases = init_random_layer(train.n_features, config)
+    weights, biases = _init_random_layer(train.n_features, config)
     targets = encode_targets(train.labels, train.n_classes)
     with _one_blas_thread():
         hidden = build_hidden_matrix(scaled, weights, biases)

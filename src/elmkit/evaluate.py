@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import LabeledDataset, _check_int, _frozen_ints, scale_features
+from .data import LabeledDataset, _check_int, _class_names, _frozen_ints, scale_features
 from .elm import ElmConfig, ElmModel, _scores as _elm_scores, decode_scores, encode_targets, train_elm
 from .linalg import _one_blas_thread
 from .mlp import MlpConfig, MlpModel, _scores as _mlp_scores, train_mlp
@@ -85,20 +85,24 @@ def config_text(config) -> str:
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Square count matrix: rows are actual classes, columns predicted."""
+    """Square count matrix: rows are actual classes, columns predicted.
+
+    Class names obey the rules of a :class:`LabeledDataset`'s class names.
+    """
 
     counts: np.ndarray
     class_names: tuple[str, ...]
 
     def __post_init__(self):
         counts = _frozen_ints("counts", self.counts)
-        m = len(self.class_names)
+        names = _class_names(self.class_names)
+        m = len(names)
         if counts.shape != (m, m):
             raise ValueError(f"counts must be {m}x{m}, got {counts.shape}")
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "class_names", tuple(str(n) for n in self.class_names))
+        object.__setattr__(self, "class_names", names)
 
     @property
     def total(self) -> int:

@@ -124,8 +124,8 @@ class MlpModel(_Model):
         object.__setattr__(self, "loss_history", tuple(float(v) for v in self.loss_history))
 
 
-def init_mlp_params(n_features: int, n_classes: int,
-                    config: MlpConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _init_mlp_params(n_features: int, n_classes: int,
+                     config: MlpConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw all four parameter arrays from one seeded uniform stream.
 
     Every draw lies in [-0.5, 0.5].  Draw order: hidden weights, hidden
@@ -196,7 +196,7 @@ def train_mlp(train: LabeledDataset, config: MlpConfig | None = None) -> MlpMode
     scaling = fit_scaling(train)
     run_pass = _Pass(scale_features(train.features, scaling),
                      encode_targets(train.labels, train.n_classes), config.hidden_nodes)
-    params = init_mlp_params(train.n_features, train.n_classes, config)
+    params = _init_mlp_params(train.n_features, train.n_classes, config)
     params = np.column_stack(params[:2]), np.column_stack(params[2:])  # [W | b] per layer
     velocities = [np.zeros_like(p) for p in params]
     step = config.learning_rate * _MEAN_STEP_GAIN / train.n_samples

@@ -24,7 +24,7 @@ from elmkit.data import (
 from elmkit.elm import ElmConfig, encode_targets, train_elm
 from elmkit.evaluate import benchmark, sweep_hidden_nodes, training_cost
 from elmkit.linalg import min_norm_lstsq, pseudoinverse
-from elmkit.mlp import MlpConfig, init_mlp_params, train_mlp
+from elmkit.mlp import MlpConfig, _init_mlp_params, train_mlp
 
 
 # One line per criterion; conftest echoes these in the terminal summary,
@@ -148,7 +148,7 @@ def test_criterion_4_gradient_matches_finite_differences(mlp_pass):
         n_classes = int(rng.integers(2, 4))
         hidden = int(rng.integers(2, 7))
         config = MlpConfig(hidden_nodes=hidden, seed=net)
-        params = list(init_mlp_params(n_features, n_classes, config))
+        params = list(_init_mlp_params(n_features, n_classes, config))
         x = rng.uniform(-1, 1, size=(int(rng.integers(3, 9)), n_features))
         y = encode_targets(rng.integers(0, n_classes, size=x.shape[0]), n_classes)
 

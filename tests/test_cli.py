@@ -3,7 +3,6 @@
 import importlib
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -14,10 +13,8 @@ from elmkit.cli import _EXIT_CODES_HELP, main
 from elmkit.data import (
     FormatError,
     LabeledDataset,
-    littleport_like_config,
     load_csv,
     save_csv,
-    save_synthetic_config,
 )
 from elmkit.elm import ElmConfig
 from elmkit.evaluate import config_text
@@ -62,14 +59,12 @@ class TestGenerate:
         assert train.n_samples == 2700
         assert test.n_samples == 2037
 
-    def test_custom_config_and_seed_override(self, tmp_path):
-        cfg_path = tmp_path / "scene.cfg"
-        save_synthetic_config(littleport_like_config(seed=5), cfg_path)
+    def test_seed_override(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        assert main(["generate", "--config", str(cfg_path), "--out", str(a)]) == 0
-        assert main(["generate", "--config", str(cfg_path), "--seed", "6",
-                     "--out", str(b)]) == 0
+        assert main(["generate", "--out", str(a)]) == 0
+        assert main(["generate", "--seed", "6", "--out", str(b)]) == 0
+        assert b.read_text().startswith("# generator seed: 6\n")
         assert load_csv(a).features[0, 0] != load_csv(b).features[0, 0]
 
     def test_deterministic_bytes(self, tmp_path):
@@ -78,48 +73,22 @@ class TestGenerate:
         main(["generate", "--seed", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_config_file_exits_3(self, tmp_path):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("not a config\n")
-        code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
-        assert code == 3
+    def test_retired_config_flag_exits_2(self, tmp_path, capsys):
+        """generate draws the bundled scene only: a generator config file is not read."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", "--config", str(tmp_path / "x.cfg"),
+                  "--out", str(tmp_path / "g.csv")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("one_sample_class", [False, True])
-    def test_failed_split_writes_nothing(self, tmp_path, capsys, one_sample_class):
+    def test_failed_split_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "scene.csv"
-        argv = ["generate", "--out", str(out), "--train-fraction", "1.5"]
-        if one_sample_class:
-            cfg = tmp_path / "scene.cfg"
-            cfg.write_bytes(_config_lines(lambda lines: lines.__setitem__(9, "count: 1")))
-            argv = ["generate", "--config", str(cfg), "--out", str(out), "--train-fraction", "0.5"]
-        code = main(argv)
+        code = main(["generate", "--out", str(out), "--train-fraction", "1.5"])
         captured = capsys.readouterr()
         assert code == 4
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
         assert list(tmp_path.glob("*.csv")) == []
-
-
-SMALL_CONFIG = """\
-synthetic-config v1
-seed: 3
-features: 2
-class: a
-count: 5
-mean: 0.0 0.0
-cov: 1.0 0.0
-cov: 0.0 1.0
-class: b
-count: 3
-mean: 4.0 4.0
-cov: 1.0 0.5
-cov: 0.5 1.0
-"""
-
-
-def _config_lines(edit):
-    lines = SMALL_CONFIG.splitlines()
-    edit(lines)
-    return ("\n".join(lines) + "\n").encode()
 
 
 def _with_byte(path, line_index, byte=b"\xff"):
@@ -128,56 +97,7 @@ def _with_byte(path, line_index, byte=b"\xff"):
     return b"".join(lines)
 
 
-# Each case: an edit of SMALL_CONFIG that an earlier free-order reader took
-# wrongly, and the physical line the error must name.
-MALFORMED_INPUTS = {
-    "cov before class": (lambda lines: lines.insert(3, "cov: 1.0 0.0"), 4),
-    "non-integer seed": (lambda lines: lines.__setitem__(1, "seed: x1"), 2),
-    "class block without count": (lambda lines: lines.insert(9, lines.pop(4)), 5),
-    "second seed after a class": (lambda lines: lines.insert(8, "seed: 9"), 9),
-    "repeated class name": (lambda lines: lines.__setitem__(8, "class: a"), 9),
-}
-
-
 class TestMalformedInputExits3:
-    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-    def test_config(self, tmp_path, capsys, case):
-        edit, line_no = MALFORMED_INPUTS[case]
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(_config_lines(edit))
-        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-        err = capsys.readouterr().err.splitlines()
-        assert code == 3
-        assert len(err) == 1
-        assert f"{cfg}: line {line_no}: " in err[0]
-
-    def test_inflated_count_fails_before_allocating(self, tmp_path, capsys):
-        cfg = tmp_path / "big.cfg"
-        cfg.write_bytes(_config_lines(lambda lines: lines.__setitem__(9, "count: 1000000000000")))
-        tracemalloc.start()
-        try:
-            code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        err = capsys.readouterr().err.splitlines()
-        assert code == 3
-        assert len(err) == 1
-        assert f"{cfg}: line 10: " in err[0]
-        assert peak < 1 << 20
-        assert not (tmp_path / "x.csv").exists()
-
-    @pytest.mark.parametrize("key, line_no, value", [
-        ("features", 3, "-2"), ("features", 3, "0"), ("count", 5, "0"), ("count", 10, "-1")])
-    def test_config_size_below_1_names_its_line(self, tmp_path, capsys, key, line_no, value):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(_config_lines(lambda lines: lines.__setitem__(line_no - 1, f"{key}: {value}")))
-        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-        assert code == 3
-        assert capsys.readouterr().err == (f"elmkit generate: {cfg}: line {line_no}: "
-                                           f"bad value for '{key}': {key} must be >= 1, got {value}\n")
-        assert not (tmp_path / "x.csv").exists()
-
     @pytest.mark.parametrize("classifier", ["elm", "mlp"])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_model_features_below_1_names_its_line(self, tmp_path, rng, capsys, classifier, value):
@@ -197,17 +117,14 @@ class TestMalformedInputExits3:
         assert capsys.readouterr().err == (f"elmkit predict: {model}: line {line_no}: "
                                            f"bad value for 'features': features must be >= 1, got {value}\n")
 
-    @pytest.mark.parametrize("kind", ["config", "model", "csv"])
+    @pytest.mark.parametrize("kind", ["model", "csv"])
     def test_non_utf8_byte(self, tmp_path, rng, capsys, kind):
         data = tmp_path / "train.csv"
         write_blobs_csv(data, rng)
         model = tmp_path / "elm.model"
         assert main(["train", "--data", str(data), "--hidden", "4", "--out", str(model)]) == 0
-        cfg = tmp_path / "scene.cfg"
-        cfg.write_text(SMALL_CONFIG)
         out = str(tmp_path / "out.csv")
         bad, argv = {
-            "config": (cfg, ["generate", "--config", str(cfg), "--out", out]),
             "model": (model, ["predict", "--model", str(model), "--data", str(data), "--out", out]),
             "csv": (data, ["train", "--data", str(data), "--out", out]),
         }[kind]
@@ -661,7 +578,8 @@ class TestSweepCommand:
 
 class TestRetiredFlags:
     """The ELM is configured by width and seed alone: --activation and
-    --rank-tol are usage errors on every command that fits one."""
+    --rank-tol are usage errors on every command that fits one, and a model
+    file that names an activation is malformed."""
 
     @pytest.mark.parametrize("flag", [["--activation", "tanh"], ["--activation", "sigmoid"],
                                       ["--rank-tol", "1e-8"]], ids=lambda f: f[0])
@@ -676,21 +594,19 @@ class TestRetiredFlags:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_v2_model_with_another_activation_exits_3(self, tmp_path, rng, capsys):
+    def test_model_with_an_activation_line_exits_3(self, tmp_path, rng, capsys):
         data = tmp_path / "train.csv"
         write_blobs_csv(data, rng)
         model = tmp_path / "elm.model"
         assert main(["train", "--data", str(data), "--hidden", "4", "--out", str(model)]) == 0
         tag, hidden, seed, *rest = model.read_text().splitlines()
-        model.write_text("\n".join(["elm-model v2", hidden, "activation: tanh", seed,
-                                    "rank_tol: 1e-10", *rest]) + "\n")
+        model.write_text("\n".join([tag, hidden, "activation: tanh", seed, *rest]) + "\n")
         capsys.readouterr()
         code = main(["predict", "--model", str(model), "--data", str(data),
                      "--out", str(tmp_path / "p.csv")])
         assert code == 3
         assert capsys.readouterr().err == (
-            f"elmkit predict: {model}: line 3: 'activation: tanh' has no v3 equivalent; "
-            "only 'sigmoid' loads\n")
+            f"elmkit predict: {model}: line 3: expected 'seed:', got 'activation: tanh'\n")
         assert not (tmp_path / "p.csv").exists()
 
 
@@ -743,14 +659,6 @@ class TestNegativeSeed:
         assert code == 3
         assert capsys.readouterr().err == (
             f"elmkit predict: {model_path}: seed must be non-negative, got -5\n")
-
-    def test_generator_config_exits_3(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(_config_lines(lambda lines: lines.__setitem__(1, "seed: -5")))
-        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-        assert code == 3
-        assert capsys.readouterr().err == (
-            f"elmkit generate: {cfg}: seed must be non-negative, got -5\n")
 
 
 class TestEntryPoints:

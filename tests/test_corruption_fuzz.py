@@ -1,9 +1,8 @@
-"""Seeded corruption fuzz over the three input formats, through the CLI.
+"""Seeded corruption fuzz over the two input formats, through the CLI.
 
-Model files, generator configs and labeled CSVs are cut at line
-boundaries, given seeded single-byte replacements, given a 0xff byte
-(never valid UTF-8), given inflated counts, and given non-finite numbers
-in place of finite ones.  No case may raise out of ``cli.main`` or exit
+Model files and labeled CSVs are cut at line boundaries, given seeded
+single-byte replacements, given a 0xff byte (never valid UTF-8), given
+inflated counts, and given non-finite numbers in place of finite ones.  No case may raise out of ``cli.main`` or exit
 1, and every nonzero exit writes exactly one stderr line.
 """
 
@@ -15,29 +14,6 @@ import pytest
 from elmkit.cli import main
 from elmkit.data import LabeledDataset, save_csv
 
-CONFIG = """\
-synthetic-config v1
-seed: 3
-features: 2
-class: a
-count: 6
-mean: 0.0 0.0
-cov: 1.0 0.25
-cov: 0.25 1.0
-class: b
-count: 5
-mean: 4.0 0.0
-cov: 2.0 0.0
-cov: 0.0 1.0
-class: c
-count: 4
-mean: 2.0 3.0
-cov: 1.0 -0.5
-cov: -0.5 1.0
-"""
-
-CLASS_BLOCK_LINES = 5
-HEADER_LINES = 3
 REPLACEMENTS = 60
 NON_FINITE = ("nan", "inf", "-inf", "NaN", "Infinity")
 
@@ -55,11 +31,8 @@ def inputs(tmp_path):
         models[kind] = tmp_path / f"{kind}.model"
         assert main(["train", "--data", str(data), "--classifier", kind, "--hidden", "4",
                      *extra, "--out", str(models[kind])]) == 0
-    config = tmp_path / "scene.cfg"
-    config.write_text(CONFIG)
     out = str(tmp_path / "out")
     return {
-        "config": (config, ["generate", "--config", str(config), "--out", out + ".csv"]),
         "csv": (data, ["train", "--data", str(data), "--hidden", "4", "--out", out + ".model"]),
         **{f"{kind} model": (path, ["predict", "--model", str(path), "--data", str(data),
                                     "--out", out + ".csv"])
@@ -80,7 +53,7 @@ def run_on(path, argv, content: bytes, capsys) -> int:
     return code
 
 
-@pytest.mark.parametrize("name", ["config", "csv", "elm model", "mlp model"])
+@pytest.mark.parametrize("name", ["csv", "elm model", "mlp model"])
 def test_seeded_corruptions_fail_closed(inputs, capsys, name):
     path, argv = inputs[name]
     original = path.read_bytes()
@@ -91,9 +64,6 @@ def test_seeded_corruptions_fail_closed(inputs, capsys, name):
         code = run_on(path, argv, b"".join(lines[:cut]), capsys)
         if name.endswith("model"):
             assert code == 3, cut
-        elif name == "config":
-            in_block = (cut - HEADER_LINES) % CLASS_BLOCK_LINES != 0
-            assert code == 3 or (not in_block and cut > HEADER_LINES + CLASS_BLOCK_LINES), cut
 
     for _ in range(REPLACEMENTS):
         pos = int(rng.integers(len(original)))
@@ -107,8 +77,6 @@ def test_seeded_corruptions_fail_closed(inputs, capsys, name):
 
 
 @pytest.mark.parametrize("name, key", [
-    ("config", "features"),
-    ("config", "count"),
     ("elm model", "hidden_nodes"),
     ("elm model", "features"),
     ("mlp model", "hidden_nodes"),
@@ -130,7 +98,7 @@ def is_number(token: str) -> bool:
     return True
 
 
-@pytest.mark.parametrize("name", ["config", "csv", "elm model", "mlp model"])
+@pytest.mark.parametrize("name", ["csv", "elm model", "mlp model"])
 def test_non_finite_numbers_exit_3(inputs, capsys, name):
     """Any number, header value or array entry, replaced by nan or inf is malformed."""
     path, argv = inputs[name]

@@ -13,7 +13,6 @@ from elmkit.data import (
     ScalingParams,
     SplitSpec,
     SyntheticConfig,
-    _MAX_GENERATED_CELLS,
     _per_class_train_counts,
     default_split_spec,
     fit_scaling,
@@ -21,9 +20,7 @@ from elmkit.data import (
     littleport_like_config,
     load_csv,
     load_feature_csv,
-    load_synthetic_config,
     save_csv,
-    save_synthetic_config,
     scale_features,
     stratified_split,
 )
@@ -594,101 +591,10 @@ class TestDefaultScene:
         assert test.n_samples == 2037
 
 
-class TestConfigFileRoundTrip:
-    def test_round_trip_exact(self, tmp_path):
-        cfg = littleport_like_config(seed=77)
-        path = tmp_path / "scene.cfg"
-        save_synthetic_config(cfg, path)
-        back = load_synthetic_config(path)
-        assert back.class_names == cfg.class_names
-        assert back.counts == cfg.counts
-        assert back.seed == cfg.seed
-        assert back.means.tobytes() == cfg.means.tobytes()
-        assert back.covariances.tobytes() == cfg.covariances.tobytes()
-
-    def test_missing_tag(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("seed: 1\n")
-        with pytest.raises(FormatError, match="tag"):
-            load_synthetic_config(path)
-
-    @pytest.mark.parametrize("line", ["class:", "class:   "])
-    def test_bare_class_line_names_its_line(self, tmp_path, line):
-        path = tmp_path / "bare.cfg"
-        save_synthetic_config(littleport_like_config(), path)
-        lines = path.read_text().splitlines()
-        assert lines[3] == "class: wheat"
-        lines[3] = line
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=r"bare\.cfg: line 4: empty 'class:' name"):
-            load_synthetic_config(path)
-
-    def test_unknown_key(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("synthetic-config v1\nseed: 1\nfeatures: 2\nwhat: 3\n")
-        with pytest.raises(FormatError, match="line 4: expected 'class:'"):
-            load_synthetic_config(path)
-
-    def test_truncated_class_block(self, tmp_path):
-        cfg = littleport_like_config()
-        path = tmp_path / "trunc.cfg"
-        save_synthetic_config(cfg, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(FormatError):
-            load_synthetic_config(path)
-
-    def test_bad_number(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text(
-            "synthetic-config v1\nseed: 1\nfeatures: 2\n"
-            "class: a\ncount: 3\nmean: 1.0 oops\n"
-        )
-        with pytest.raises(FormatError, match="unparseable"):
-            load_synthetic_config(path)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_number_rejected(self, tmp_path, value):
-        path = tmp_path / "bad.cfg"
-        save_synthetic_config(littleport_like_config(), path)
-        lines = path.read_text().splitlines()
-        assert lines[6].startswith("cov: ")
-        lines[6] = f"cov: 49.0 {value} 1.0 1.0 1.0 1.0"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=r"bad\.cfg: line 7: non-finite number"):
-            load_synthetic_config(path)
-
-    def test_error_names_the_physical_line(self, tmp_path):
-        """Blank lines count: a bad mean on physical line 8 is reported as line 8."""
-        path = tmp_path / "blank.cfg"
-        save_synthetic_config(littleport_like_config(), path)
-        lines = path.read_text().splitlines()
-        lines[1:1] = ["", "   "]
-        assert lines[7].startswith("mean: ")
-        lines[7] = "mean: 1.0 oops"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=r"line 8: unparseable"):
-            load_synthetic_config(path)
-
-    def test_cell_limit_is_inclusive_and_names_the_count_line(self, tmp_path):
-        """The total over all classes counts; reading allocates no samples."""
-        at_limit = _MAX_GENERATED_CELLS // 2 - 3
-        text = ("synthetic-config v1\nseed: 1\nfeatures: 2\n"
-                "class: a\ncount: 3\nmean: 0.0 0.0\ncov: 1.0 0.0\ncov: 0.0 1.0\n"
-                "class: b\ncount: {}\nmean: 4.0 0.0\ncov: 1.0 0.0\ncov: 0.0 1.0\n")
-        path = tmp_path / "big.cfg"
-        path.write_text(text.format(at_limit))
-        assert load_synthetic_config(path).counts == (3, at_limit)
-        path.write_text(text.format(at_limit + 1))
-        with pytest.raises(FormatError, match=r"big\.cfg: line 10: .*10000000 cells"):
-            load_synthetic_config(path)
-
-
 @pytest.mark.parametrize("load, text, line", [
     (load_csv, "f1,f2,label\n1.0,2.0,a\n1.0,oops,b\n", "row 3"),
     (load_feature_csv, "f1,f2,label\n1.0,2.0,a\n1.0,oops,b\n", "row 3"),
-    (load_synthetic_config, "synthetic-config v1\nseed: 1\nfeatures: two\n", "line 3"),
-    (load_model, "elm-model v2\nhidden_nodes: 4\nactivation: sigmoid\nseed: x\n", "line 4"),
+    (load_model, "elm-model v3\nhidden_nodes: 4\nseed: x\n", "line 3"),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_every_reader_raises_format_error(tmp_path, load, text, line):
     """One class for any malformed file, a ValueError naming the file and the line."""

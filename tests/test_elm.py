@@ -8,13 +8,13 @@ import pytest
 from elmkit import elm
 from elmkit.data import LabeledDataset
 from elmkit.elm import (
+    _init_random_layer,
     _logistic_layer,
     ElmConfig,
     ElmModel,
     build_hidden_matrix,
     decode_scores,
     encode_targets,
-    init_random_layer,
     train_elm,
 )
 from elmkit.evaluate import predict, predict_scores, training_cost
@@ -92,7 +92,7 @@ class TestElmConfig:
 class TestInitRandomLayer:
     def test_shapes_and_range(self):
         config = ElmConfig(hidden_nodes=20, seed=4)
-        weights, biases = init_random_layer(5, config)
+        weights, biases = _init_random_layer(5, config)
         assert weights.shape == (20, 5)
         assert biases.shape == (20,)
         assert (np.abs(weights) <= 1.0).all()
@@ -100,15 +100,15 @@ class TestInitRandomLayer:
 
     def test_draw_order_is_weights_then_biases(self):
         config = ElmConfig(hidden_nodes=7, seed=99)
-        weights, biases = init_random_layer(4, config)
+        weights, biases = _init_random_layer(4, config)
         rng = np.random.default_rng(99)
         np.testing.assert_array_equal(weights, rng.uniform(-1, 1, size=(7, 4)))
         np.testing.assert_array_equal(biases, rng.uniform(-1, 1, size=7))
 
     def test_deterministic(self):
         config = ElmConfig(hidden_nodes=10, seed=5)
-        a = init_random_layer(3, config)
-        b = init_random_layer(3, config)
+        a = _init_random_layer(3, config)
+        b = _init_random_layer(3, config)
         assert a[0].tobytes() == b[0].tobytes()
         assert a[1].tobytes() == b[1].tobytes()
 

@@ -105,6 +105,13 @@ class TestConfusion:
                                              f"got {dtype} counts$"):
             ConfusionMatrix(counts, ("a", "b"))
 
+    @pytest.mark.parametrize("names", [("a", "a"), ("a\nb", " c")], ids=["repeated", "spaced"])
+    def test_names_a_table_cannot_show_rejected(self, names):
+        """The class-name rules of every dataset and model: a repeated name would
+        render two rows of one class, and a line break would split the table."""
+        with pytest.raises(ValueError, match="class name"):
+            ConfusionMatrix([[1, 0], [0, 1]], names)
+
     def test_whole_float_counts_are_kept(self):
         matrix = ConfusionMatrix([[1.0, 0.0], [2.0, 3.0]], ("a", "b"))
         assert matrix.counts.dtype == np.int64 and matrix.overall_accuracy() == 4 / 6

@@ -24,7 +24,7 @@ from elmkit.data import (
     stratified_split,
 )
 from elmkit import linalg
-from elmkit.elm import ElmConfig, build_hidden_matrix, encode_targets, init_random_layer
+from elmkit.elm import ElmConfig, _init_random_layer, build_hidden_matrix, encode_targets
 from elmkit.linalg import (
     as_matrix,
     min_norm_lstsq,
@@ -272,7 +272,7 @@ class TestMinNormLstsqMatchesPseudoinverse:
         features = scale_features(train.features, fit_scaling(train))
         targets = encode_targets(train.labels, train.n_classes)
         for width in (25, 100, 300, 450):
-            weights, biases = init_random_layer(6, ElmConfig(hidden_nodes=width))
+            weights, biases = _init_random_layer(6, ElmConfig(hidden_nodes=width))
             hidden = build_hidden_matrix(features, weights, biases)
             assert_matches_pseudoinverse(hidden, targets)
 
@@ -335,7 +335,7 @@ def _training_systems(widths=(25, 300, 450)):
     features = scale_features(train.features, fit_scaling(train))
     targets = encode_targets(train.labels, train.n_classes)
     for width in widths:
-        weights, biases = init_random_layer(6, ElmConfig(hidden_nodes=width))
+        weights, biases = _init_random_layer(6, ElmConfig(hidden_nodes=width))
         yield build_hidden_matrix(features, weights, biases), targets
 
 

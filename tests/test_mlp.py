@@ -10,9 +10,9 @@ from elmkit.elm import build_hidden_matrix, encode_targets
 from elmkit.evaluate import predict, predict_scores
 from elmkit.mlp import (
     _MEAN_STEP_GAIN,
+    _init_mlp_params,
     MlpConfig,
     MlpDivergenceError,
-    init_mlp_params,
     train_mlp,
 )
 
@@ -45,7 +45,7 @@ def reference_train(ds, config, run_pass):
     """
     features = scale_features(ds.features, fit_scaling(ds))
     targets = encode_targets(ds.labels, ds.n_classes)
-    params = list(init_mlp_params(ds.n_features, ds.n_classes, config))
+    params = list(_init_mlp_params(ds.n_features, ds.n_classes, config))
     velocities = [np.zeros_like(p) for p in params]
     step = config.learning_rate * _MEAN_STEP_GAIN / ds.n_samples
     history = [run_pass(features, targets, *params)[0]]
@@ -98,7 +98,7 @@ class TestMlpConfig:
 class TestInitParams:
     def test_shapes_and_draw_order(self):
         config = MlpConfig(hidden_nodes=5, seed=21)
-        w1, b1, w2, b2 = init_mlp_params(3, 4, config)
+        w1, b1, w2, b2 = _init_mlp_params(3, 4, config)
         assert w1.shape == (5, 3) and b1.shape == (5,)
         assert w2.shape == (4, 5) and b2.shape == (4,)
         rng = np.random.default_rng(21)
@@ -121,7 +121,7 @@ class TestForward:
         np.testing.assert_allclose(output, [[o0, o1]], rtol=1e-15)
 
     def test_output_range(self, rng):
-        params = init_mlp_params(4, 3, MlpConfig(hidden_nodes=6, seed=1))
+        params = _init_mlp_params(4, 3, MlpConfig(hidden_nodes=6, seed=1))
         _, output = forward(rng.standard_normal((20, 4)) * 50, *params)
         assert (output > 0).all() and (output < 1).all()
 
@@ -136,7 +136,7 @@ class TestCost:
         np.testing.assert_allclose(mlp_pass(x, y, w1, b1, w2, b2)[0], expected, rtol=1e-15)
 
     def test_sums_over_samples(self, rng, mlp_pass):
-        params = init_mlp_params(3, 2, MlpConfig(hidden_nodes=4, seed=3))
+        params = _init_mlp_params(3, 2, MlpConfig(hidden_nodes=4, seed=3))
         x = rng.standard_normal((8, 3))
         y = encode_targets(rng.integers(0, 2, size=8), 2)
         total = mlp_pass(x, y, *params)[0]
@@ -146,7 +146,7 @@ class TestCost:
 
 class TestMemoryOrder:
     def test_c_and_fortran_ordered_inputs_give_the_same_bits(self, rng, mlp_pass):
-        params = init_mlp_params(5, 3, MlpConfig(hidden_nodes=9, seed=6))
+        params = _init_mlp_params(5, 3, MlpConfig(hidden_nodes=9, seed=6))
         x = rng.uniform(-1, 1, size=(300, 5))
         y = encode_targets(rng.integers(0, 3, size=300), 3)
         fx, fy = np.asfortranarray(x), np.asfortranarray(y)
@@ -198,7 +198,7 @@ class TestAgainstTextbook:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cost_and_gradient(self, order, seed, mlp_pass):
         rng = np.random.default_rng(seed)
-        params = init_mlp_params(6, 7, MlpConfig(hidden_nodes=26, seed=seed))
+        params = _init_mlp_params(6, 7, MlpConfig(hidden_nodes=26, seed=seed))
         # wider weights than the initial draw, so some units saturate
         params = tuple(p * 4.0 for p in params)
         x = np.asarray(rng.uniform(-1, 1, size=(500, 6)), order=order)
@@ -214,7 +214,7 @@ class TestAgainstTextbook:
             assert err <= self.RTOL, f"{name}: relative error {err}"
 
     def test_forward(self, rng):
-        params = init_mlp_params(6, 7, MlpConfig(hidden_nodes=26, seed=3))
+        params = _init_mlp_params(6, 7, MlpConfig(hidden_nodes=26, seed=3))
         x = rng.uniform(-1, 1, size=(200, 6))
         hidden, output = forward(x, *params)
         want_hidden = sigmoid(x @ params[0].T + params[1])
@@ -226,7 +226,7 @@ class TestAgainstTextbook:
 class TestGradient:
     def test_matches_central_differences(self, rng, mlp_pass):
         """Analytic gradient of the summed cost agrees with finite differences."""
-        params = list(init_mlp_params(3, 2, MlpConfig(hidden_nodes=4, seed=8)))
+        params = list(_init_mlp_params(3, 2, MlpConfig(hidden_nodes=4, seed=8)))
         x = rng.uniform(-1, 1, size=(6, 3))
         y = encode_targets(rng.integers(0, 2, size=6), 2)
         analytic = mlp_pass(x, y, *params)[1]
@@ -237,7 +237,7 @@ class TestGradient:
             assert rel < 1e-7, f"parameter {index}: relative error {rel}"
 
     def test_additive_over_samples(self, rng, mlp_pass):
-        params = init_mlp_params(3, 2, MlpConfig(hidden_nodes=5, seed=2))
+        params = _init_mlp_params(3, 2, MlpConfig(hidden_nodes=5, seed=2))
         x = rng.uniform(-1, 1, size=(7, 3))
         y = encode_targets(rng.integers(0, 2, size=7), 2)
         whole = mlp_pass(x, y, *params)[1]

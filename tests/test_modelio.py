@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from elmkit.cli import main
 from elmkit.data import FormatError, LabeledDataset, ScalingParams
 from elmkit.elm import ElmConfig, ElmModel, train_elm
 from elmkit.evaluate import predict
@@ -98,9 +99,10 @@ class TestMlpRoundTrip:
 class TestFormatErrors:
     def test_unknown_tag(self, tmp_path):
         path = tmp_path / "bad.model"
-        path.write_text("mystery-model v9\n")
-        with pytest.raises(FormatError, match="unknown model tag"):
-            load_model(path)
+        for tag in ("mystery-model v9", "elm-model v4", "mlp-model v0", "elm-model"):
+            path.write_text(tag + "\n")
+            with pytest.raises(FormatError, match=f"line 1: unknown model tag '{tag}'"):
+                load_model(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.model"
@@ -527,129 +529,40 @@ class TestGoldenFormat:
         ) + MLP_ARRAYS
 
 
-def assert_loads_as(tmp_path, text, want):
-    """*text* loads to *want*: equal config, and the same v3 file once saved."""
-    old, v3 = tmp_path / "old.model", tmp_path / "v3.model"
-    old.write_text(text)
-    back = load_model(old)
-    assert back.config == want.config
-    save_model(back, old)
-    save_model(want, v3)
-    assert old.read_text() == v3.read_text()
-
-
-class TestV1Files:
-    """v1 files load when each dropped header line holds its one v1 value."""
-
-    def test_mlp_file_loads_to_an_equal_model(self, tmp_path):
-        assert_loads_as(tmp_path, V1_MLP_TEXT, golden_mlp())
-
-    def test_elm_file_at_the_fixed_range_loads(self, tmp_path):
-        text = V1_ELM_TEXT.replace("weight_range: -0.75 1.25", "weight_range: -1.0 1.0")
-        assert_loads_as(tmp_path, text, golden_elm())
-
-    def test_elm_file_with_another_range_names_line_5(self, tmp_path):
-        path = tmp_path / "m.model"
-        path.write_text(V1_ELM_TEXT)
-        with pytest.raises(FormatError,
-                           match=r"m\.model: line 5: 'weight_range: -0\.75 1\.25' has no v3"):
-            load_model(path)
-
-    @pytest.mark.parametrize("line, text", [(7, "init_range: -1.0 1.0"),
-                                            (8, "divergence_factor: 50.0")])
-    def test_mlp_file_with_another_value_names_its_line(self, tmp_path, line, text):
-        lines = V1_MLP_TEXT.splitlines()
-        lines[line - 1] = text
-        path = tmp_path / "m.model"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=rf"line {line}: '{text}' has no v3"):
-            load_model(path)
-
-    def test_v2_header_under_a_v1_tag_is_rejected(self, tmp_path):
-        path = tmp_path / "m.model"
-        save_model(golden_mlp(), path)
-        path.write_text(path.read_text().replace("mlp-model v3", "mlp-model v1"))
-        with pytest.raises(FormatError, match="line 7: expected 'init_range:'"):
-            load_model(path)
-
-
-def older_elm_text(v3_text, version, activation="sigmoid", rank_tol="1e-10"):
-    """A v3 ELM file's text as the *version* writer wrote it, with the header
-    lines that v3 dropped."""
+def older_elm_text(v3_text):
+    """A v3 ELM file's text as the v2 writer wrote it, with the header lines
+    that v3 dropped."""
     tag, hidden, seed, *rest = v3_text.splitlines()
     assert tag == "elm-model v3"
-    header = [f"elm-model {version}", hidden, f"activation: {activation}", seed]
+    return "\n".join(["elm-model v2", hidden, "activation: sigmoid", seed, "rank_tol: 1e-10",
+                      *rest]) + "\n"
+
+
+def retired_text(tmp_path, kind, version):
+    """A model file of *kind* as its *version* writer wrote it."""
     if version == "v1":
-        header.append("weight_range: -1.0 1.0")
-    return "\n".join([*header, f"rank_tol: {rank_tol}", *rest]) + "\n"
+        return V1_ELM_TEXT if kind == "elm" else V1_MLP_TEXT
+    path = tmp_path / "v3.model"
+    save_model(golden_elm() if kind == "elm" else golden_mlp(), path)
+    if kind == "elm":
+        return older_elm_text(path.read_text())
+    return path.read_text().replace("mlp-model v3", "mlp-model v2", 1)  # v2 differs in the tag only
 
 
-class TestV2Files:
-    """v1 and v2 ELM files load when their activation is sigmoid, the only
-    one a v3 config describes, and their rank_tol, which only the fit read,
-    is any valid cutoff; v2 MLP files differ from v3 in the tag alone."""
-
-    @pytest.mark.parametrize("version", ["v1", "v2"])
-    def test_elm_file_predicts_the_same_labels_and_resaves_as_v3(self, tmp_path, rng, version):
-        model = train_elm(blobs(rng), ElmConfig(hidden_nodes=12, seed=3))
-        path = tmp_path / "m.model"
-        save_model(model, path)
-        v3_text = path.read_text()
-        path.write_text(older_elm_text(v3_text, version))
-        back = load_model(path)
-        queries = rng.uniform(-2, 8, size=(50, 2))
-        np.testing.assert_array_equal(predict(back, queries), predict(model, queries))
-        save_model(back, path)
-        assert path.read_text() == v3_text
-
-    @pytest.mark.parametrize("version", ["v1", "v2"])
-    @pytest.mark.parametrize("activation", ["tanh", "hardlimit"])
-    def test_other_activation_names_line_3(self, tmp_path, version, activation):
-        path = tmp_path / "m.model"
-        save_model(golden_elm(), path)
-        path.write_text(older_elm_text(path.read_text(), version, activation=activation))
-        with pytest.raises(FormatError) as excinfo:
-            load_model(path)
-        assert str(excinfo.value) == (f"{path}: line 3: 'activation: {activation}' "
-                                      "has no v3 equivalent; only 'sigmoid' loads")
-
-    @pytest.mark.parametrize("version", ["v1", "v2"])
-    @pytest.mark.parametrize("rank_tol", ["1e-06", "0.0", "0.999", "1e-10"])
-    def test_any_valid_rank_tol_loads(self, tmp_path, version, rank_tol):
-        path = tmp_path / "m.model"
-        save_model(golden_elm(), path)
-        assert_loads_as(tmp_path, older_elm_text(path.read_text(), version, rank_tol=rank_tol),
-                        golden_elm())
-
-    @pytest.mark.parametrize("version, line", [("v1", 6), ("v2", 5)])
-    @pytest.mark.parametrize("rank_tol, message", [
-        ("nan", "rank_tol must be non-negative and below 1, got nan"),
-        ("inf", "rank_tol must be non-negative and below 1, got inf"),
-        ("1.5", "rank_tol must be non-negative and below 1, got 1.5"),
-        ("1.0", "rank_tol must be non-negative and below 1, got 1.0"),
-        ("2.0", "rank_tol must be non-negative and below 1, got 2.0"),
-        ("-1e-12", "rank_tol must be non-negative and below 1, got -1e-12"),
-        ("-1.0", "rank_tol must be non-negative and below 1, got -1.0"),
-        ("tiny", "could not convert string to float: 'tiny'"),
-    ])
-    def test_invalid_rank_tol_names_its_line(self, tmp_path, version, line, rank_tol, message):
-        path = tmp_path / "m.model"
-        save_model(golden_elm(), path)
-        path.write_text(older_elm_text(path.read_text(), version, rank_tol=rank_tol))
-        with pytest.raises(FormatError) as excinfo:
-            load_model(path)
-        assert str(excinfo.value) == f"{path}: line {line}: bad value for 'rank_tol': {message}"
-
-    def test_mlp_file_loads_unchanged(self, tmp_path):
-        path = tmp_path / "m.model"
-        save_model(golden_mlp(), path)
-        v3_text = path.read_text()
-        assert v3_text.startswith("mlp-model v3\n")
-        assert_loads_as(tmp_path, v3_text.replace("mlp-model v3", "mlp-model v2", 1), golden_mlp())
-
-    def test_v3_elm_header_under_a_v2_tag_is_rejected(self, tmp_path):
-        path = tmp_path / "m.model"
-        save_model(golden_elm(), path)
-        path.write_text(path.read_text().replace("elm-model v3", "elm-model v2"))
-        with pytest.raises(FormatError, match="line 3: expected 'activation:'"):
-            load_model(path)
+@pytest.mark.parametrize("version", ["v1", "v2"])
+@pytest.mark.parametrize("kind", ["elm", "mlp"])
+def test_retired_version_is_refused_naming_its_tag(tmp_path, capsys, kind, version):
+    """Only v3 files load.  An older file fails on line 1, naming its tag and saying to
+    retrain; through ``predict`` that is exit 3, one stderr line and no predictions."""
+    path = tmp_path / "old.model"
+    path.write_text(retired_text(tmp_path, kind, version))
+    message = (f"{path}: line 1: '{kind}-model {version}' is a retired model format "
+               "that no longer loads; retrain to write v3")
+    with pytest.raises(FormatError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value) == message
+    data, out = tmp_path / "rows.csv", tmp_path / "p.csv"
+    data.write_text("f1,f2,f3\n0.0,1.0,2.0\n")
+    assert main(["predict", "--model", str(path), "--data", str(data), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"elmkit predict: {message}\n"
+    assert not out.exists()

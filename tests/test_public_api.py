@@ -14,11 +14,9 @@ PUBLIC_NAMES = [
     "ScalingParams", "SplitSpec", "SweepEntry", "SweepResult", "SyntheticConfig", "benchmark",
     "build_hidden_matrix", "confusion", "dataset_fingerprint", "decode_scores",
     "default_split_spec", "encode_targets", "evaluate", "fit_scaling", "generate_synthetic",
-    "init_mlp_params", "init_random_layer", "littleport_like_config", "load_csv",
-    "load_feature_csv", "load_model", "load_synthetic_config", "min_norm_lstsq", "predict",
-    "predict_scores", "pseudoinverse", "save_csv",
-    "save_model",
-    "save_synthetic_config", "scale_features", "stratified_split", "sweep_hidden_nodes",
+    "littleport_like_config", "load_csv", "load_feature_csv", "load_model", "min_norm_lstsq",
+    "predict", "predict_scores", "pseudoinverse", "save_csv", "save_model", "scale_features",
+    "stratified_split", "sweep_hidden_nodes",
     "train_elm", "train_mlp", "training_cost",
 ]
 
@@ -28,7 +26,7 @@ def test_public_names_are_exactly_the_pinned_list():
     names = sorted(name for name in dir(elmkit) if not name.startswith("_")
                    and not isinstance(getattr(elmkit, name), types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(names) == 45
+    assert len(names) == 41
 
 
 def test_solver_signatures_take_no_cutoff():
