@@ -82,9 +82,13 @@ class TestGenerate:
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_split_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("after_drawing", [False, True])
+    def test_failed_split_writes_nothing(self, tmp_path, capsys, after_drawing):
+        """A fraction outside (0, 1) fails before the scene is drawn; one whose
+        split of the drawn scene leaves the training side empty fails after."""
         out = tmp_path / "scene.csv"
-        code = main(["generate", "--out", str(out), "--train-fraction", "1.5"])
+        fraction = "1e-05" if after_drawing else "1.5"
+        code = main(["generate", "--out", str(out), "--train-fraction", fraction])
         captured = capsys.readouterr()
         assert code == 4
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
@@ -97,7 +101,39 @@ def _with_byte(path, line_index, byte=b"\xff"):
     return b"".join(lines)
 
 
+# Each case: an edit of a trained model file's lines that breaks the order
+# the reader takes them in, and the physical line the error must name.
+MALFORMED_MODELS = {
+    "header lines swapped": (lambda lines: lines.insert(1, lines.pop(2)), 2),
+    "non-integer seed": (lambda lines: lines.__setitem__(2, "seed: x1"), 3),
+    "second seed line": (lambda lines: lines.insert(3, lines[2]), 4),
+    "features line missing": (lambda lines: lines.pop(3), 4),
+    "class line after scaling_min": (lambda lines: lines.insert(7, lines.pop(6)), 8),
+}
+
+
 class TestMalformedInputExits3:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_model(self, tmp_path, rng, capsys, case):
+        data = tmp_path / "train.csv"
+        write_blobs_csv(data, rng)
+        model = tmp_path / "elm.model"
+        assert main(["train", "--data", str(data), "--hidden", "4", "--out", str(model)]) == 0
+        edit, line_no = MALFORMED_MODELS[case]
+        lines = model.read_text().splitlines()
+        assert lines[:6] == ["elm-model v3", "hidden_nodes: 4", "seed: 0", "features: 2",
+                             "class: a", "class: b"]
+        edit(lines)
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1
+        assert f"{model}: line {line_no}: " in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("classifier", ["elm", "mlp"])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_model_features_below_1_names_its_line(self, tmp_path, rng, capsys, classifier, value):
@@ -117,7 +153,7 @@ class TestMalformedInputExits3:
         assert capsys.readouterr().err == (f"elmkit predict: {model}: line {line_no}: "
                                            f"bad value for 'features': features must be >= 1, got {value}\n")
 
-    @pytest.mark.parametrize("kind", ["model", "csv"])
+    @pytest.mark.parametrize("kind", ["model", "csv", "feature csv"])
     def test_non_utf8_byte(self, tmp_path, rng, capsys, kind):
         data = tmp_path / "train.csv"
         write_blobs_csv(data, rng)
@@ -127,6 +163,8 @@ class TestMalformedInputExits3:
         bad, argv = {
             "model": (model, ["predict", "--model", str(model), "--data", str(data), "--out", out]),
             "csv": (data, ["train", "--data", str(data), "--out", out]),
+            "feature csv": (data, ["predict", "--model", str(model), "--data", str(data),
+                                   "--out", out]),
         }[kind]
         bad.write_bytes(_with_byte(bad, 4))
         capsys.readouterr()

@@ -1,9 +1,11 @@
 """Seeded corruption fuzz over the two input formats, through the CLI.
 
-Model files and labeled CSVs are cut at line boundaries, given seeded
-single-byte replacements, given a 0xff byte (never valid UTF-8), given
-inflated counts, and given non-finite numbers in place of finite ones.  No case may raise out of ``cli.main`` or exit
-1, and every nonzero exit writes exactly one stderr line.
+Model files and CSVs (labeled ones read by ``train``, feature-only ones
+read by ``predict``) are cut at line boundaries, given seeded single-byte
+replacements, given a 0xff byte (never valid UTF-8), given inflated
+counts, and given non-finite numbers in place of finite ones.  No case
+may raise out of ``cli.main`` or exit 1, and every nonzero exit writes
+exactly one stderr line.
 """
 
 import re
@@ -31,9 +33,13 @@ def inputs(tmp_path):
         models[kind] = tmp_path / f"{kind}.model"
         assert main(["train", "--data", str(data), "--classifier", kind, "--hidden", "4",
                      *extra, "--out", str(models[kind])]) == 0
+    queries = tmp_path / "queries.csv"
+    queries.write_text("f1,f2\n" + "".join(f"{a!r},{b!r}\n" for a, b in features[::3].tolist()))
     out = str(tmp_path / "out")
     return {
         "csv": (data, ["train", "--data", str(data), "--hidden", "4", "--out", out + ".model"]),
+        "feature csv": (queries, ["predict", "--model", str(models["elm"]), "--data",
+                                  str(queries), "--out", out + ".csv"]),
         **{f"{kind} model": (path, ["predict", "--model", str(path), "--data", str(data),
                                     "--out", out + ".csv"])
            for kind, path in models.items()},
@@ -53,7 +59,7 @@ def run_on(path, argv, content: bytes, capsys) -> int:
     return code
 
 
-@pytest.mark.parametrize("name", ["csv", "elm model", "mlp model"])
+@pytest.mark.parametrize("name", ["csv", "feature csv", "elm model", "mlp model"])
 def test_seeded_corruptions_fail_closed(inputs, capsys, name):
     path, argv = inputs[name]
     original = path.read_bytes()
@@ -98,7 +104,7 @@ def is_number(token: str) -> bool:
     return True
 
 
-@pytest.mark.parametrize("name", ["csv", "elm model", "mlp model"])
+@pytest.mark.parametrize("name", ["csv", "feature csv", "elm model", "mlp model"])
 def test_non_finite_numbers_exit_3(inputs, capsys, name):
     """Any number, header value or array entry, replaced by nan or inf is malformed."""
     path, argv = inputs[name]

@@ -595,6 +595,7 @@ class TestDefaultScene:
     (load_csv, "f1,f2,label\n1.0,2.0,a\n1.0,oops,b\n", "row 3"),
     (load_feature_csv, "f1,f2,label\n1.0,2.0,a\n1.0,oops,b\n", "row 3"),
     (load_model, "elm-model v3\nhidden_nodes: 4\nseed: x\n", "line 3"),
+    (load_model, "mlp-model v3\nhidden_nodes: 4\nlearning_rate: fast\n", "line 3"),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_every_reader_raises_format_error(tmp_path, load, text, line):
     """One class for any malformed file, a ValueError naming the file and the line."""

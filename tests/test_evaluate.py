@@ -105,12 +105,19 @@ class TestConfusion:
                                              f"got {dtype} counts$"):
             ConfusionMatrix(counts, ("a", "b"))
 
-    @pytest.mark.parametrize("names", [("a", "a"), ("a\nb", " c")], ids=["repeated", "spaced"])
+    @pytest.mark.parametrize("names", [("a", "a"), ("a\nb", " c"), ("", "b"), ("a\rb", "c"),
+                                       ("a ", "b")],
+                             ids=["repeated", "spaced", "empty", "carriage return", "trailing space"])
     def test_names_a_table_cannot_show_rejected(self, names):
         """The class-name rules of every dataset and model: a repeated name would
         render two rows of one class, and a line break would split the table."""
         with pytest.raises(ValueError, match="class name"):
             ConfusionMatrix([[1, 0], [0, 1]], names)
+
+    def test_names_are_kept_as_a_tuple_of_str(self):
+        cm = ConfusionMatrix([[1, 0], [0, 1]], ["a", np.str_("b")])
+        assert cm.class_names == ("a", "b")
+        assert type(cm.class_names) is tuple and type(cm.class_names[1]) is str
 
     def test_whole_float_counts_are_kept(self):
         matrix = ConfusionMatrix([[1.0, 0.0], [2.0, 3.0]], ("a", "b"))

@@ -1,5 +1,6 @@
 """Tests for text model serialization."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -527,6 +528,172 @@ class TestGoldenFormat:
             "scaling_min: 0.0 1.0 2.0\n"
             "scaling_max: 3.0 4.0 5.5\n"
         ) + MLP_ARRAYS
+
+
+def golden_text(tmp_path, kind):
+    """The golden model of *kind* as save_model writes it."""
+    path = tmp_path / "golden.model"
+    save_model(golden_elm() if kind == "elm" else golden_mlp(), path)
+    return path.read_text()
+
+
+def load_edited(tmp_path, kind, line_no, text):
+    """Load the golden file of *kind* with physical line *line_no* replaced by *text*."""
+    lines = golden_text(tmp_path, kind).splitlines()
+    lines[line_no - 1] = text
+    path = tmp_path / "m.model"
+    path.write_text("\n".join(lines) + "\n")
+    return path, lambda: load_model(path)
+
+
+# The physical line of each config field in the golden files.
+HEADER_LINES = {("elm", "hidden_nodes"): 2, ("elm", "seed"): 3,
+                ("mlp", "hidden_nodes"): 2, ("mlp", "learning_rate"): 3, ("mlp", "momentum"): 4,
+                ("mlp", "iterations"): 5, ("mlp", "seed"): 6}
+
+
+class TestHeaderValues:
+    """Each config field of a v3 file is read by its type: text that does not
+    parse names its line, and a value its config refuses names the file."""
+
+    @pytest.mark.parametrize("kind, name, value", [
+        ("elm", "hidden_nodes", "x"), ("elm", "hidden_nodes", "1.5"), ("elm", "hidden_nodes", ""),
+        ("elm", "seed", "x"), ("elm", "seed", "1e3"),
+        ("mlp", "hidden_nodes", "two"), ("mlp", "iterations", "2.5"), ("mlp", "seed", "0x10"),
+    ])
+    def test_unparseable_integer_names_its_line(self, tmp_path, kind, name, value):
+        line_no = HEADER_LINES[kind, name]
+        path, load = load_edited(tmp_path, kind, line_no, f"{name}: {value}")
+        with pytest.raises(FormatError) as excinfo:
+            load()
+        assert str(excinfo.value) == (f"{path}: line {line_no}: bad value for '{name}': "
+                                      f"invalid literal for int() with base 10: '{value}'")
+
+    @pytest.mark.parametrize("name", ["learning_rate", "momentum"])
+    @pytest.mark.parametrize("value", ["x", "", "0.1.2"])
+    def test_unparseable_float_names_its_line(self, tmp_path, name, value):
+        line_no = HEADER_LINES["mlp", name]
+        path, load = load_edited(tmp_path, "mlp", line_no, f"{name}: {value}")
+        with pytest.raises(FormatError) as excinfo:
+            load()
+        assert str(excinfo.value) == (f"{path}: line {line_no}: bad value for '{name}': "
+                                      f"could not convert string to float: '{value}'")
+
+    @pytest.mark.parametrize("kind, name, value, message", [
+        ("elm", "hidden_nodes", "0", "hidden_nodes must be >= 1, got 0"),
+        ("mlp", "hidden_nodes", "-2", "hidden_nodes must be >= 1, got -2"),
+        ("mlp", "iterations", "0", "iterations must be >= 1, got 0"),
+        ("mlp", "learning_rate", "0.0", "learning_rate must be positive, got 0.0"),
+        ("mlp", "learning_rate", "-0.5", "learning_rate must be positive, got -0.5"),
+        ("mlp", "learning_rate", "nan", "learning_rate must be positive, got nan"),
+        ("mlp", "learning_rate", "inf", "learning_rate must be positive, got inf"),
+        ("mlp", "momentum", "1.0", "momentum must be in [0, 1), got 1.0"),
+        ("mlp", "momentum", "-0.1", "momentum must be in [0, 1), got -0.1"),
+        ("mlp", "momentum", "nan", "momentum must be in [0, 1), got nan"),
+        ("mlp", "momentum", "-inf", "momentum must be in [0, 1), got -inf"),
+    ])
+    def test_refused_value_names_the_file(self, tmp_path, kind, name, value, message):
+        path, load = load_edited(tmp_path, kind, HEADER_LINES[kind, name], f"{name}: {value}")
+        with pytest.raises(FormatError) as excinfo:
+            load()
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("kind, name, value", [
+        ("elm", "seed", "0"), ("elm", "seed", "123456789"),
+        ("mlp", "seed", "0"), ("mlp", "learning_rate", "1e-06"), ("mlp", "learning_rate", "3.5"),
+        ("mlp", "momentum", "0.0"), ("mlp", "momentum", "0.999"),
+        ("mlp", "iterations", "1"), ("mlp", "iterations", "100000"),
+    ])
+    def test_any_valid_value_loads_and_resaves(self, tmp_path, kind, name, value):
+        """The arrays do not depend on these fields, so any valid value loads as
+        written, and saving the loaded model gives the same text back."""
+        path, load = load_edited(tmp_path, kind, HEADER_LINES[kind, name], f"{name}: {value}")
+        text = path.read_text()
+        back = load()
+        assert str(getattr(back.config, name)) == value
+        save_model(back, path)
+        assert path.read_text() == text
+
+
+def line_of(tmp_path, kind, prefix):
+    """The physical line of the golden file of *kind* that starts with *prefix*."""
+    return [line.startswith(prefix)
+            for line in golden_text(tmp_path, kind).splitlines()].index(True) + 1
+
+
+class TestReaderLines:
+    """The reader takes the lines in one order and names the physical line of
+    the first one that does not fit."""
+
+    @pytest.mark.parametrize("kind", ["elm", "mlp"])
+    def test_end_of_file_names_the_line_after_the_last(self, tmp_path, kind):
+        last = line_of(tmp_path, kind, "scaling_max:")
+        path = tmp_path / "m.model"
+        path.write_text("".join(golden_text(tmp_path, kind).splitlines(keepends=True)[:last]))
+        with pytest.raises(FormatError, match=rf"m\.model: line {last + 1}: unexpected end of file"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind, key", [("elm", "weights"), ("mlp", "w_hidden")])
+    def test_matrix_marker_with_values_names_its_line(self, tmp_path, kind, key):
+        line_no = line_of(tmp_path, kind, f"{key}:")
+        _, load = load_edited(tmp_path, kind, line_no, f"{key}: 1.0")
+        with pytest.raises(FormatError,
+                           match=rf"m\.model: line {line_no}: '{key}:' marker line must be bare"):
+            load()
+
+    @pytest.mark.parametrize("kind, key", [("elm", "biases"), ("mlp", "b_hidden")])
+    def test_unparseable_number_names_its_line(self, tmp_path, kind, key):
+        line_no = line_of(tmp_path, kind, f"{key}:")
+        _, load = load_edited(tmp_path, kind, line_no, f"{key}: 0.125 oops")
+        with pytest.raises(FormatError,
+                           match=rf"m\.model: line {line_no}: unparseable number in '0.125 oops'"):
+            load()
+
+    @pytest.mark.parametrize("kind, features", [("elm", 2), ("mlp", 3)])
+    def test_short_vector_names_its_line(self, tmp_path, kind, features):
+        line_no = line_of(tmp_path, kind, "scaling_min:")
+        _, load = load_edited(tmp_path, kind, line_no, "scaling_min: 0.0")
+        with pytest.raises(FormatError,
+                           match=rf"line {line_no}: expected {features} values on a row, got 1"):
+            load()
+
+    @pytest.mark.parametrize("kind", ["elm", "mlp"])
+    def test_a_lone_class_line_is_named(self, tmp_path, kind):
+        line_no = line_of(tmp_path, kind, "class:")
+        lines = golden_text(tmp_path, kind).splitlines()
+        lines[line_no - 1:] = ["class: only"] + [line for line in lines[line_no - 1:]
+                                                 if not line.startswith("class:")]
+        path = tmp_path / "m.model"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError,
+                           match=rf"m\.model: line {line_no}: fewer than two 'class:' lines"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["elm", "mlp"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_names_its_line(self, tmp_path, kind, value):
+        """Each kind's first matrix row, which begins 0.5 in both golden files."""
+        line_no = line_of(tmp_path, kind, "0.5 -0.25")
+        row = golden_text(tmp_path, kind).splitlines()[line_no - 1]
+        _, load = load_edited(tmp_path, kind, line_no, row.replace("0.5", value, 1))
+        with pytest.raises(FormatError, match=rf"m\.model: line {line_no}: non-finite number"):
+            load()
+
+    @pytest.mark.parametrize("kind, key", [("elm", "weights"), ("mlp", "w_hidden")])
+    def test_inflated_width_fails_before_allocating(self, tmp_path, kind, key):
+        """A header that declares more matrix rows than the file holds fails at
+        the matrix's marker line, before any array is built."""
+        _, load = load_edited(tmp_path, kind, 2, "hidden_nodes: 1000000000")
+        marker = line_of(tmp_path, kind, f"{key}:")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError,
+                               match=rf"line {marker}: '{key}' declares 1000000000 rows"):
+                load()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def older_elm_text(v3_text):
