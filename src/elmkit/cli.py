@@ -5,7 +5,7 @@ Subcommands:
 * ``generate``  — write the bundled synthetic scene, at any sampling
   seed, as a labeled CSV (optionally pre-split into train and test files).
 * ``train``     — fit a classifier on a labeled CSV, write a model file
-  plus a training report next to it.
+  plus a training report (text and record) next to it.
 * ``predict``   — label new samples with a saved model.
 * ``benchmark`` — train both classifiers on one split and write models,
   predictions, and paired reports.
@@ -15,6 +15,8 @@ Every artifact embeds the full effective configuration (model files by
 format, CSV outputs as leading ``#`` comments, reports as config lines)
 and nothing embeds wall-clock state except clearly marked timing lines,
 so repeated runs produce byte-identical files apart from those lines.
+Each report is one sequence of (record line, text line) pairs from
+:mod:`elmkit.evaluate`, written once as ``.txt`` and once as ``.rec``.
 
 Exit codes are listed once, in ``_EXIT_CODES``, which ``--help`` prints.
 """
@@ -40,16 +42,8 @@ from .data import (
     stratified_split,
 )
 from .elm import ElmConfig
-from .evaluate import (
-    _KINDS,
-    benchmark,
-    config_text,
-    confusion,
-    dataset_fingerprint,
-    predict,
-    sweep_hidden_nodes,
-    training_cost,
-)
+from .evaluate import (_KINDS, _join, _training_report, benchmark, config_text, predict,
+                       sweep_hidden_nodes)
 from .mlp import MlpConfig, MlpDivergenceError
 from .modelio import load_model, save_model
 
@@ -113,28 +107,6 @@ def _config(config_type, args, hidden: int | None):
     return config_type(**{name: v for name, v in values.items() if v is not None})
 
 
-def _training_report(model, dataset) -> str:
-    """Summary of a completed fit: config, data, training-set quality.
-
-    The only wall-clock content is the line containing "time", matching
-    the filter convention of the benchmark reports.
-    """
-    predicted = predict(model, dataset.features)
-    matrix = confusion(dataset.labels, predicted, dataset.class_names)
-    lines = [
-        "training report",
-        f"config: {config_text(model.config)}",
-        f"data fingerprint: {dataset_fingerprint(dataset)}",
-        f"train samples: {dataset.n_samples}",
-        f"training accuracy: {100.0 * matrix.overall_accuracy():.4f}%",
-        f"training cost (sum of squared errors): {repr(training_cost(model, dataset))}",
-        f"train time seconds: {model.train_time_s:.6f}",
-        "confusion matrix (rows actual, columns predicted):",
-        matrix.render_text(),
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_train(args) -> int:
     given = [name for name, _, _ in _MLP_FLAGS if getattr(args, name) is not None]
     if given and args.classifier != "mlp":
@@ -145,10 +117,10 @@ def cmd_train(args) -> int:
     kind = _KINDS[args.classifier]
     model = kind.train(dataset, _config(kind.config, args, args.hidden))
     save_model(model, args.out)
-    report_path = Path(str(args.out) + ".report.txt")
-    report_path.write_text(_training_report(model, dataset), encoding="utf-8")
+    report = f"{args.out}.report"
+    _write_result(report, _training_report(model, dataset))
     print(f"trained {args.classifier} on {dataset.n_samples} samples; "
-          f"model at {args.out}, report at {report_path}")
+          f"model at {args.out}, report at {report}.txt and {report}.rec")
     return 0
 
 
@@ -173,10 +145,11 @@ def _split(args):
     return stratified_split(load_csv(args.data), spec)
 
 
-def _write_result(out_dir: Path, stem: str, result) -> None:
-    """Write a result's text rendering and its record next to each other."""
-    (out_dir / f"{stem}.txt").write_text(result.render_text() + "\n", encoding="utf-8")
-    (out_dir / f"{stem}.rec").write_text(result.to_record() + "\n", encoding="utf-8")
+def _write_result(stem, lines) -> None:
+    """Write one line-pair sequence as its text (STEM.txt) and its record (STEM.rec)."""
+    lines = list(lines)
+    for suffix, half in ((".txt", 1), (".rec", 0)):
+        Path(f"{stem}{suffix}").write_text(_join(lines, half) + "\n", encoding="utf-8")
 
 
 def cmd_benchmark(args) -> int:
@@ -191,7 +164,7 @@ def cmd_benchmark(args) -> int:
         save_model(model, out_dir / f"{report.classifier}.model")
         _save_predictions(out_dir / f"{report.classifier}_predictions.csv", model,
                           test.features, report.predicted)
-    _write_result(out_dir, "report", result)
+    _write_result(out_dir / "report", result._lines())
     print(f"elm accuracy {result.elm_report.accuracy * 100:.2f}%, "
           f"mlp accuracy {result.mlp_report.accuracy * 100:.2f}%, "
           f"train speedup {result.speedup:.1f}x; artifacts in {out_dir}")
@@ -203,7 +176,7 @@ def cmd_sweep(args) -> int:
     result = sweep_hidden_nodes(train, test, n_seeds=args.seeds, base_seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_result(out_dir, "sweep", result)
+    _write_result(out_dir / "sweep", result._lines())
     print(f"best hidden width {result.best_h} "
           f"(median accuracy {result.best_accuracy * 100:.2f}%); artifacts in {out_dir}")
     return 0
@@ -249,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed of the elm's hidden layer or the mlp's weights (default 0)")
     add_mlp_flags(train, "; mlp only")
     train.add_argument("--out", required=True,
-                       help="output model file (training report goes to OUT.report.txt)")
+                       help="output model file (training report goes to OUT.report.txt "
+                            "and OUT.report.rec)")
     train.set_defaults(handler=cmd_train)
 
     pred = sub.add_parser("predict", help="label new samples with a saved model")

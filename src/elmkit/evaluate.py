@@ -1,11 +1,14 @@
 """Accuracy evaluation, paired benchmarking, and hidden-layer sweeps.
 
-Reports come in two renderings: a human-readable text block and a
-machine-readable record of ``key=value`` lines.  Every line that depends
-on the wall clock carries the token ``time`` (text) or a key starting
-with ``time_`` (records), so two runs of the same experiment can be
-compared byte-for-byte after dropping those lines.  Everything else,
-model files and prediction outputs included, is bit-reproducible.
+Each result (and the training report) is one sequence of line pairs
+(record line, text line), in report order.  Its text block joins the
+second halves and its record of ``key=value`` lines joins the first;
+either half is None for a fact only one rendering carries.  Every pair
+that depends on the wall clock has a key starting with ``time_`` and a
+text line carrying the token ``time``, so two runs of the same
+experiment can be compared byte-for-byte after dropping those lines.
+Everything else, model files and prediction outputs included, is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -76,6 +79,30 @@ def dataset_fingerprint(dataset: LabeledDataset) -> str:
     return digest.hexdigest()
 
 
+def _field(key: str, label: str, value, shown=None) -> tuple[str, str]:
+    """One fact as (``key=value``, ``label: shown``); *shown* defaults to the value.
+
+    The record holds ``str(value)``, which for a Python float is its
+    shortest round-trip ``repr``.
+    """
+    return f"{key}={value}", f"{label}: {value if shown is None else shown}"
+
+
+def _join(lines, half: int) -> str:
+    """Half 0 (record) or 1 (text) of a line-pair sequence, None halves skipped."""
+    return "\n".join(pair[half] for pair in lines if pair[half] is not None)
+
+
+class _Rendered:
+    """A result whose ``_lines()`` yields its (record line, text line) pairs."""
+
+    def render_text(self) -> str:
+        return _join(self._lines(), 1)
+
+    def to_record(self) -> str:
+        return _join(self._lines(), 0)
+
+
 def config_text(config) -> str:
     """Canonical one-line rendering of a classifier config."""
     parts = [f"classifier={_kind(config, 'config').name}"]
@@ -120,14 +147,16 @@ class ConfusionMatrix:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(row_sums > 0, np.diag(self.counts) / row_sums, np.nan)
 
-    def render_text(self) -> str:
+    def _lines(self):
+        """The header, then each row as (``confusion_row_<i>=`` counts, text row)."""
         width = max(6, *(len(n) for n in self.class_names))
-        header = " " * (width + 2) + " ".join(f"{n[:width]:>{width}}" for n in self.class_names)
-        lines = [header]
-        for i, name in enumerate(self.class_names):
-            cells = " ".join(f"{int(c):>{width}}" for c in self.counts[i])
-            lines.append(f"{name[:width]:>{width}}  {cells}")
-        return "\n".join(lines)
+        yield None, " " * (width + 2) + " ".join(f"{n:>{width}}" for n in self.class_names)
+        for i, (name, row) in enumerate(zip(self.class_names, self.counts)):
+            yield (f"confusion_row_{i}=" + ",".join(str(int(c)) for c in row),
+                   f"{name:>{width}}  " + " ".join(f"{int(c):>{width}}" for c in row))
+
+    def render_text(self) -> str:
+        return _join(self._lines(), 1)
 
 
 def confusion(actual, predicted, class_names) -> ConfusionMatrix:
@@ -145,7 +174,7 @@ def confusion(actual, predicted, class_names) -> ConfusionMatrix:
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(_Rendered):
     """One classifier's held-out evaluation, with timings kept separable.
 
     ``predicted`` holds the label index predicted for each test sample.
@@ -166,42 +195,23 @@ class EvalReport:
     def __post_init__(self):
         object.__setattr__(self, "predicted", _frozen_ints("predicted", self.predicted))
 
-    def render_text(self) -> str:
-        per_class = self.confusion.per_class_accuracy()
-        lines = [
-            f"classifier: {self.classifier}",
-            f"config: {self.config}",
-            f"train fingerprint: {self.train_fingerprint}",
-            f"test fingerprint: {self.test_fingerprint}",
-            f"train samples: {self.n_train}",
-            f"test samples: {self.n_test}",
-            f"test accuracy: {self.accuracy * 100:.4f}%",
-            "confusion matrix (rows actual, columns predicted):",
-            self.confusion.render_text(),
-            "per-class accuracy:",
-        ]
-        for name, value in zip(self.confusion.class_names, per_class):
-            shown = "n/a" if np.isnan(value) else f"{value * 100:.4f}%"
-            lines.append(f"  {name}: {shown}")
-        lines.append(f"train time seconds: {self.train_time_s:.6f}")
-        lines.append(f"predict time seconds: {self.predict_time_s:.6f}")
-        return "\n".join(lines)
-
-    def to_record(self) -> str:
-        lines = [
-            f"classifier={self.classifier}",
-            f"config={self.config}",
-            f"train_fingerprint={self.train_fingerprint}",
-            f"test_fingerprint={self.test_fingerprint}",
-            f"n_train={self.n_train}",
-            f"n_test={self.n_test}",
-            f"accuracy={repr(self.accuracy)}",
-        ]
-        for i, row in enumerate(self.confusion.counts):
-            lines.append(f"confusion_row_{i}=" + ",".join(str(int(c)) for c in row))
-        lines.append(f"time_train_s={repr(self.train_time_s)}")
-        lines.append(f"time_predict_s={repr(self.predict_time_s)}")
-        return "\n".join(lines)
+    def _lines(self):
+        yield _field("classifier", "classifier", self.classifier)
+        yield _field("config", "config", self.config)
+        yield _field("train_fingerprint", "train fingerprint", self.train_fingerprint)
+        yield _field("test_fingerprint", "test fingerprint", self.test_fingerprint)
+        yield _field("n_train", "train samples", self.n_train)
+        yield _field("n_test", "test samples", self.n_test)
+        yield _field("accuracy", "test accuracy", self.accuracy, f"{self.accuracy * 100:.4f}%")
+        yield None, "confusion matrix (rows actual, columns predicted):"
+        yield from self.confusion._lines()
+        yield None, "per-class accuracy:"
+        for name, value in zip(self.confusion.class_names, self.confusion.per_class_accuracy()):
+            yield None, f"  {name}: " + ("n/a" if np.isnan(value) else f"{value * 100:.4f}%")
+        yield _field("time_train_s", "train time seconds", self.train_time_s,
+                     f"{self.train_time_s:.6f}")
+        yield _field("time_predict_s", "predict time seconds", self.predict_time_s,
+                     f"{self.predict_time_s:.6f}")
 
 
 def predict_scores(model, features: np.ndarray) -> np.ndarray:
@@ -251,8 +261,31 @@ def evaluate(model, train: LabeledDataset, test: LabeledDataset) -> EvalReport:
     )
 
 
+def _training_report(model, train: LabeledDataset) -> list:
+    """A completed fit's config, data and training-set quality, as line pairs.
+
+    Scores *train* once for the confusion matrix and once for the cost; the
+    list is built once, so rendering it twice scores nothing more.
+    """
+    matrix = confusion(train.labels, predict(model, train.features), train.class_names)
+    accuracy = matrix.overall_accuracy()
+    return [
+        ("record=training", "training report"),
+        _field("config", "config", config_text(model.config)),
+        _field("data_fingerprint", "data fingerprint", dataset_fingerprint(train)),
+        _field("n_train", "train samples", train.n_samples),
+        _field("training_accuracy", "training accuracy", accuracy, f"{100.0 * accuracy:.4f}%"),
+        _field("training_cost", "training cost (sum of squared errors)",
+               training_cost(model, train)),
+        _field("time_train_s", "train time seconds", model.train_time_s,
+               f"{model.train_time_s:.6f}"),
+        (None, "confusion matrix (rows actual, columns predicted):"),
+        *matrix._lines(),
+    ]
+
+
 @dataclass(frozen=True)
-class BenchmarkResult:
+class BenchmarkResult(_Rendered):
     """Paired run of both classifiers on one identical split."""
 
     elm_model: ElmModel
@@ -261,24 +294,16 @@ class BenchmarkResult:
     mlp_report: EvalReport
     speedup: float
 
-    def render_text(self) -> str:
-        lines = ["benchmark: direct-solve classifier vs momentum-descent baseline", "",
-                 self.elm_report.render_text(), "", self.mlp_report.render_text(), ""]
+    def _lines(self):
         gap = (self.elm_report.accuracy - self.mlp_report.accuracy) * 100
-        lines.append(f"accuracy gap (elm - mlp): {gap:+.4f} points")
-        lines.append(f"train time speedup (mlp/elm): {self.speedup:.2f}x")
-        return "\n".join(lines)
-
-    def to_record(self) -> str:
-        gap = (self.elm_report.accuracy - self.mlp_report.accuracy) * 100
-        parts = [
-            "record=benchmark",
-            self.elm_report.to_record(),
-            self.mlp_report.to_record(),
-            f"accuracy_gap_points={repr(gap)}",
-            f"time_speedup={repr(self.speedup)}",
-        ]
-        return "\n".join(parts)
+        yield "record=benchmark", "benchmark: direct-solve classifier vs momentum-descent baseline"
+        for report in (self.elm_report, self.mlp_report):
+            yield None, ""
+            yield from report._lines()
+        yield None, ""
+        yield _field("accuracy_gap_points", "accuracy gap (elm - mlp)", gap, f"{gap:+.4f} points")
+        yield _field("time_speedup", "train time speedup (mlp/elm)", self.speedup,
+                     f"{self.speedup:.2f}x")
 
 
 def benchmark(train: LabeledDataset, test: LabeledDataset,
@@ -316,7 +341,7 @@ class SweepEntry:
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Rendered):
     """Hidden-layer width sweep; ``best_h`` is the smallest width
     achieving the highest median accuracy."""
 
@@ -328,35 +353,21 @@ class SweepResult:
     n_seeds: int
     base_seed: int
 
-    def render_text(self) -> str:
-        lines = [
-            "hidden-layer width sweep",
-            f"seeds per width: {self.n_seeds} starting at {self.base_seed}",
-            f"train fingerprint: {self.train_fingerprint}",
-            f"test fingerprint: {self.test_fingerprint}",
-            f"{'hidden':>6} {'median%':>9} {'min%':>9} {'max%':>9}",
-        ]
+    def _lines(self):
+        yield "record=sweep", "hidden-layer width sweep"
+        yield _field("n_seeds", "seeds per width", self.n_seeds,
+                     f"{self.n_seeds} starting at {self.base_seed}")
+        yield f"base_seed={self.base_seed}", None
+        yield _field("train_fingerprint", "train fingerprint", self.train_fingerprint)
+        yield _field("test_fingerprint", "test fingerprint", self.test_fingerprint)
+        yield None, f"{'hidden':>6} {'median%':>9} {'min%':>9} {'max%':>9}"
         for e in self.entries:
-            lines.append(f"{e.hidden_nodes:>6} {e.median_accuracy * 100:>9.4f} "
-                         f"{e.min_accuracy * 100:>9.4f} {e.max_accuracy * 100:>9.4f}")
-        lines.append(f"best hidden width: {self.best_h} "
-                     f"(median accuracy {self.best_accuracy * 100:.4f}%)")
-        return "\n".join(lines)
-
-    def to_record(self) -> str:
-        lines = [
-            "record=sweep",
-            f"n_seeds={self.n_seeds}",
-            f"base_seed={self.base_seed}",
-            f"train_fingerprint={self.train_fingerprint}",
-            f"test_fingerprint={self.test_fingerprint}",
-        ]
-        for e in self.entries:
-            accs = ",".join(repr(a) for a in e.accuracies)
-            lines.append(f"hidden_{e.hidden_nodes}={accs}")
-        lines.append(f"best_h={self.best_h}")
-        lines.append(f"best_accuracy={repr(self.best_accuracy)}")
-        return "\n".join(lines)
+            yield (f"hidden_{e.hidden_nodes}=" + ",".join(repr(a) for a in e.accuracies),
+                   f"{e.hidden_nodes:>6} {e.median_accuracy * 100:>9.4f} "
+                   f"{e.min_accuracy * 100:>9.4f} {e.max_accuracy * 100:>9.4f}")
+        yield _field("best_h", "best hidden width", self.best_h,
+                     f"{self.best_h} (median accuracy {self.best_accuracy * 100:.4f}%)")
+        yield f"best_accuracy={self.best_accuracy}", None
 
 
 def _cores() -> int:

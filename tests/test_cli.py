@@ -267,6 +267,12 @@ class TestTrainPredict:
         assert "train samples: 120" in report
         assert "training accuracy:" in report
         assert "confusion matrix" in report
+        record = (tmp_path / "elm.model.report.rec").read_text()
+        assert [line.partition("=")[0] for line in record.splitlines()] == [
+            "record", "config", "data_fingerprint", "n_train", "training_accuracy",
+            "training_cost", "time_train_s", "confusion_row_0", "confusion_row_1",
+            "confusion_row_2"]
+        assert record.startswith("record=training\nconfig=classifier=elm hidden_nodes=12 ")
 
     def test_training_report_stable_modulo_time_lines(self, tmp_path, rng):
         data = tmp_path / "train.csv"
@@ -274,12 +280,14 @@ class TestTrainPredict:
         for name in ("a.model", "b.model"):
             main(["train", "--data", str(data), "--classifier", "mlp",
                   "--iterations", "30", "--out", str(tmp_path / name)])
-        texts = []
-        for name in ("a.model", "b.model"):
-            lines = (tmp_path / f"{name}.report.txt").read_text().splitlines()
-            texts.append([ln for ln in lines if "time" not in ln])
-        assert texts[0] == texts[1]
-        assert len(texts[0]) < len((tmp_path / "a.model.report.txt").read_text().splitlines())
+        for suffix, timed in ((".txt", lambda ln: "time" in ln),
+                              (".rec", lambda ln: ln.startswith("time_"))):
+            kept = []
+            for name in ("a.model", "b.model"):
+                lines = (tmp_path / f"{name}.report{suffix}").read_text().splitlines()
+                kept.append([ln for ln in lines if not timed(ln)])
+            assert kept[0] == kept[1]
+            assert len(kept[0]) < len(lines)
 
     def test_default_hidden_depends_on_classifier(self, tmp_path, rng):
         data = tmp_path / "train.csv"

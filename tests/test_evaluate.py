@@ -17,6 +17,11 @@ from elmkit.elm import ElmConfig, ElmModel, build_hidden_matrix, decode_scores, 
 from elmkit.evaluate import (
     BenchmarkResult,
     ConfusionMatrix,
+    EvalReport,
+    SweepEntry,
+    SweepResult,
+    _join,
+    _training_report,
     benchmark,
     config_text,
     confusion,
@@ -200,18 +205,164 @@ class TestEvaluate:
         assert 0.0 <= report.accuracy <= 1.0
         assert report.confusion.total == test.n_samples
 
-    def test_timing_lines_are_filterable(self, rng):
-        """Dropping lines that mention time must remove all volatile content."""
-        ds = blobs(rng)
-        train, test = stratified_split(ds, SplitSpec(train_fraction=0.6, seed=0))
+
+def _report(classifier, config, counts, train_time_s, predict_time_s):
+    matrix = ConfusionMatrix(counts, ("wheat", "sugar beet", "peas"))
+    return EvalReport(classifier=classifier, config=config,
+                      train_fingerprint="0" * 64, test_fingerprint="f" * 64,
+                      n_train=8, n_test=matrix.total, accuracy=matrix.overall_accuracy(),
+                      confusion=matrix, predicted=np.zeros(matrix.total, dtype=int),
+                      train_time_s=train_time_s, predict_time_s=predict_time_s)
+
+
+# Hand-built results with fixed times, so both renderings are known to the byte.
+ELM_REPORT = _report("elm", "classifier=elm hidden_nodes=3 seed=0",
+                     [[2, 1, 0], [0, 1, 0], [0, 0, 0]], 0.125, 0.0625)
+MLP_REPORT = _report("mlp", "classifier=mlp hidden_nodes=2 learning_rate=0.25 momentum=0.2 "
+                     "iterations=5 seed=0", [[1, 2, 0], [0, 1, 0], [0, 0, 0]], 2.5, 0.03125)
+SWEEP = SweepResult(
+    entries=(SweepEntry(5, 0.5, 0.25, 0.75, (0.25, 0.75)),
+             SweepEntry(10, 0.75, 0.5, 1.0, (1.0, 0.5))),
+    best_h=10, best_accuracy=0.75, train_fingerprint="0" * 64, test_fingerprint="f" * 64,
+    n_seeds=2, base_seed=3)
+
+FINGERPRINTS_TEXT = f"train fingerprint: {'0' * 64}\ntest fingerprint: {'f' * 64}\n"
+FINGERPRINTS_RECORD = f"train_fingerprint={'0' * 64}\ntest_fingerprint={'f' * 64}\n"
+MATRIX_HEADER = "                 wheat sugar beet       peas\n"
+ELM_TEXT = (
+    "classifier: elm\n"
+    "config: classifier=elm hidden_nodes=3 seed=0\n"
+    + FINGERPRINTS_TEXT +
+    "train samples: 8\n"
+    "test samples: 4\n"
+    "test accuracy: 75.0000%\n"
+    "confusion matrix (rows actual, columns predicted):\n"
+    + MATRIX_HEADER +
+    "     wheat           2          1          0\n"
+    "sugar beet           0          1          0\n"
+    "      peas           0          0          0\n"
+    "per-class accuracy:\n"
+    "  wheat: 66.6667%\n"
+    "  sugar beet: 100.0000%\n"
+    "  peas: n/a\n"
+    "train time seconds: 0.125000\n"
+    "predict time seconds: 0.062500")
+ELM_RECORD = (
+    "classifier=elm\n"
+    "config=classifier=elm hidden_nodes=3 seed=0\n"
+    + FINGERPRINTS_RECORD +
+    "n_train=8\n"
+    "n_test=4\n"
+    "accuracy=0.75\n"
+    "confusion_row_0=2,1,0\n"
+    "confusion_row_1=0,1,0\n"
+    "confusion_row_2=0,0,0\n"
+    "time_train_s=0.125\n"
+    "time_predict_s=0.0625")
+MLP_TEXT = (
+    "classifier: mlp\n"
+    "config: classifier=mlp hidden_nodes=2 learning_rate=0.25 momentum=0.2 iterations=5 seed=0\n"
+    + FINGERPRINTS_TEXT +
+    "train samples: 8\n"
+    "test samples: 4\n"
+    "test accuracy: 50.0000%\n"
+    "confusion matrix (rows actual, columns predicted):\n"
+    + MATRIX_HEADER +
+    "     wheat           1          2          0\n"
+    "sugar beet           0          1          0\n"
+    "      peas           0          0          0\n"
+    "per-class accuracy:\n"
+    "  wheat: 33.3333%\n"
+    "  sugar beet: 100.0000%\n"
+    "  peas: n/a\n"
+    "train time seconds: 2.500000\n"
+    "predict time seconds: 0.031250")
+MLP_RECORD = (
+    "classifier=mlp\n"
+    "config=classifier=mlp hidden_nodes=2 learning_rate=0.25 momentum=0.2 iterations=5 seed=0\n"
+    + FINGERPRINTS_RECORD +
+    "n_train=8\n"
+    "n_test=4\n"
+    "accuracy=0.5\n"
+    "confusion_row_0=1,2,0\n"
+    "confusion_row_1=0,1,0\n"
+    "confusion_row_2=0,0,0\n"
+    "time_train_s=2.5\n"
+    "time_predict_s=0.03125")
+BENCHMARK_TEXT = (
+    "benchmark: direct-solve classifier vs momentum-descent baseline\n\n"
+    + ELM_TEXT + "\n\n" + MLP_TEXT + "\n\n"
+    "accuracy gap (elm - mlp): +25.0000 points\n"
+    "train time speedup (mlp/elm): 20.00x")
+BENCHMARK_RECORD = (
+    "record=benchmark\n" + ELM_RECORD + "\n" + MLP_RECORD + "\n"
+    "accuracy_gap_points=25.0\n"
+    "time_speedup=20.0")
+SWEEP_TEXT = (
+    "hidden-layer width sweep\n"
+    "seeds per width: 2 starting at 3\n"
+    + FINGERPRINTS_TEXT +
+    "hidden   median%      min%      max%\n"
+    "     5   50.0000   25.0000   75.0000\n"
+    "    10   75.0000   50.0000  100.0000\n"
+    "best hidden width: 10 (median accuracy 75.0000%)")
+SWEEP_RECORD = (
+    "record=sweep\n"
+    "n_seeds=2\n"
+    "base_seed=3\n"
+    + FINGERPRINTS_RECORD +
+    "hidden_5=0.25,0.75\n"
+    "hidden_10=1.0,0.5\n"
+    "best_h=10\n"
+    "best_accuracy=0.75")
+
+
+class TestRenderings:
+    """Each result's text and record are the two halves of one line-pair sequence."""
+
+    @pytest.mark.parametrize("result,text,record", [
+        (ELM_REPORT, ELM_TEXT, ELM_RECORD),
+        # the models play no part in the rendering
+        (BenchmarkResult(None, None, ELM_REPORT, MLP_REPORT, 20.0), BENCHMARK_TEXT,
+         BENCHMARK_RECORD),
+        (SWEEP, SWEEP_TEXT, SWEEP_RECORD),
+    ], ids=["eval-report", "benchmark", "sweep"])
+    def test_exact_bytes(self, result, text, record):
+        assert result.render_text() == text
+        assert result.to_record() == record
+
+    # Each result as its line pairs, built from one split and one elm, with the
+    # number of pairs that depend on the wall clock.
+    BUILDS = {
+        "eval-report": (lambda train, test, model: evaluate(model, train, test)._lines(), 2),
+        "benchmark": (lambda train, test, model: benchmark(
+            train, test, ElmConfig(hidden_nodes=20, seed=1),
+            MlpConfig(hidden_nodes=4, iterations=20))._lines(), 5),
+        "sweep": (lambda train, test, model: sweep_hidden_nodes(
+            train, test, hidden_grid=(5, 10), n_seeds=2)._lines(), 0),
+        "training": (lambda train, test, model: _training_report(model, train), 1),
+    }
+
+    @pytest.mark.parametrize("build,n_timed", BUILDS.values(), ids=BUILDS)
+    def test_time_rule(self, rng, build, n_timed):
+        """A pair's key starts with ``time_`` exactly when its text line says
+        ``time``; a line only one rendering carries says neither; and dropping
+        those lines leaves two builds of one result identical in both renderings."""
+        train, test = stratified_split(blobs(rng), SplitSpec(train_fraction=0.6, seed=0))
         model = train_elm(train, ElmConfig(hidden_nodes=20, seed=1))
-        for render in (lambda r: r.render_text(), lambda r: r.to_record()):
-            a = render(evaluate(model, train, test))
-            b = render(evaluate(model, train, test))
-            stable_a = [l for l in a.splitlines() if "time" not in l]
-            stable_b = [l for l in b.splitlines() if "time" not in l]
-            assert stable_a == stable_b
-            assert any("time" in l for l in a.splitlines())
+        builds = [list(build(train, test, model)) for _ in range(2)]
+        for pairs in builds:
+            for record, text in pairs:
+                if record is None or text is None:
+                    assert "time" not in (record or text)
+                else:
+                    assert record.startswith("time_") == ("time" in text), (record, text)
+            timed = [record for record, _ in pairs if record and record.startswith("time_")]
+            assert len(timed) == n_timed
+        for half in (0, 1):
+            kept = [[line for line in _join(pairs, half).splitlines() if "time" not in line]
+                    for pairs in builds]
+            assert kept[0] == kept[1]
 
 
 class TestTrainingCost:
