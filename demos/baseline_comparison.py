@@ -5,8 +5,8 @@ all of it is the baseline's training loop."""
 from elmkit import (
     ElmConfig,
     MlpConfig,
+    SplitSpec,
     benchmark,
-    default_split_spec,
     generate_synthetic,
     littleport_like_config,
     stratified_split,
@@ -15,7 +15,7 @@ from elmkit import (
 
 def main():
     scene = generate_synthetic(littleport_like_config())
-    train, test = stratified_split(scene, default_split_spec())
+    train, test = stratified_split(scene, SplitSpec(seed=42))
 
     result = benchmark(train, test, ElmConfig(hidden_nodes=300, seed=0), MlpConfig(seed=0))
 

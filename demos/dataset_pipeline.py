@@ -33,7 +33,7 @@ def main():
         print("csv round-trips exactly:",
               reloaded.features.tobytes() == scene.features.tobytes())
 
-        train, test = stratified_split(scene, SplitSpec(train_fraction=2700 / 4737, seed=42))
+        train, test = stratified_split(scene, SplitSpec(seed=42))
         print(f"\nstratified split: {train.n_samples} train / {test.n_samples} test")
         print("train class counts:", np.bincount(train.labels).tolist())
         print("test class counts: ", np.bincount(test.labels).tolist())

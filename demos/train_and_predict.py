@@ -6,7 +6,7 @@ from pathlib import Path
 
 from elmkit import (
     ElmConfig,
-    default_split_spec,
+    SplitSpec,
     evaluate,
     generate_synthetic,
     littleport_like_config,
@@ -23,7 +23,7 @@ def main():
     print(f"scene: {scene.n_samples} samples, {scene.n_classes} classes, "
           f"{scene.n_features} features")
 
-    train, test = stratified_split(scene, default_split_spec())
+    train, test = stratified_split(scene, SplitSpec(seed=42))
     print(f"split: {train.n_samples} train / {test.n_samples} test")
 
     model = train_elm(train, ElmConfig(hidden_nodes=300, seed=0))

@@ -4,7 +4,7 @@ Runs a coarse sweep (the full default grid is 25..450 in steps of 25;
 here every 75 to keep the demo quick) with three seeds per width."""
 
 from elmkit import (
-    default_split_spec,
+    SplitSpec,
     generate_synthetic,
     littleport_like_config,
     stratified_split,
@@ -14,7 +14,7 @@ from elmkit import (
 
 def main():
     scene = generate_synthetic(littleport_like_config())
-    train, test = stratified_split(scene, default_split_spec())
+    train, test = stratified_split(scene, SplitSpec(seed=42))
 
     result = sweep_hidden_nodes(train, test, hidden_grid=range(25, 451, 75), n_seeds=3)
     print(result.render_text())

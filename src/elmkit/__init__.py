@@ -14,8 +14,6 @@ from .data import (
     LabeledDataset,
     ScalingParams,
     SplitSpec,
-    SyntheticConfig,
-    default_split_spec,
     fit_scaling,
     generate_synthetic,
     littleport_like_config,

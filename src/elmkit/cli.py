@@ -29,6 +29,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .data import (
+    DEFAULT_SEED,
     DEFAULT_TRAIN_FRACTION,
     FormatError,
     LabeledDataset,
@@ -69,22 +70,16 @@ _MLP_FLAGS = (("learning_rate", float, "learning rate"), ("momentum", float, "mo
               ("iterations", int, "training iterations"))
 
 
-def _config_comment_lines(config) -> list[str]:
-    lines = [f"generator seed: {config.seed}", f"features: {config.n_features}"]
-    for cls, name in enumerate(config.class_names):
-        mean = _fmt_vector(config.means[cls])
-        lines.append(f"class {name}: count {config.counts[cls]} mean {mean}")
-    return lines
-
-
 def cmd_generate(args) -> int:
-    config = littleport_like_config() if args.seed is None else littleport_like_config(args.seed)
+    config = littleport_like_config(args.seed)
     dataset = generate_synthetic(config)
     # split first, so that a split that fails writes nothing
     if args.train_fraction is not None:
         spec = SplitSpec(train_fraction=args.train_fraction, seed=config.seed)
         train, test = stratified_split(dataset, spec)
-    comments = _config_comment_lines(config)
+    comments = [f"generator seed: {config.seed}", f"features: {config.n_features}"]
+    comments += [f"class {name}: count {count} mean {_fmt_vector(mean)}"
+                 for name, count, mean in zip(config.class_names, config.counts, config.means)]
     out = Path(args.out)
     save_csv(dataset, out, header_comments=comments)
     print(f"wrote {dataset.n_samples} samples, {dataset.n_classes} classes to {out}")
@@ -193,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic labeled CSV scene")
-    gen.add_argument("--seed", type=int, help="override the sampling (and split) seed")
+    gen.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                     help=f"sampling (and split) seed (default {DEFAULT_SEED})")
     gen.add_argument("--train-fraction", type=float,
                      help="also write .train/.test files split at this fraction")
     gen.add_argument("--out", required=True, help="output CSV path")

@@ -362,6 +362,12 @@ def load_feature_csv(path) -> tuple[np.ndarray, list[str]]:
 # Stratified splitting
 # ---------------------------------------------------------------------------
 
+# The bundled scene's seed, and the fraction that splits its 4737 samples
+# into 2700 for training and 2037 for testing
+DEFAULT_SEED = 42
+DEFAULT_TRAIN_FRACTION = 2700 / 4737
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Stratified train/test split request at a global train fraction.
@@ -370,9 +376,10 @@ class SplitSpec:
     training side, and the remainder up to the rounded global target goes
     one sample per class in seeded order.  Splits are deterministic per
     *seed*; train and test are disjoint and together exhaust the input.
+    ``SplitSpec(seed=42)`` is the bundled scene's 2700/2037 split.
     """
 
-    train_fraction: float
+    train_fraction: float = DEFAULT_TRAIN_FRACTION
     seed: int = 0
 
     def __post_init__(self):
@@ -490,83 +497,6 @@ def scale_features(features: np.ndarray, params: ScalingParams) -> np.ndarray:
 # Synthetic multispectral generator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SyntheticConfig:
-    """Gaussian class-conditional generator settings.
-
-    One mean vector (length p) and one symmetric positive-definite
-    covariance (p x p) per class, plus per-class sample counts and the
-    sampling seed.
-    """
-
-    class_names: tuple[str, ...]
-    means: np.ndarray        # (m, p)
-    covariances: np.ndarray  # (m, p, p)
-    counts: tuple[int, ...]
-    seed: int = 0
-
-    def __post_init__(self):
-        names = _class_names(self.class_names)
-        means = _frozen_array(self.means)
-        covs = _frozen_array(self.covariances)
-        counts = tuple(_check_int("counts", c) for c in self.counts)
-        m = len(names)
-        if means.ndim != 2 or means.shape[0] != m:
-            raise ValueError(f"means must be (classes, features), got {means.shape}")
-        p = means.shape[1]
-        if covs.shape != (m, p, p):
-            raise ValueError(f"covariances must have shape ({m}, {p}, {p}), got {covs.shape}")
-        if len(counts) != m or any(c < 1 for c in counts):
-            raise ValueError("one positive sample count per class is required")
-        _check_int("seed", self.seed)
-        for cls in range(m):
-            cov = covs[cls]
-            if not np.allclose(cov, cov.T, atol=1e-12):
-                raise ValueError(f"covariance for class '{names[cls]}' is not symmetric")
-            try:
-                np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    f"covariance for class '{names[cls]}' is not positive definite"
-                ) from None
-        object.__setattr__(self, "class_names", names)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covariances", covs)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
-
-    @property
-    def n_features(self) -> int:
-        return self.means.shape[1]
-
-
-def generate_synthetic(config: SyntheticConfig) -> LabeledDataset:
-    """Draw Gaussian class-conditional samples, grouped by class, per seed.
-
-    Sampling goes through the Cholesky factor of each covariance, so a
-    fixed config always produces the same dataset.
-    """
-    rng = np.random.default_rng(config.seed)
-    blocks = []
-    labels = []
-    for cls, count in enumerate(config.counts):
-        chol = np.linalg.cholesky(config.covariances[cls])
-        z = rng.standard_normal((count, config.n_features))
-        blocks.append(config.means[cls] + z @ chol.T)
-        labels.append(np.full(count, cls, dtype=np.int64))
-    return LabeledDataset(
-        features=np.vstack(blocks),
-        labels=np.concatenate(labels),
-        class_names=config.class_names,
-    )
-
-
-# Band correlation falls off with spectral distance; shared by all classes.
-_BAND_CORRELATION = 0.6
-
 # Per-class spectral signatures for the default seven-crop scene: digital
 # numbers for six reflective bands (blue, green, red, NIR, SWIR1, SWIR2)
 # and per-band standard deviations.  The spread between signatures was
@@ -582,44 +512,66 @@ _CROP_SIGNATURES = {
     "beans":      ([65.1, 57.5, 59.0, 124.9, 92.6, 63.6], [7.0, 6.0, 7.0, 11.0, 10.0, 9.0]),
 }
 
-# 4737 pixels over seven classes: five classes of 677 plus two of 676.
-_DEFAULT_COUNTS = (677, 677, 677, 677, 677, 676, 676)
 
-DEFAULT_SEED = 42
-DEFAULT_TRAIN_FRACTION = 2700 / 4737
+@dataclass(frozen=True)
+class _SyntheticConfig:
+    """The bundled scene at one sampling seed, its only setting.
 
-
-def littleport_like_config(seed: int = DEFAULT_SEED) -> SyntheticConfig:
-    """Default seven-class, six-band crop scene configuration.
-
-    4737 samples in total, sized so that the bundled split spec
-    (:func:`default_split_spec`) yields exactly 2700 training and 2037
-    test samples.
+    The class names, per-class sample counts, means (classes x bands) and
+    covariances (classes x bands x bands, symmetric positive definite by
+    construction) are read-only and the same at every seed.
     """
-    names = tuple(_CROP_SIGNATURES)
-    p = 6
-    corr = _BAND_CORRELATION ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    means = []
-    covs = []
-    for name in names:
-        mean, sigma = _CROP_SIGNATURES[name]
-        scale = np.asarray(sigma)
-        means.append(mean)
-        covs.append(corr * np.outer(scale, scale))
-    return SyntheticConfig(
-        class_names=names,
-        means=np.asarray(means),
-        covariances=np.asarray(covs),
-        counts=_DEFAULT_COUNTS,
-        seed=seed,
+
+    seed: int
+
+    class_names = tuple(_CROP_SIGNATURES)
+    counts = (677, 677, 677, 677, 677, 676, 676)  # 4737 pixels
+    n_classes = len(class_names)
+    n_features = 6
+
+    def __post_init__(self):
+        _check_int("seed", self.seed)
+
+    # The arrays are built on first use, not at import: the first numpy calls
+    # of a process touch pages that a command which draws no scene never needs.
+    @functools.cached_property
+    def means(self) -> np.ndarray:
+        return _frozen_array([mean for mean, _ in _CROP_SIGNATURES.values()])
+
+    @functools.cached_property
+    def covariances(self) -> np.ndarray:
+        # band correlation 0.6 ** |i - j| falls off with spectral distance; shared by all classes
+        bands = np.arange(self.n_features)
+        correlation = 0.6 ** np.abs(np.subtract.outer(bands, bands))
+        return _frozen_array([correlation * np.outer(sigma, sigma)
+                              for _, sigma in _CROP_SIGNATURES.values()])
+
+
+def littleport_like_config(seed: int = DEFAULT_SEED) -> _SyntheticConfig:
+    """The bundled seven-class, six-band crop scene at sampling seed *seed*.
+
+    4737 samples in total, sized so that :class:`SplitSpec`'s default
+    fraction yields exactly 2700 training and 2037 test samples.
+    """
+    return _SyntheticConfig(seed)
+
+
+def generate_synthetic(config: _SyntheticConfig) -> LabeledDataset:
+    """Draw Gaussian class-conditional samples, grouped by class, per seed.
+
+    Sampling goes through the Cholesky factor of each covariance, so a
+    fixed seed always produces the same dataset.
+    """
+    rng = np.random.default_rng(config.seed)
+    blocks = []
+    labels = []
+    for cls, count in enumerate(config.counts):
+        chol = np.linalg.cholesky(config.covariances[cls])
+        z = rng.standard_normal((count, config.n_features))
+        blocks.append(config.means[cls] + z @ chol.T)
+        labels.append(np.full(count, cls, dtype=np.int64))
+    return LabeledDataset(
+        features=np.vstack(blocks),
+        labels=np.concatenate(labels),
+        class_names=config.class_names,
     )
-
-
-def default_split_spec(seed: int = DEFAULT_SEED) -> SplitSpec:
-    """Bundled stratified split: 2700 train / 2037 test on the default scene.
-
-    Uses the global train fraction 2700/4737; per-class counts come out
-    as floor(fraction * class size) with the 5-sample remainder assigned
-    in seeded order.
-    """
-    return SplitSpec(train_fraction=DEFAULT_TRAIN_FRACTION, seed=seed)

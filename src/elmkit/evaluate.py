@@ -177,7 +177,8 @@ def confusion(actual, predicted, class_names) -> ConfusionMatrix:
 class EvalReport(_Rendered):
     """One classifier's held-out evaluation, with timings kept separable.
 
-    ``predicted`` holds the label index predicted for each test sample.
+    ``predicted`` holds the label index predicted for each test sample;
+    ``n_test`` and ``accuracy`` follow from ``confusion``.
     """
 
     classifier: str
@@ -185,8 +186,6 @@ class EvalReport(_Rendered):
     train_fingerprint: str
     test_fingerprint: str
     n_train: int
-    n_test: int
-    accuracy: float
     confusion: ConfusionMatrix
     predicted: np.ndarray
     train_time_s: float
@@ -194,6 +193,14 @@ class EvalReport(_Rendered):
 
     def __post_init__(self):
         object.__setattr__(self, "predicted", _frozen_ints("predicted", self.predicted))
+
+    @property
+    def n_test(self) -> int:
+        return self.confusion.total
+
+    @property
+    def accuracy(self) -> float:
+        return self.confusion.overall_accuracy()
 
     def _lines(self):
         yield _field("classifier", "classifier", self.classifier)
@@ -245,16 +252,13 @@ def evaluate(model, train: LabeledDataset, test: LabeledDataset) -> EvalReport:
     started = time.perf_counter()
     predicted = predict(model, test.features)
     predict_time = time.perf_counter() - started
-    matrix = confusion(test.labels, predicted, test.class_names)
     return EvalReport(
         classifier=_kind(model).name,
         config=config_text(model.config),
         train_fingerprint=dataset_fingerprint(train),
         test_fingerprint=dataset_fingerprint(test),
         n_train=train.n_samples,
-        n_test=test.n_samples,
-        accuracy=matrix.overall_accuracy(),
-        confusion=matrix,
+        confusion=confusion(test.labels, predicted, test.class_names),
         predicted=predicted,
         train_time_s=model.train_time_s,
         predict_time_s=predict_time,
@@ -292,7 +296,11 @@ class BenchmarkResult(_Rendered):
     mlp_model: MlpModel
     elm_report: EvalReport
     mlp_report: EvalReport
-    speedup: float
+
+    @property
+    def speedup(self) -> float:
+        """Train time of the mlp over that of the elm."""
+        return self.mlp_report.train_time_s / self.elm_report.train_time_s
 
     def _lines(self):
         gap = (self.elm_report.accuracy - self.mlp_report.accuracy) * 100
@@ -324,20 +332,27 @@ def benchmark(train: LabeledDataset, test: LabeledDataset,
     elm_report = evaluate(elm_model, train, test)
     mlp_model = train_mlp(train, mlp_config)
     mlp_report = evaluate(mlp_model, train, test)
-
-    speedup = mlp_model.train_time_s / elm_model.train_time_s
-    return BenchmarkResult(elm_model, mlp_model, elm_report, mlp_report, speedup)
+    return BenchmarkResult(elm_model, mlp_model, elm_report, mlp_report)
 
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """Accuracy statistics for one hidden-layer width across seeds."""
+    """One hidden-layer width's test accuracy per seed, and their median, min and max."""
 
     hidden_nodes: int
-    median_accuracy: float
-    min_accuracy: float
-    max_accuracy: float
     accuracies: tuple[float, ...]
+
+    @property
+    def median_accuracy(self) -> float:
+        return float(np.median(self.accuracies))
+
+    @property
+    def min_accuracy(self) -> float:
+        return min(self.accuracies)
+
+    @property
+    def max_accuracy(self) -> float:
+        return max(self.accuracies)
 
 
 @dataclass(frozen=True)
@@ -346,12 +361,18 @@ class SweepResult(_Rendered):
     achieving the highest median accuracy."""
 
     entries: tuple[SweepEntry, ...]
-    best_h: int
-    best_accuracy: float
     train_fingerprint: str
     test_fingerprint: str
     n_seeds: int
     base_seed: int
+
+    @property
+    def best_h(self) -> int:
+        return min(self.entries, key=lambda e: (-e.median_accuracy, e.hidden_nodes)).hidden_nodes
+
+    @property
+    def best_accuracy(self) -> float:
+        return max(e.median_accuracy for e in self.entries)
 
     def _lines(self):
         yield "record=sweep", "hidden-layer width sweep"
@@ -422,23 +443,8 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
     with _one_blas_thread(), ThreadPoolExecutor(min(_cores(), len(jobs))) as pool:
         fits = pool.map(lambda job: _fit_accuracy(train, test, *job), jobs)
         accuracy = dict(zip(jobs, fits))
-    all_accs = [[accuracy[(h, seed)] for seed in seeds] for h in grid]
-
-    entries = tuple(
-        SweepEntry(
-            hidden_nodes=h,
-            median_accuracy=float(np.median(accs)),
-            min_accuracy=min(accs),
-            max_accuracy=max(accs),
-            accuracies=tuple(accs),
-        )
-        for h, accs in zip(grid, all_accs)
-    )
-    best = min(entries, key=lambda e: (-e.median_accuracy, e.hidden_nodes))
     return SweepResult(
-        entries=entries,
-        best_h=best.hidden_nodes,
-        best_accuracy=best.median_accuracy,
+        entries=tuple(SweepEntry(h, tuple(accuracy[(h, seed)] for seed in seeds)) for h in grid),
         train_fingerprint=dataset_fingerprint(train),
         test_fingerprint=dataset_fingerprint(test),
         n_seeds=n_seeds,

@@ -38,12 +38,23 @@ def small_fit(kind):
     return ["--classifier", kind, "--hidden", "4", *(["--iterations", "5"] if kind == "mlp" else [])]
 
 
+# The comment lines after the seed line that ``generate`` writes at every seed.
+SCENE_COMMENTS = [
+    "# features: 6",
+    "# class wheat: count 677 mean 62.5 58.8 69.4 111.9 100.4 76.6",
+    "# class potato: count 677 mean 57.3 51.0 46.0 153.5 66.6 42.8",
+    "# class sugar beet: count 677 mean 53.4 48.4 40.8 167.8 82.2 50.6",
+    "# class onion: count 677 mean 67.7 64.0 74.6 89.8 90.0 68.8",
+    "# class peas: count 677 mean 59.9 53.6 48.6 139.2 77.0 53.2",
+    "# class lettuce: count 676 mean 56.0 54.9 44.7 180.8 61.4 40.2",
+    "# class beans: count 676 mean 65.1 57.5 59.0 124.9 92.6 63.6",
+]
+
+
 class TestGenerate:
     def test_writes_default_scene(self, tmp_path):
         out = tmp_path / "scene.csv"
         assert main(["generate", "--out", str(out)]) == 0
-        text = out.read_text()
-        assert text.startswith("# generator seed: 42\n")
         ds = load_csv(out)
         assert ds.n_samples == 4737
         assert ds.n_classes == 7
@@ -66,6 +77,23 @@ class TestGenerate:
         assert main(["generate", "--seed", "6", "--out", str(b)]) == 0
         assert b.read_text().startswith("# generator seed: 6\n")
         assert load_csv(a).features[0, 0] != load_csv(b).features[0, 0]
+
+    @pytest.mark.parametrize("flags, seed", [([], 42), (["--seed", "7", "--train-fraction", "0.5"], 7)],
+                             ids=["default", "seed-7-split"])
+    def test_comment_block(self, tmp_path, flags, seed):
+        """The whole provenance block of the scene file and, when split, of both parts."""
+        out = tmp_path / "scene.csv"
+        assert main(["generate", *flags, "--out", str(out)]) == 0
+        block = [f"# generator seed: {seed}", *SCENE_COMMENTS]
+        header = "f1,f2,f3,f4,f5,f6,label"
+        assert out.read_text().splitlines()[:len(block) + 1] == block + [header]
+        parts = [tmp_path / f"scene.{part}.csv" for part in ("train", "test")]
+        if not flags:
+            assert not any(path.exists() for path in parts)
+            return
+        block.append(f"# split: train_fraction=0.5 seed={seed}")
+        for path in parts:
+            assert path.read_text().splitlines()[:len(block) + 1] == block + [header]
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -288,6 +316,25 @@ class TestTrainPredict:
                 kept.append([ln for ln in lines if not timed(ln)])
             assert kept[0] == kept[1]
             assert len(kept[0]) < len(lines)
+
+    def test_class_name_with_time_survives_the_record_filter(self, tmp_path, rng):
+        """Class names appear in no record key, so ``^time_`` drops the timing line
+        only; ``time`` in the text also matches such a class's header and row."""
+        data = tmp_path / "train.csv"
+        features = np.vstack([rng.normal(0.0, 1.0, (20, 2)), rng.normal(4.0, 1.0, (20, 2))])
+        save_csv(LabeledDataset(features, np.repeat([0, 1], 20), ("wheat", "maritime pine")), data)
+        kept = []
+        for name in ("a.model", "b.model"):
+            assert main(["train", "--data", str(data), "--classifier", "mlp",
+                         "--iterations", "30", "--out", str(tmp_path / name)]) == 0
+            record = (tmp_path / f"{name}.report.rec").read_text().splitlines()
+            kept.append([line for line in record if not line.startswith("time_")])
+            assert len(kept[-1]) == len(record) - 1
+        assert kept[0] == kept[1]
+        assert [line.partition("=")[0] for line in kept[0] if line.startswith("confusion_row_")] == [
+            "confusion_row_0", "confusion_row_1"]
+        text = (tmp_path / "a.model.report.txt").read_text().splitlines()
+        assert len([line for line in text if "time" in line]) == 3
 
     def test_default_hidden_depends_on_classifier(self, tmp_path, rng):
         data = tmp_path / "train.csv"

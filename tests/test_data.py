@@ -1,20 +1,19 @@
 """Tests for dataset ingestion, splitting, scaling, and synthesis."""
 
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 import elmkit
 from elmkit.data import (
+    DEFAULT_TRAIN_FRACTION,
     FormatError,
     LabeledDataset,
     ScalingParams,
     SplitSpec,
-    SyntheticConfig,
     _per_class_train_counts,
-    default_split_spec,
     fit_scaling,
     generate_synthetic,
     littleport_like_config,
@@ -509,36 +508,33 @@ class TestScaling:
 
 
 class TestSyntheticConfig:
-    def test_asymmetric_covariance_rejected(self):
-        cov = np.array([[[1.0, 0.5], [0.2, 1.0]]] * 2)
-        with pytest.raises(ValueError, match="symmetric"):
-            SyntheticConfig(("a", "b"), np.zeros((2, 2)), cov, (5, 5))
+    """The scene config is the bundled scene at a seed: the seed is its one setting."""
 
-    def test_indefinite_covariance_rejected(self):
-        cov = np.array([[[1.0, 2.0], [2.0, 1.0]]] * 2)  # eigenvalues 3, -1
-        with pytest.raises(ValueError, match="positive definite"):
-            SyntheticConfig(("a", "b"), np.zeros((2, 2)), cov, (5, 5))
+    @pytest.mark.parametrize("seed, message", [
+        (2.0, "^seed must be an integer, got 2.0$"),
+        (True, "^seed must be an integer, got True$"),
+        (-1, "^seed must be non-negative, got -1$"),
+    ])
+    def test_seed_checked(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            littleport_like_config(seed)
 
-    def test_zero_count_rejected(self):
-        cov = np.array([np.eye(2)] * 2)
-        with pytest.raises(ValueError, match="positive sample count"):
-            SyntheticConfig(("a", "b"), np.zeros((2, 2)), cov, (5, 0))
+    def test_read_only(self):
+        cfg = littleport_like_config(seed=5)
+        for name in ("class_names", "counts", "means", "covariances", "n_classes", "n_features",
+                     "seed"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, name, getattr(cfg, name))
+        for array in (cfg.means, cfg.covariances):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
-    @pytest.mark.parametrize("count", [677.9, 5.0, True, "5"])
-    def test_count_that_is_not_an_integer_rejected(self, count):
-        with pytest.raises(ValueError, match=f"^counts must be an integer, got {count!r}$"):
-            replace(littleport_like_config(), counts=(count,) * 7)
-
-    def test_shape_mismatch_rejected(self):
-        cov = np.array([np.eye(3)] * 2)
-        with pytest.raises(ValueError, match="covariances"):
-            SyntheticConfig(("a", "b"), np.zeros((2, 2)), cov, (5, 5))
-
-    @pytest.mark.parametrize("names, match", [(("a", "a"), "distinct"),
-                                              (("a\nb", "c"), "line break")])
-    def test_class_names_no_config_file_holds_rejected(self, names, match):
-        with pytest.raises(ValueError, match=match):
-            SyntheticConfig(names, np.zeros((2, 2)), np.array([np.eye(2)] * 2), (5, 5))
+    def test_scene_is_the_same_at_every_seed(self):
+        a, b = littleport_like_config(seed=0), littleport_like_config(seed=7)
+        assert (a.class_names, a.counts) == (b.class_names, b.counts)
+        for name in ("means", "covariances"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.means.shape == (7, 6) and a.covariances.shape == (7, 6, 6)
 
 
 class TestGenerateSynthetic:
@@ -586,9 +582,10 @@ class TestDefaultScene:
 
     def test_default_split_is_2700_2037(self):
         ds = generate_synthetic(littleport_like_config())
-        train, test = stratified_split(ds, default_split_spec())
+        train, test = stratified_split(ds, SplitSpec(seed=42))
         assert train.n_samples == 2700
         assert test.n_samples == 2037
+        assert SplitSpec().train_fraction == DEFAULT_TRAIN_FRACTION == 2700 / 4737
 
 
 @pytest.mark.parametrize("load, text, line", [

@@ -209,8 +209,7 @@ class TestEvaluate:
 def _report(classifier, config, counts, train_time_s, predict_time_s):
     matrix = ConfusionMatrix(counts, ("wheat", "sugar beet", "peas"))
     return EvalReport(classifier=classifier, config=config,
-                      train_fingerprint="0" * 64, test_fingerprint="f" * 64,
-                      n_train=8, n_test=matrix.total, accuracy=matrix.overall_accuracy(),
+                      train_fingerprint="0" * 64, test_fingerprint="f" * 64, n_train=8,
                       confusion=matrix, predicted=np.zeros(matrix.total, dtype=int),
                       train_time_s=train_time_s, predict_time_s=predict_time_s)
 
@@ -221,10 +220,8 @@ ELM_REPORT = _report("elm", "classifier=elm hidden_nodes=3 seed=0",
 MLP_REPORT = _report("mlp", "classifier=mlp hidden_nodes=2 learning_rate=0.25 momentum=0.2 "
                      "iterations=5 seed=0", [[1, 2, 0], [0, 1, 0], [0, 0, 0]], 2.5, 0.03125)
 SWEEP = SweepResult(
-    entries=(SweepEntry(5, 0.5, 0.25, 0.75, (0.25, 0.75)),
-             SweepEntry(10, 0.75, 0.5, 1.0, (1.0, 0.5))),
-    best_h=10, best_accuracy=0.75, train_fingerprint="0" * 64, test_fingerprint="f" * 64,
-    n_seeds=2, base_seed=3)
+    entries=(SweepEntry(5, (0.25, 0.75)), SweepEntry(10, (1.0, 0.5))),
+    train_fingerprint="0" * 64, test_fingerprint="f" * 64, n_seeds=2, base_seed=3)
 
 FINGERPRINTS_TEXT = f"train fingerprint: {'0' * 64}\ntest fingerprint: {'f' * 64}\n"
 FINGERPRINTS_RECORD = f"train_fingerprint={'0' * 64}\ntest_fingerprint={'f' * 64}\n"
@@ -323,7 +320,7 @@ class TestRenderings:
     @pytest.mark.parametrize("result,text,record", [
         (ELM_REPORT, ELM_TEXT, ELM_RECORD),
         # the models play no part in the rendering
-        (BenchmarkResult(None, None, ELM_REPORT, MLP_REPORT, 20.0), BENCHMARK_TEXT,
+        (BenchmarkResult(None, None, ELM_REPORT, MLP_REPORT), BENCHMARK_TEXT,
          BENCHMARK_RECORD),
         (SWEEP, SWEEP_TEXT, SWEEP_RECORD),
     ], ids=["eval-report", "benchmark", "sweep"])
@@ -421,7 +418,7 @@ class TestBenchmark:
         assert isinstance(result, BenchmarkResult)
         assert result.elm_report.train_fingerprint == result.mlp_report.train_fingerprint
         assert result.elm_report.test_fingerprint == result.mlp_report.test_fingerprint
-        assert result.speedup > 0
+        assert result.speedup == result.mlp_model.train_time_s / result.elm_model.train_time_s > 0
 
     def test_record_rendering_round(self, rng):
         ds = blobs(rng, n_per_class=60)

@@ -32,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from elmkit import (ElmConfig, LabeledDataset, MlpConfig, default_split_spec, generate_synthetic,
+from elmkit import (ElmConfig, LabeledDataset, MlpConfig, SplitSpec, generate_synthetic,
                     littleport_like_config, predict, predict_scores, stratified_split, train_elm,
                     train_mlp)
 from elmkit.data import scale_features
@@ -49,7 +49,7 @@ def scene(request):
     """(train, test, relation name -> transformed train) of the bundled split."""
     seed = request.param
     train, test = stratified_split(generate_synthetic(littleport_like_config(seed=seed)),
-                                   default_split_spec(seed))
+                                   SplitSpec(seed=seed))
     order = np.random.default_rng(seed).permutation(train.n_samples)
     duplicated = LabeledDataset(np.vstack([train.features] * 2), np.tile(train.labels, 2),
                                 train.class_names)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from elmkit.data import (
-    default_split_spec,
+    SplitSpec,
     fit_scaling,
     generate_synthetic,
     littleport_like_config,
@@ -268,7 +268,7 @@ class TestMinNormLstsqMatchesPseudoinverse:
 
     def test_ill_conditioned_hidden_matrices(self):
         train, _ = stratified_split(generate_synthetic(littleport_like_config()),
-                                    default_split_spec())
+                                    SplitSpec(seed=42))
         features = scale_features(train.features, fit_scaling(train))
         targets = encode_targets(train.labels, train.n_classes)
         for width in (25, 100, 300, 450):
@@ -331,7 +331,7 @@ class TestMinNormLstsqMatchesPseudoinverseWithoutOpenblas(TestMinNormLstsqMatche
 def _training_systems(widths=(25, 300, 450)):
     """Hidden matrices and targets the size of the bundled training split."""
     train, _ = stratified_split(generate_synthetic(littleport_like_config()),
-                                default_split_spec())
+                                SplitSpec(seed=42))
     features = scale_features(train.features, fit_scaling(train))
     targets = encode_targets(train.labels, train.n_classes)
     for width in widths:

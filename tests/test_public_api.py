@@ -1,9 +1,12 @@
 """The package's public names, pinned so that any change to them is deliberate."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 import types
+
+import pytest
 
 import elmkit
 from elmkit import cli
@@ -11,9 +14,9 @@ from elmkit import cli
 PUBLIC_NAMES = [
     "BenchmarkResult", "ConfusionMatrix", "ElmConfig", "ElmModel", "EvalReport",
     "FormatError", "LabeledDataset", "MlpConfig", "MlpDivergenceError", "MlpModel",
-    "ScalingParams", "SplitSpec", "SweepEntry", "SweepResult", "SyntheticConfig", "benchmark",
+    "ScalingParams", "SplitSpec", "SweepEntry", "SweepResult", "benchmark",
     "build_hidden_matrix", "confusion", "dataset_fingerprint", "decode_scores",
-    "default_split_spec", "encode_targets", "evaluate", "fit_scaling", "generate_synthetic",
+    "encode_targets", "evaluate", "fit_scaling", "generate_synthetic",
     "littleport_like_config", "load_csv", "load_feature_csv", "load_model", "min_norm_lstsq",
     "predict", "predict_scores", "pseudoinverse", "save_csv", "save_model", "scale_features",
     "stratified_split", "sweep_hidden_nodes",
@@ -26,7 +29,24 @@ def test_public_names_are_exactly_the_pinned_list():
     names = sorted(name for name in dir(elmkit) if not name.startswith("_")
                    and not isinstance(getattr(elmkit, name), types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(names) == 41
+    assert len(names) == 39
+
+
+# Each value is set in one place: what follows from these fields is a property.
+SETTABLE_FIELDS = {
+    elmkit.data._SyntheticConfig: ["seed"],
+    elmkit.SweepEntry: ["hidden_nodes", "accuracies"],
+    elmkit.SweepResult: ["entries", "train_fingerprint", "test_fingerprint", "n_seeds",
+                         "base_seed"],
+    elmkit.EvalReport: ["classifier", "config", "train_fingerprint", "test_fingerprint",
+                        "n_train", "confusion", "predicted", "train_time_s", "predict_time_s"],
+    elmkit.BenchmarkResult: ["elm_model", "mlp_model", "elm_report", "mlp_report"],
+}
+
+
+@pytest.mark.parametrize("cls", SETTABLE_FIELDS, ids=lambda cls: cls.__name__)
+def test_derived_values_are_not_fields(cls):
+    assert [f.name for f in dataclasses.fields(cls)] == SETTABLE_FIELDS[cls]
 
 
 def test_solver_signatures_take_no_cutoff():
