@@ -4,8 +4,11 @@ and a synthetic multispectral generator.
 The on-disk format is deliberately plain text: a **labeled CSV** is
 comma-delimited, UTF-8, with one header row naming the feature columns
 plus a ``label`` column; features are decimal-point reals, labels are
-class-name strings.  Its line splitter, :func:`_read_lines`, also reads
-:mod:`elmkit.modelio`'s model files.
+class-name strings.  The CSV is streamed: records go from the open file
+through :func:`csv.reader` into one flat buffer of floats, without a copy
+of the file's text.  :func:`_read_lines` reads :mod:`elmkit.modelio`'s
+model files, which are small, as a list of lines; both readers drop one
+leading byte-order mark and name the line of a byte that is not UTF-8.
 
 A malformed file raises :class:`FormatError`, a ``ValueError`` whose
 message names the file and, where there is one, the physical line; an
@@ -17,13 +20,13 @@ frozen and their arrays are marked read-only.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import functools
-import io
+import itertools
 import math
 import numbers
 import operator
+from array import array
 from dataclasses import dataclass
 from typing import Sequence, get_type_hints
 
@@ -183,17 +186,28 @@ class LabeledDataset:
 # Line-oriented text files
 # ---------------------------------------------------------------------------
 
-def _read_lines(path, newline=None) -> list[str]:
-    """The lines of a UTF-8 file, split as by :func:`open`; bad bytes raise :class:`FormatError`."""
-    with open(path, "rb") as handle:
-        # one leading byte-order mark goes before decoding, so error offsets still give lines
-        raw = handle.read().removeprefix(codecs.BOM_UTF8)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise FormatError(f"{path}: line {line_no}: not valid UTF-8") from None
-    return io.StringIO(text, newline=newline).readlines()
+def _open_text(path, newline=None):
+    """*path* opened as UTF-8 text without one leading byte-order mark; a byte
+    that is not UTF-8 reads as a lone surrogate, which :func:`_utf8_lines` finds."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape", newline=newline)
+
+
+def _utf8_lines(handle, path):
+    """The lines of a :func:`_open_text` handle, split as by :func:`open`: the first
+    one holding a byte that is not UTF-8 raises :class:`FormatError` naming it."""
+    for line_no, line in enumerate(handle, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise FormatError(f"{path}: line {line_no}: not valid UTF-8") from None
+        yield line
+
+
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 model file; bad bytes raise :class:`FormatError`."""
+    with _open_text(path) as handle:
+        return list(_utf8_lines(handle, path))
 
 
 def _fmt_vector(vec) -> str:
@@ -204,79 +218,103 @@ def _fmt_vector(vec) -> str:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _csv_records(path):
-    """Each record after the leading ``#`` lines, with the physical line it starts on.
+def _csv_records(lines, path):
+    """Each record of *lines* after the leading ``#`` lines, with the physical line it starts on.
 
     The csv module's own errors (a cell longer than ``csv.field_size_limit()``,
     or a NUL byte before Python 3.11) raise :class:`FormatError` naming that line.
     """
-    lines = _read_lines(path, newline="")
-    skip = 0
-    while skip < len(lines) and lines[skip].lstrip().startswith("#"):
-        skip += 1
-    reader = csv.reader(lines[skip:])
-    start = skip + 1
+    first = 1
+    for line in lines:
+        if not line.lstrip().startswith("#"):
+            break
+        first += 1
+    else:
+        return
+    reader = csv.reader(itertools.chain((line,), lines))
+    start = first
     try:
         for record in reader:
             yield start, record
-            start = skip + reader.line_num + 1
+            start = first + reader.line_num
     except csv.Error as exc:
         raise FormatError(f"{path}: row {start}: {exc}") from None
+
+
+def _row_values(path, line_no: int, record: list[str], columns) -> list[float]:
+    """One row's feature cells read one by one, so the first bad cell names the fault."""
+    values = []
+    for pos, name in columns:
+        cell = record[pos].strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            raise FormatError(
+                f"{path}: row {line_no}, column '{name}': could not parse '{cell}' as a number"
+            ) from None
+        if not math.isfinite(value):
+            raise FormatError(
+                f"{path}: row {line_no}, column '{name}': non-finite value '{cell}'"
+            )
+        values.append(value)
+    return values
 
 
 def _parse_csv(path, label_required: bool):
     """The one strict row parser behind :func:`load_csv` and :func:`load_feature_csv`.
 
-    Returns ``(feature_names, features, labels, line_numbers)``: the
-    stripped label cells (empty without a ``label`` column) and the
-    physical line each data row starts on, as every error names it.
+    The file is read one record at a time, and its faults are reported in
+    file order: an invalid byte, a csv-module error, a wrong cell count or a
+    bad or non-finite cell raises :class:`FormatError` for the earliest
+    physical line that has one.  Returns ``(feature_names, features, codes,
+    labels)``: *features* is a float64 view of the one buffer the cells are
+    read into.  With *label_required*, *labels* maps each distinct stripped
+    label cell, in order of first appearance, to ``(code, first line)``, and
+    *codes* holds each row's code; without it both are empty.
     """
-    records = _csv_records(path)
-    try:
-        header = [h.strip() for h in next(records)[1]]
-    except StopIteration:
-        raise FormatError(f"{path}: file is empty") from None
-    if len(set(header)) != len(header):
-        raise FormatError(f"{path}: duplicate column names in header")
-    label_pos = header.index("label") if "label" in header else None
-    if label_required and label_pos is None:
-        raise FormatError(f"{path}: missing label column 'label'")
-    columns = [(pos, name) for pos, name in enumerate(header) if name != "label"]
-    if not columns:
-        raise FormatError(f"{path}: no feature columns")
+    with _open_text(path, newline="") as handle:
+        records = _csv_records(_utf8_lines(handle, path), path)
+        try:
+            header = [h.strip() for h in next(records)[1]]
+        except StopIteration:
+            raise FormatError(f"{path}: file is empty") from None
+        if len(set(header)) != len(header):
+            raise FormatError(f"{path}: duplicate column names in header")
+        label_pos = header.index("label") if "label" in header else None
+        if label_required and label_pos is None:
+            raise FormatError(f"{path}: missing label column 'label'")
+        columns = [(pos, name) for pos, name in enumerate(header) if name != "label"]
+        if not columns:
+            raise FormatError(f"{path}: no feature columns")
 
-    rows: list[list[float]] = []
-    labels: list[str] = []
-    line_numbers: list[int] = []
-    for line_no, record in records:
-        if not record:
-            continue
-        if len(record) != len(header):
-            raise FormatError(
-                f"{path}: row {line_no} has {len(record)} cells, expected {len(header)}"
-            )
-        values = []
-        for pos, name in columns:
-            cell = record[pos].strip()
-            try:
-                value = float(cell)
-            except ValueError:
+        positions = [pos for pos, _ in columns]
+        cells = array("d")
+        codes = array("q")
+        labels: dict[str, tuple[int, int]] = {}
+        for line_no, record in records:
+            if not record:
+                continue
+            if len(record) != len(header):
                 raise FormatError(
-                    f"{path}: row {line_no}, column '{name}': could not parse '{cell}' as a number"
-                ) from None
-            if not math.isfinite(value):
-                raise FormatError(
-                    f"{path}: row {line_no}, column '{name}': non-finite value '{cell}'"
+                    f"{path}: row {line_no} has {len(record)} cells, expected {len(header)}"
                 )
-            values.append(value)
-        rows.append(values)
-        if label_pos is not None:
-            labels.append(record[label_pos].strip())
-        line_numbers.append(line_no)
+            # float() skips the outer whitespace that strip() removes, bar \x1c-\x1f: a row it
+            # refuses, or whose sum is not finite, is read cell by cell, which words the fault
+            try:
+                values = [float(record[pos]) for pos in positions]
+            except ValueError:
+                values = None
+            if values is None or not math.isfinite(sum(values)):
+                values = _row_values(path, line_no, record, columns)
+            cells.extend(values)
+            if label_required:
+                label = record[label_pos].strip()
+                codes.append(labels.setdefault(label, (len(labels), line_no))[0])
 
-    if not rows:
+    if not cells:
         raise FormatError(f"{path}: no data rows")
-    return [name for _, name in columns], np.array(rows), labels, line_numbers
+    features = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(columns))
+    return [name for _, name in columns], features, codes, labels
 
 
 def load_csv(path, class_names: Sequence[str] | None = None) -> LabeledDataset:
@@ -294,16 +332,19 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> LabeledDataset:
     missing column, a row with the wrong cell count, an unparseable or
     non-finite cell, a cell longer than ``csv.field_size_limit()``, an
     empty or unknown class, or a class name holding a line break, each
-    reported with its physical line.
+    reported with its physical line.  In a file with several faults the
+    earliest line's is reported, except that the label checks (empty,
+    unknown, line break) run only once every row has been read.
     """
-    _, features, label_names, line_numbers = _parse_csv(path, label_required=True)
+    _, features, codes, found = _parse_csv(path, label_required=True)
 
     if class_names is None:
-        ordered = tuple(dict.fromkeys(label_names))
+        ordered = tuple(found)
     else:
         ordered = tuple(str(n) for n in class_names)
     mapping = {name: i for i, name in enumerate(ordered)}
-    for line_no, name in zip(line_numbers, label_names):
+    # in order of first appearance, so the first bad label is on the first bad row
+    for name, (_, line_no) in found.items():
         if not name:
             raise FormatError(f"{path}: row {line_no}: empty label")
         # a model file is read line by line, so such a class name could not be read back
@@ -312,7 +353,9 @@ def load_csv(path, class_names: Sequence[str] | None = None) -> LabeledDataset:
         if name not in mapping:
             raise FormatError(f"{path}: row {line_no}: unknown class '{name}'")
 
-    labels = np.array([mapping[name] for name in label_names], dtype=np.int64)
+    labels = np.frombuffer(codes, dtype=np.int64)
+    if class_names is not None:
+        labels = np.array([mapping[name] for name in found], dtype=np.int64)[labels]
     return LabeledDataset(features, labels, ordered)
 
 

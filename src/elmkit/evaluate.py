@@ -177,8 +177,9 @@ def confusion(actual, predicted, class_names) -> ConfusionMatrix:
 class EvalReport(_Rendered):
     """One classifier's held-out evaluation, with timings kept separable.
 
-    ``predicted`` holds the label index predicted for each test sample;
-    ``n_test`` and ``accuracy`` follow from ``confusion``.
+    ``predicted`` holds the label index predicted for each test sample, so
+    its length and per-class counts must match ``confusion``'s total and
+    column sums; ``n_test`` and ``accuracy`` follow from ``confusion``.
     """
 
     classifier: str
@@ -192,7 +193,16 @@ class EvalReport(_Rendered):
     predict_time_s: float
 
     def __post_init__(self):
-        object.__setattr__(self, "predicted", _frozen_ints("predicted", self.predicted))
+        predicted = _frozen_ints("predicted", self.predicted)
+        if predicted.shape != (self.n_test,):
+            raise ValueError(f"predicted must hold one label per test sample: {predicted.shape} "
+                             f"labels for {self.n_test} samples")
+        columns = self.confusion.counts.sum(axis=0)
+        in_range = predicted.size == 0 or predicted.min() >= 0  # else bincount raises its own error
+        if not in_range or not np.array_equal(np.bincount(predicted, minlength=columns.size), columns):
+            raise ValueError("predicted must hold each class as often as the confusion matrix's "
+                             f"column sums, {columns.tolist()}")
+        object.__setattr__(self, "predicted", predicted)
 
     @property
     def n_test(self) -> int:
@@ -358,13 +368,23 @@ class SweepEntry:
 @dataclass(frozen=True)
 class SweepResult(_Rendered):
     """Hidden-layer width sweep; ``best_h`` is the smallest width
-    achieving the highest median accuracy."""
+    achieving the highest median accuracy.  Every entry holds one accuracy
+    per seed, so ``n_seeds`` follows from ``entries``."""
 
     entries: tuple[SweepEntry, ...]
     train_fingerprint: str
     test_fingerprint: str
-    n_seeds: int
     base_seed: int
+
+    def __post_init__(self):
+        counts = sorted({len(e.accuracies) for e in self.entries})
+        if len(counts) != 1:
+            raise ValueError("entries must be nonempty and hold one accuracy per seed each, "
+                             f"got accuracy counts {counts}")
+
+    @property
+    def n_seeds(self) -> int:
+        return len(self.entries[0].accuracies)
 
     @property
     def best_h(self) -> int:
@@ -447,6 +467,5 @@ def sweep_hidden_nodes(train: LabeledDataset, test: LabeledDataset,
         entries=tuple(SweepEntry(h, tuple(accuracy[(h, seed)] for seed in seeds)) for h in grid),
         train_fingerprint=dataset_fingerprint(train),
         test_fingerprint=dataset_fingerprint(test),
-        n_seeds=n_seeds,
         base_seed=base_seed,
     )

@@ -1,12 +1,14 @@
 """Tests for dataset ingestion, splitting, scaling, and synthesis."""
 
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 import elmkit
+from elmkit import data
 from elmkit.data import (
     DEFAULT_TRAIN_FRACTION,
     FormatError,
@@ -322,6 +324,86 @@ class TestLoadFeatureCsv:
         path.write_text("f1,f2\n1.0,2.0\n3.0,nan\n")
         with pytest.raises(FormatError, match="row 3, column 'f2'"):
             load_feature_csv(path)
+
+
+class TestCsvStreaming:
+    """The CSV is read one record at a time into one buffer of floats."""
+
+    @pytest.mark.parametrize("rows, message", [
+        (b"1.0,a\noops,b\n2.0,a\n\xff,b\n", "row 3, column 'f1': could not parse 'oops'"),
+        (b"1.0,a\n\xff,b\n2.0,a\noops,b\n", "line 3: not valid UTF-8"),
+    ], ids=["bad-row-first", "bad-byte-first"])
+    @pytest.mark.parametrize("load", [load_csv, load_feature_csv])
+    def test_the_earliest_fault_is_reported(self, tmp_path, rows, message, load):
+        """Of several faults, the one on the earliest physical line names the file's error."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"f1,label\n" + rows)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load(path)
+
+    def test_row_faults_come_before_label_faults(self, tmp_path):
+        """The labels are checked once every row has been read."""
+        path = tmp_path / "data.csv"
+        path.write_text("f1,label\n1.0,a\n2.0,\n3.0,b\noops,b\n")
+        with pytest.raises(FormatError, match="row 5, column 'f1'"):
+            load_csv(path)
+
+    def test_invalid_byte_line_counts_lone_carriage_returns(self, tmp_path):
+        """A lone CR ends a line for the byte check as it does for row numbers."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"f1,label\r1.0,a\r2.0,b\r\xff,b\r")
+        with pytest.raises(FormatError, match="line 4: not valid UTF-8"):
+            load_csv(path)
+        path.write_bytes(b"f1,label\r1.0,a\roops,b\r")
+        with pytest.raises(FormatError, match="row 3, column 'f1'"):
+            load_csv(path)
+
+    def test_padding_that_only_strip_removes_still_reads(self, tmp_path):
+        """float() keeps \\x1c-\\x1f, which str.strip() removes: such a cell still reads."""
+        path = tmp_path / "data.csv"
+        path.write_text("f1,f2,label\n\x1c1.5,2.0,a\n3.0, 4.0\x1f ,b\n")
+        np.testing.assert_array_equal(load_csv(path).features, [[1.5, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("content", [
+        b"f1,label\n1.0,a\n2.0,b\n", b"", b"f1,label\n", b"f1,f1,label\n1,2,a\n",
+        b"f1,label\n1.0,a\n\xff,b\n", b"f1,label\n1.0,a\noops,b\n", b"f1,label\n1.0\n",
+        b"f1,label\n" + b"1" * 140_000 + b",a\n", b"f1,label\n1.0,\n2.0,b\n",
+    ], ids=["valid", "empty", "header-only", "duplicate-column", "bad-byte", "bad-cell",
+            "ragged", "long-cell", "empty-label"])
+    @pytest.mark.parametrize("load", [load_csv, load_feature_csv])
+    def test_file_is_closed_on_every_exit(self, tmp_path, monkeypatch, content, load):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(handle := open_text(*args, **kwargs))
+            return handle
+
+        open_text = data._open_text
+        monkeypatch.setattr(data, "_open_text", recording_open)
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        try:
+            load(path)
+        except FormatError:
+            pass
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_traced_peak_is_a_few_times_the_features(self, tmp_path):
+        """No copy of the file's text and no per-row list of floats is held:
+        reading 20,000 rows peaks under 4x the bytes of their feature matrix."""
+        scene = [generate_synthetic(littleport_like_config(seed)) for seed in range(5)]
+        rows = np.vstack([s.features for s in scene])[:20_000]
+        labels = np.concatenate([s.labels for s in scene])[:20_000]
+        path = tmp_path / "scene.csv"
+        save_csv(LabeledDataset(rows, labels, scene[0].class_names), path)
+        tracemalloc.start()
+        try:
+            loaded = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.features, rows)
+        assert peak < 4 * loaded.features.nbytes
 
 
 def reference_fraction_counts(class_sizes, fraction, rng):

@@ -193,6 +193,29 @@ class TestEvaluate:
         kept = replace(report, predicted=report.predicted.astype(float)).predicted
         assert kept.dtype == np.int64 and kept.tobytes() == report.predicted.tobytes()
 
+    def test_predicted_for_another_test_set_rejected(self, rng):
+        """A 5-sample matrix over 2 predicted labels used to construct, with n_test 5."""
+        ds = blobs(rng)
+        report = evaluate(train_elm(ds, ElmConfig(hidden_nodes=8, seed=1)), ds, ds)
+        with pytest.raises(ValueError, match=r"^predicted must hold one label per test sample: "
+                                             rf"\(2,\) labels for {ds.n_samples} samples$"):
+            replace(report, predicted=report.predicted[:2])
+
+    def test_predicted_class_counts_must_match_the_matrix(self, rng):
+        """As many labels as samples, but not the labels the matrix counts."""
+        ds = blobs(rng)
+        report = evaluate(train_elm(ds, ElmConfig(hidden_nodes=8, seed=1)), ds, ds)
+        columns = report.confusion.counts.sum(axis=0).tolist()
+        message = re.escape(f"predicted must hold each class as often as the confusion "
+                            f"matrix's column sums, {columns}")
+        moved = report.predicted.copy()
+        moved[0] = (moved[0] + 1) % ds.n_classes
+        for predicted in (moved, np.full(ds.n_samples, ds.n_classes), np.full(ds.n_samples, -1)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                replace(report, predicted=predicted)
+        reordered = replace(report, predicted=report.predicted[::-1])  # the counts match
+        assert reordered.n_test == ds.n_samples
+
     def test_report_fields(self, rng):
         ds = blobs(rng)
         train, test = stratified_split(ds, SplitSpec(train_fraction=0.6, seed=0))
@@ -210,7 +233,7 @@ def _report(classifier, config, counts, train_time_s, predict_time_s):
     matrix = ConfusionMatrix(counts, ("wheat", "sugar beet", "peas"))
     return EvalReport(classifier=classifier, config=config,
                       train_fingerprint="0" * 64, test_fingerprint="f" * 64, n_train=8,
-                      confusion=matrix, predicted=np.zeros(matrix.total, dtype=int),
+                      confusion=matrix, predicted=np.repeat([0, 1, 2], matrix.counts.sum(axis=0)),
                       train_time_s=train_time_s, predict_time_s=predict_time_s)
 
 
@@ -221,7 +244,7 @@ MLP_REPORT = _report("mlp", "classifier=mlp hidden_nodes=2 learning_rate=0.25 mo
                      "iterations=5 seed=0", [[1, 2, 0], [0, 1, 0], [0, 0, 0]], 2.5, 0.03125)
 SWEEP = SweepResult(
     entries=(SweepEntry(5, (0.25, 0.75)), SweepEntry(10, (1.0, 0.5))),
-    train_fingerprint="0" * 64, test_fingerprint="f" * 64, n_seeds=2, base_seed=3)
+    train_fingerprint="0" * 64, test_fingerprint="f" * 64, base_seed=3)
 
 FINGERPRINTS_TEXT = f"train fingerprint: {'0' * 64}\ntest fingerprint: {'f' * 64}\n"
 FINGERPRINTS_RECORD = f"train_fingerprint={'0' * 64}\ntest_fingerprint={'f' * 64}\n"
@@ -360,6 +383,24 @@ class TestRenderings:
             kept = [[line for line in _join(pairs, half).splitlines() if "time" not in line]
                     for pairs in builds]
             assert kept[0] == kept[1]
+
+
+class TestSweepResult:
+    def test_seed_count_follows_from_the_entries(self):
+        assert SWEEP.n_seeds == 2
+        one = replace(SWEEP, entries=(SweepEntry(5, (0.5,)),))
+        assert one.n_seeds == 1
+        assert one.render_text().splitlines()[1] == "seeds per width: 1 starting at 3"
+
+    @pytest.mark.parametrize("entries, counts", [
+        ((SweepEntry(5, (0.5,)), SweepEntry(10, (0.5, 0.75))), [1, 2]),
+        ((), []),
+    ], ids=["unequal", "none"])
+    def test_entries_must_hold_one_accuracy_per_seed(self, entries, counts):
+        with pytest.raises(ValueError, match=re.escape(
+                f"entries must be nonempty and hold one accuracy per seed each, "
+                f"got accuracy counts {counts}")):
+            replace(SWEEP, entries=entries)
 
 
 class TestTrainingCost:

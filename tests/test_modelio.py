@@ -670,6 +670,20 @@ class TestReaderLines:
             load_model(path)
 
     @pytest.mark.parametrize("kind", ["elm", "mlp"])
+    def test_invalid_byte_line_counts_lone_carriage_returns(self, tmp_path, kind):
+        """A lone CR ends a line for the byte check as it does for every other error."""
+        line_no = line_of(tmp_path, kind, "scaling_min:")
+        lines = golden_text(tmp_path, kind).splitlines()
+        path = tmp_path / "m.model"
+        path.write_text("\r".join(lines) + "\r", newline="")
+        model = golden_elm() if kind == "elm" else golden_mlp()
+        assert_same_model(load_model(path), model, model._ARRAYS)
+        lines[line_no - 1] += "\xff"
+        path.write_bytes("\r".join(lines).encode("latin-1") + b"\r")
+        with pytest.raises(FormatError, match=rf"m\.model: line {line_no}: not valid UTF-8"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["elm", "mlp"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_number_names_its_line(self, tmp_path, kind, value):
         """Each kind's first matrix row, which begins 0.5 in both golden files."""

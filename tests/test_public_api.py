@@ -36,8 +36,7 @@ def test_public_names_are_exactly_the_pinned_list():
 SETTABLE_FIELDS = {
     elmkit.data._SyntheticConfig: ["seed"],
     elmkit.SweepEntry: ["hidden_nodes", "accuracies"],
-    elmkit.SweepResult: ["entries", "train_fingerprint", "test_fingerprint", "n_seeds",
-                         "base_seed"],
+    elmkit.SweepResult: ["entries", "train_fingerprint", "test_fingerprint", "base_seed"],
     elmkit.EvalReport: ["classifier", "config", "train_fingerprint", "test_fingerprint",
                         "n_train", "confusion", "predicted", "train_time_s", "predict_time_s"],
     elmkit.BenchmarkResult: ["elm_model", "mlp_model", "elm_report", "mlp_report"],
